@@ -9,7 +9,7 @@ trustworthy enough to veto forward passes on its own.
 
 import numpy as np
 
-from lossgate import MiniBatch, NaiveBayesModel, PredictorLossWindow, generate_toy_corpus
+from lossgate import NaiveBayesModel, PredictorLossWindow, generate_toy_corpus, pack_examples
 
 corpus = generate_toy_corpus(3000, duplication=5, noise_rate=0.0, seed=1)
 
@@ -19,26 +19,25 @@ by_label = {0: [ex for ex in corpus if ex.label == 0], 1: [ex for ex in corpus i
 batches = []
 for label, pool in by_label.items():
     for start in range(0, len(pool) - 8, 8):
-        batches.append((MiniBatch(pool[start : start + 8], index=0), label))
+        batches.append((pack_examples(pool[start : start + 8]), label))
 order = rng.permutation(len(batches))
 
 predictor = NaiveBayesModel()
 window = PredictorLossWindow(window_size=8)
 
-print("fresh predictor decision:", predictor.predict_batch([corpus[0].features()]))
+print("fresh predictor decision:", predictor.predict_batch(pack_examples(corpus[:1])))
 
 for m, pick in enumerate(order[:150]):
     batch, label = batches[pick]
-    feats = batch.feature_vectors()
     if predictor.has_both_classes:
-        window.push(predictor.loss(feats, [label] * len(feats)))
-    predictor.update(feats, label)
+        window.push(predictor.loss(batch, [label] * len(batch)))
+    predictor.update(batch, label)
     if m in (1, 5, 20, 60, 149):
         mean = window.mean()
         shown = f"{mean:.4f}" if mean is not None else "window not full"
         print(f"batch {m:3d}  windowed predictor loss: {shown}")
 
 held_batch, held_label = batches[order[150]]
-decision, p1 = predictor.predict_batch(held_batch.feature_vectors())
+decision, p1 = predictor.predict_batch(held_batch)
 print(f"\nheld-out batch with true label {held_label}: decision={decision} mean posterior={p1:.3f}")
 print("examples seen per class:", predictor.class_counts.tolist())

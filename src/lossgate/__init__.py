@@ -4,13 +4,14 @@ too via an online Naive Bayes predictor over bag-of-words features."""
 
 from .data import (
     HASH_BUCKETS,
-    BowVector,
     Example,
     MiniBatch,
     generate_toy_corpus,
     hash_bucket,
     load_dataset,
     make_batches,
+    pack,
+    pack_examples,
     tokenize,
     vectorize,
     write_jsonl,
@@ -37,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HASH_BUCKETS",
     "AgotParams",
-    "BowVector",
     "EnergyParams",
     "Example",
     "ForwardResult",
@@ -63,6 +63,8 @@ __all__ = [
     "load_dataset",
     "make_batches",
     "make_label",
+    "pack",
+    "pack_examples",
     "run",
     "run_random_skip",
     "save_checkpoint",

@@ -2,9 +2,6 @@
 toy-corpus generation.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error.
-``LOSSGATE_THREADS`` caps how many sweep/compare runs execute concurrently;
-output rows are always assembled in grid order, so results do not depend on
-scheduling.
 """
 
 from __future__ import annotations
@@ -13,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -59,22 +55,12 @@ def _parse_ints(raw: str) -> list[int]:
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LOSSGATE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise UsageError(f"LOSSGATE_THREADS must be an integer, got {raw!r}") from exc
-
-
 def _load_examples(path: str, format: str | None, header: bool) -> list[Example]:
     if not os.path.exists(path):
         raise UsageError(f"dataset not found: {path}")
     examples = load_dataset(path, format=format, header=header)
     if not examples:
         raise UsageError(f"dataset is empty: {path}")
-    for ex in examples:
-        ex.features()  # vectorize up front so runs can share examples across threads
     return examples
 
 
@@ -231,14 +217,6 @@ def _config_label(row: dict) -> str:
     return " ".join(parts)
 
 
-def _execute_reports(configs, train_examples, eval_examples):
-    workers = _thread_count()
-    if workers == 1:
-        return [run(cfg, train_examples, eval_examples) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cfg: run(cfg, train_examples, eval_examples), configs))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     for grid_name in ("n0_grid", "window_grid", "alt_grid", "epochs_grid", "seeds"):
@@ -253,18 +231,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # train-all reference runs first: they supply a_full for every other row
     ref_rows = [r for r in rows if r["method"] == "train-all"]
-    ref_reports = _execute_reports([r["config"] for r in ref_rows], train_examples, eval_examples)
     a_full = {}
-    for row, report in zip(ref_rows, ref_reports):
-        row["report"] = report
-        a_full[(row["epochs"], row["seed"])] = report.accuracy
+    for row in ref_rows:
+        row["report"] = run(row["config"], train_examples, eval_examples)
+        a_full[(row["epochs"], row["seed"])] = row["report"].accuracy
 
-    other_rows = [r for r in rows if r["method"] != "train-all"]
-    other_configs = [
-        replace(r["config"], a_full=a_full[(r["epochs"], r["seed"])]) for r in other_rows
-    ]
-    for row, report in zip(other_rows, _execute_reports(other_configs, train_examples, eval_examples)):
-        row["report"] = report
+    for row in rows:
+        if row["method"] != "train-all":
+            cfg = replace(row["config"], a_full=a_full[(row["epochs"], row["seed"])])
+            row["report"] = run(cfg, train_examples, eval_examples)
 
     best = None
     for row in rows:
@@ -339,11 +314,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for seed in args.seeds
         for label, cfg in method_configs
     ]
-    reports = _execute_reports([cfg for _, cfg in jobs], train_examples, eval_examples)
-
     per_method: dict[str, list] = {}
-    for (label, cfg), report in zip(jobs, reports):
-        per_method.setdefault(label, []).append(report)
+    for label, cfg in jobs:
+        per_method.setdefault(label, []).append(run(cfg, train_examples, eval_examples))
 
     # matched-ratio controls: one random-skip run per filtered method and seed
     random_jobs = []
@@ -357,12 +330,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 ratio = min(ratio, 1.0 - 1e-9)
             random_jobs.append((f"random@{label}", replace(base, seed=seed), ratio))
             targets.setdefault(f"random@{label}", []).append(ratio)
-    random_reports = _execute_reports(
-        [replace(cfg, mode="random-skip", random_skip_ratio=ratio) for _, cfg, ratio in random_jobs],
-        train_examples,
-        eval_examples,
-    )
-    for (label, _, _), report in zip(random_jobs, random_reports):
+    for label, cfg, ratio in random_jobs:
+        report = run(replace(cfg, mode="random-skip", random_skip_ratio=ratio), train_examples, eval_examples)
         per_method.setdefault(label, []).append(report)
 
     lines = [",".join(COMPARE_COLUMNS)]

@@ -33,36 +33,13 @@ def hash_bucket(token: str) -> int:
     return int.from_bytes(digest, "little") % HASH_BUCKETS
 
 
-@dataclass(frozen=True)
-class BowVector:
-    """Presence bits of a token list: the set of occupied hash buckets.
+def vectorize(tokens: list[str]) -> np.ndarray:
+    """Presence bits of a token list: its sorted, distinct hash buckets.
 
     Set semantics on purpose: duplicate tokens collapse to one bit, matching
     a Bernoulli feature model.
     """
-
-    buckets: frozenset[int]
-    dimension: int = HASH_BUCKETS
-
-    def __post_init__(self):
-        if any(b < 0 or b >= self.dimension for b in self.buckets):
-            raise ValueError("bucket index out of range")
-
-    def __len__(self) -> int:
-        return len(self.buckets)
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Sorted bucket indices as an int64 array (cached)."""
-        cached = self.__dict__.get("_indices")
-        if cached is None:
-            cached = np.fromiter(sorted(self.buckets), dtype=np.int64, count=len(self.buckets))
-            self.__dict__["_indices"] = cached
-        return cached
-
-
-def vectorize(tokens: list[str]) -> BowVector:
-    return BowVector(frozenset(hash_bucket(t) for t in tokens))
+    return np.array(sorted({hash_bucket(t) for t in tokens}), dtype=np.int64)
 
 
 @dataclass
@@ -72,27 +49,58 @@ class Example:
     text: str
     tokens: list[str]
     label: int
-    _bow: BowVector | None = field(default=None, repr=False, compare=False)
+    _buckets: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def features(self) -> BowVector:
-        if self._bow is None:
-            self._bow = vectorize(self.tokens)
-        return self._bow
+    def __post_init__(self):
+        self._buckets = vectorize(self.tokens)
+
+    def features(self) -> np.ndarray:
+        """Sorted distinct hash buckets of the tokens, computed at construction."""
+        return self._buckets
 
 
-@dataclass
+@dataclass(frozen=True)
 class MiniBatch:
-    examples: list[Example]
+    """Examples packed for the model and the predictor alike.
+
+    ``indices`` concatenates every example's sorted, distinct buckets and
+    ``rows`` names the example each index belongs to, so per-example sums are
+    one ``np.bincount(rows, weights, minlength=len(batch))``. ``index`` is the
+    batch's run-level ordinal.
+    """
+
+    indices: np.ndarray
+    rows: np.ndarray
+    labels: np.ndarray
     index: int
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.labels.size
 
-    def labels(self) -> np.ndarray:
-        return np.fromiter((ex.label for ex in self.examples), dtype=np.int64, count=len(self.examples))
 
-    def feature_vectors(self) -> list[BowVector]:
-        return [ex.features() for ex in self.examples]
+def _packed(features: list[np.ndarray], labels, index: int) -> MiniBatch:
+    lengths = [f.size for f in features]
+    indices = np.concatenate(features) if features else np.empty(0, dtype=np.int64)
+    rows = np.repeat(np.arange(len(features)), lengths)
+    return MiniBatch(indices, rows, np.asarray(labels, dtype=np.int64).reshape(len(features)), index)
+
+
+def pack_examples(examples: list[Example], index: int = 0) -> MiniBatch:
+    """Pack examples, in order, with their class labels."""
+    return _packed([ex.features() for ex in examples], [ex.label for ex in examples], index)
+
+
+def pack(buckets, labels=None, index: int = 0, dimension: int = HASH_BUCKETS) -> MiniBatch:
+    """Pack caller-supplied bucket collections, one per example.
+
+    Each collection is reduced to its sorted distinct buckets; every bucket
+    must lie in ``[0, dimension)``. ``labels`` default to 0, for batches
+    only the predictor reads.
+    """
+    features = [np.unique(np.asarray(list(b), dtype=np.int64)) for b in buckets]
+    if any(f.size and (f[0] < 0 or f[-1] >= dimension) for f in features):
+        raise ValueError("bucket index out of range")
+    return _packed(features, np.zeros(len(features)) if labels is None else labels, index)
 
 
 def _example_from_fields(text: str, label, line_no: int) -> Example:
@@ -179,7 +187,7 @@ def make_batches(
     else:
         ordered = list(examples)
     return [
-        MiniBatch(examples=ordered[start : start + batch_size], index=m)
+        pack_examples(ordered[start : start + batch_size], index=m)
         for m, start in enumerate(range(0, len(ordered), batch_size))
     ]
 

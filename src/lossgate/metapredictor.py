@@ -16,7 +16,7 @@ from collections import deque
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import HASH_BUCKETS, BowVector
+from .data import HASH_BUCKETS, MiniBatch, pack
 
 
 def make_label(batch_loss: float, gate: float) -> int:
@@ -54,20 +54,18 @@ class NaiveBayesModel:
     def bucket_count(self, label: int, bucket: int) -> int:
         return int(self._bucket_counts[label, bucket])
 
-    def update(self, features: list[BowVector], label: int) -> None:
+    def update(self, batch: MiniBatch, label: int) -> None:
         """Count one batch of examples under ``label``. Pure accumulation."""
         if label not in (0, 1):
             raise ValueError("label must be 0 or 1")
-        if not features:
+        if len(batch) == 0:
             return
-        self.class_counts[label] += len(features)
-        parts = [vec.indices for vec in features if len(vec.indices)]
-        if parts:
-            # indices within one vector are unique, so this counts
+        self.class_counts[label] += len(batch)
+        if batch.indices.size:
+            # indices within one example are unique, so this counts
             # "number of examples containing the bucket"
-            idx = np.concatenate(parts)
-            np.add.at(self._bucket_counts[label], idx, 1)
-            self._seen.update(idx.tolist())
+            np.add.at(self._bucket_counts[label], batch.indices, 1)
+            self._seen.update(batch.indices.tolist())
         self._cache = None
 
     def _tables(self):
@@ -89,42 +87,36 @@ class NaiveBayesModel:
             self._cache = (vocab, log_prior, log_theta, log_one_minus, absent_sum)
         return self._cache
 
-    def _batch_log_posteriors(self, batch_features: list[BowVector]) -> np.ndarray:
+    def _batch_log_posteriors(self, batch: MiniBatch) -> np.ndarray:
         """(n, 2) array of log P(class | features), one row per example."""
         if not self.queryable:
             raise ValueError("untrained predictor: no examples seen")
         vocab, log_prior, log_theta, log_one_minus, absent_sum = self._tables()
-        n = len(batch_features)
+        n = len(batch)
         joint = np.tile(log_prior + absent_sum, (n, 1))
-        if vocab.size:
-            parts = [vec.indices for vec in batch_features]
-            lengths = np.array([p.size for p in parts])
-            idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            if idx.size:
-                # keep only query buckets the model has actually observed;
-                # unknown buckets cancel between the classes
-                pos = np.searchsorted(vocab, idx)
-                in_range = pos < vocab.size
-                hit = np.zeros(idx.size, dtype=bool)
-                hit[in_range] = vocab[pos[in_range]] == idx[in_range]
-                contrib = np.zeros((2, idx.size))
-                contrib[:, hit] = (log_theta - log_one_minus)[:, pos[hit]]
-                # per-example segment sums, robust to empty segments
-                cum = np.concatenate([np.zeros((2, 1)), np.cumsum(contrib, axis=1)], axis=1)
-                ends = np.cumsum(lengths)
-                starts = ends - lengths
-                joint += (cum[:, ends] - cum[:, starts]).T
+        idx = batch.indices
+        if vocab.size and idx.size:
+            # keep only query buckets the model has actually observed;
+            # unknown buckets cancel between the classes
+            pos = np.searchsorted(vocab, idx)
+            in_range = pos < vocab.size
+            hit = np.zeros(idx.size, dtype=bool)
+            hit[in_range] = vocab[pos[in_range]] == idx[in_range]
+            contrib = (log_theta - log_one_minus)[:, pos[hit]]
+            rows = batch.rows[hit]
+            for c in (0, 1):
+                joint[:, c] += np.bincount(rows, weights=contrib[c], minlength=n)
         return joint - logsumexp(joint, axis=1, keepdims=True)
 
-    def log_posteriors(self, features: BowVector) -> np.ndarray:
-        """Log P(class | features) for both classes; sums to 1 in probability."""
-        return self._batch_log_posteriors([features])[0]
+    def log_posteriors(self, features) -> np.ndarray:
+        """Log P(class | features) for one example's buckets; sums to 1 in probability."""
+        return self._batch_log_posteriors(pack([features], dimension=self.dimension))[0]
 
-    def posterior(self, features: BowVector) -> float:
+    def posterior(self, features) -> float:
         """P(train-worthy | features), strictly inside (0, 1)."""
         return float(np.exp(self.log_posteriors(features)[1]))
 
-    def predict_batch(self, batch_features: list[BowVector], policy: str = "mean") -> tuple[int, float | None]:
+    def predict_batch(self, batch: MiniBatch, policy: str = "mean") -> tuple[int, float | None]:
         """Batch-level decision from per-example posteriors.
 
         Fails open (decision 1, no probability) until both classes have been
@@ -136,24 +128,24 @@ class NaiveBayesModel:
             raise ValueError(f"unknown decision policy: {policy!r}")
         if not self.has_both_classes:
             return 1, None
-        if not batch_features:
-            raise ValueError("empty feature list")
-        p1 = np.exp(self._batch_log_posteriors(batch_features)[:, 1])
+        if len(batch) == 0:
+            raise ValueError("empty batch")
+        p1 = np.exp(self._batch_log_posteriors(batch)[:, 1])
         mean_p1 = float(p1.mean())
         if policy == "mean":
             decision = 1 if mean_p1 >= 0.5 else 0
         else:
             votes = int((p1 >= 0.5).sum())
-            decision = 1 if 2 * votes >= len(batch_features) else 0
+            decision = 1 if 2 * votes >= len(batch) else 0
         return decision, mean_p1
 
-    def loss(self, batch_features: list[BowVector], labels: list[int]) -> float:
-        """Mean negative log posterior assigned to the true labels."""
-        if len(batch_features) != len(labels):
+    def loss(self, batch: MiniBatch, labels) -> float:
+        """Mean negative log posterior assigned to ``labels``, one per example."""
+        if len(batch) != len(labels):
             raise ValueError("features and labels differ in length")
-        if not batch_features:
+        if len(batch) == 0:
             raise ValueError("empty batch")
-        log_post = self._batch_log_posteriors(batch_features)
+        log_post = self._batch_log_posteriors(batch)
         picked = log_post[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
         return float(-picked.mean())
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import HASH_BUCKETS, Example, MiniBatch
+from .data import HASH_BUCKETS, MiniBatch
 
 
 @dataclass
@@ -52,21 +52,18 @@ class TargetModel:
     def dimension(self) -> int:
         return self.weights.shape[0]
 
-    def _scores(self, examples: list[Example]) -> np.ndarray:
-        scores = np.empty(len(examples), dtype=np.float64)
-        for i, ex in enumerate(examples):
-            idx = ex.features().indices
-            scores[i] = self.bias + (self.weights[idx].sum() if idx.size else 0.0)
-        return scores
+    def _scores(self, batch: MiniBatch) -> np.ndarray:
+        weights = self.weights[batch.indices]
+        return self.bias + np.bincount(batch.rows, weights=weights, minlength=len(batch))
 
     def forward(self, batch: MiniBatch) -> ForwardResult:
         """Mean cross-entropy over the batch; the model is not touched."""
         if len(batch) == 0:
             raise ValueError("batch is empty")
-        scores = self._scores(batch.examples)
+        scores = self._scores(batch)
         if not np.all(np.isfinite(scores)):
             raise RuntimeError("model diverged: non-finite prediction scores")
-        labels = batch.labels()
+        labels = batch.labels
         # CE = log(1 + exp(-s)) for label 1, log(1 + exp(s)) for label 0
         losses = np.where(labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
         probs = expit(scores)
@@ -79,22 +76,8 @@ class TargetModel:
         )
 
     def batch_gradient(self, result: ForwardResult, batch: MiniBatch) -> BatchGradient:
-        n = len(batch)
-        coef = (result.per_example_probs - batch.labels()) / n
-        parts_idx = []
-        parts_val = []
-        for i, ex in enumerate(batch.examples):
-            idx = ex.features().indices
-            if idx.size:
-                parts_idx.append(idx)
-                parts_val.append(np.full(idx.size, coef[i]))
-        if parts_idx:
-            indices = np.concatenate(parts_idx)
-            values = np.concatenate(parts_val)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.float64)
-        return BatchGradient(indices=indices, values=values, bias_grad=float(coef.sum()))
+        coef = (result.per_example_probs - batch.labels) / len(batch)
+        return BatchGradient(indices=batch.indices, values=coef[batch.rows], bias_grad=float(coef.sum()))
 
     def backward(self, result: ForwardResult, batch: MiniBatch) -> None:
         """One SGD step from a forward result. Rejects stale results."""
@@ -109,14 +92,12 @@ class TargetModel:
         self.bias -= self.learning_rate * grad.bias_grad
         self.step_count += 1
 
-    def evaluate(self, examples: list[Example]) -> float:
+    def evaluate(self, batch: MiniBatch) -> float:
         """Accuracy under argmax prediction; score ties go to class 0."""
-        if not examples:
+        if len(batch) == 0:
             raise ValueError("no examples to evaluate")
-        scores = self._scores(examples)
-        preds = (scores > 0.0).astype(np.int64)
-        labels = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=len(examples))
-        return float(np.mean(preds == labels))
+        preds = (self._scores(batch) > 0.0).astype(np.int64)
+        return float(np.mean(preds == batch.labels))
 
 
 def save_checkpoint(model: TargetModel, path: str) -> None:

@@ -7,23 +7,24 @@ skips both passes on batches it rejects, updating it continually on the
 batches it accepts. Transitions only ever move forward, and a run is fully
 determined by (config, dataset).
 
-Baselines: train-all (no filtering), fixed-threshold (static gate from the
-first batch, no warmup, no predictor), auto-threshold-only (warmup plus
-backward gating, never a predictor), random-skip (seeded coin per batch,
-both passes).
+Baselines: train-all (no filtering), fixed-threshold (gates backward on
+``config.fixed_threshold`` from the first batch; no warmup, no predictor),
+auto-threshold-only (warmup plus backward gating, never a predictor),
+random-skip (seeded coin per batch, both passes).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
 
 import numpy as np
 
 from . import metrics
-from .data import Example, MiniBatch, make_batches
+from .data import Example, MiniBatch, make_batches, pack_examples
 from .metapredictor import NaiveBayesModel, PredictorLossWindow, make_label
 from .model import TargetModel
 from .threshold import ThresholdState
@@ -51,6 +52,9 @@ class StepTrace:
     decision: str
     loss: float | None = None
     predictor_p1: float | None = None
+
+
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 @dataclass
@@ -86,20 +90,33 @@ class TrainerConfig:
     disable_predictor: bool = False
 
     def validate(self) -> None:
+        """Reject every bad value before any training starts."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if not isinstance(value, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
+            if value != value:
+                raise ValueError(f"{f.name} must not be NaN")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if self.batch_decision not in ("mean", "vote"):
+            raise ValueError(f"unknown batch_decision: {self.batch_decision!r}")
+        for name in ("epochs", "batch_size", "threshold_window", "predictor_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "alt", "skip_margin_gamma", "smoothing_alpha", "t_forward", "t_backward"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("seed", "variance_tolerance", "power_cpu_watts", "power_dram_watts", "power_gpu_watts", "gpu_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.n0_fraction <= 1.0:
             raise ValueError("n0_fraction must lie in (0, 1]")
-        if self.alt <= 0:
-            raise ValueError("alt must be positive")
-        if self.predictor_window < 1:
-            raise ValueError("predictor_window must be >= 1")
-        if self.threshold_window < 1:
-            raise ValueError("threshold_window must be >= 1")
+        if not 0.0 <= self.agot_epsilon <= 1.0:
+            raise ValueError("agot_epsilon must lie in [0, 1]")
         if self.mode == "fixed-threshold" and self.fixed_threshold is None:
             raise ValueError("fixed-threshold mode needs fixed_threshold")
         if self.mode == "random-skip":
@@ -183,7 +200,7 @@ class Trainer:
             raise ValueError("dataset is empty")
         self.config = config
         self.train_examples = train_examples
-        self.eval_examples = eval_examples if eval_examples else train_examples
+        self._eval_batch = pack_examples(eval_examples if eval_examples else train_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
         self.state = TrainerState()
         self._epoch_batches = build_epoch_batches(train_examples, config)
@@ -226,13 +243,12 @@ class Trainer:
         fr = self.model.forward(batch)
         label = make_label(fr.batch_loss, st.threshold.skip_boundary)
         if self._predictor_enabled:
-            feats = batch.feature_vectors()
             t0 = time.perf_counter()
             # a single-class predictor is degenerate (its smoothed posteriors
             # saturate), so its loss only counts once both classes are seen
             if st.predictor.has_both_classes:
-                st.predictor_window.push(st.predictor.loss(feats, [label] * len(feats)))
-            st.predictor.update(feats, label)
+                st.predictor_window.push(st.predictor.loss(batch, [label] * len(batch)))
+            st.predictor.update(batch, label)
             self._overhead += time.perf_counter() - t0
         if label == 1:
             self.model.backward(fr, batch)
@@ -248,9 +264,8 @@ class Trainer:
         gate the backward as in stage 1, and update the predictor."""
         st = self.state
         st.batches_seen += 1
-        feats = batch.feature_vectors()
         t0 = time.perf_counter()
-        decision, mean_p1 = st.predictor.predict_batch(feats, self.config.batch_decision)
+        decision, mean_p1 = st.predictor.predict_batch(batch, self.config.batch_decision)
         self._overhead += time.perf_counter() - t0
         if decision == 0:
             st.forward_skipped += 1
@@ -260,7 +275,7 @@ class Trainer:
         fr = self.model.forward(batch)
         label = make_label(fr.batch_loss, st.threshold.skip_boundary)
         t0 = time.perf_counter()
-        st.predictor.update(feats, label)
+        st.predictor.update(batch, label)
         self._overhead += time.perf_counter() - t0
         if label == 1:
             self.model.backward(fr, batch)
@@ -347,18 +362,17 @@ class Trainer:
     def run(self) -> RunReport:
         cfg = self.config
         st = self.state
-        a_base = self.model.evaluate(self.eval_examples)
+        a_base = self.model.evaluate(self._eval_batch)
         epoch_accuracies: list[float] | None = [] if cfg.eval_every_epoch else None
         for epoch in range(cfg.epochs):
             st.epoch_index = epoch
             for within_epoch in self._epoch_batches:
-                batch = MiniBatch(within_epoch.examples, index=st.batches_seen)
-                trace = self._step(batch)
+                trace = self._step(replace(within_epoch, index=st.batches_seen))
                 if cfg.record_trace:
                     self.traces.append(trace)
             if epoch_accuracies is not None:
-                epoch_accuracies.append(self.model.evaluate(self.eval_examples))
-        accuracy = self.model.evaluate(self.eval_examples)
+                epoch_accuracies.append(self.model.evaluate(self._eval_batch))
+        accuracy = self.model.evaluate(self._eval_batch)
 
         total = st.batches_seen
         fractions = metrics.SkipFractions(

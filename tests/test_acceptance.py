@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lossgate.cli import main as cli_main
-from lossgate.data import BowVector, Example, MiniBatch, generate_toy_corpus, vectorize, write_jsonl
+from lossgate.data import Example, generate_toy_corpus, pack, pack_examples, vectorize, write_jsonl
 from lossgate.metapredictor import NaiveBayesModel
 from lossgate.metrics import AgotParams, EnergyParams, SkipFractions, TimingModel, agot, energy_co2, t_norm, total_time
 from lossgate.model import TargetModel
@@ -94,14 +94,14 @@ def test_criterion_01_naive_bayes_matches_bruteforce_bayes():
         for _ in range(int(rng.integers(1, 21))):
             label = int(rng.integers(0, 2))
             present = frozenset(b for b in vocab if rng.random() < 0.5)
-            model.update([BowVector(present)], label)
+            model.update(pack([present]), label)
             class_counts[label] += 1
             for b in present:
                 bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
         for _ in range(3):
             query = frozenset(b for b in vocab if rng.random() < 0.5)
             expected = oracle(class_counts, bucket_counts, alpha, query)
-            got = model.posterior(BowVector(query))
+            got = model.posterior(query)
             worst = max(worst, abs(got - expected))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-10
@@ -117,15 +117,13 @@ def test_criterion_02_gradients_match_finite_differences():
         model = TargetModel(learning_rate=0.1)
         tokens = [f"t{i}" for i in range(25)]
         for t in tokens:
-            model.weights[vectorize([t]).indices[0]] = rng.normal(scale=0.8)
+            model.weights[vectorize([t])[0]] = rng.normal(scale=0.8)
         model.bias = rng.normal(scale=0.3)
         examples = []
         for _ in range(int(rng.integers(2, 9))):
             chosen = list(rng.choice(tokens, size=int(rng.integers(1, 6)), replace=False))
-            ex = Example(" ".join(chosen), chosen, int(rng.integers(0, 2)))
-            ex.features()
-            examples.append(ex)
-        batch = MiniBatch(examples, index=0)
+            examples.append(Example(" ".join(chosen), chosen, int(rng.integers(0, 2))))
+        batch = pack_examples(examples)
         grad = model.batch_gradient(model.forward(batch), batch)
         dense = np.zeros_like(model.weights)
         np.add.at(dense, grad.indices, grad.values)

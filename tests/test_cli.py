@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from lossgate import cli
 from lossgate.cli import COMPARE_COLUMNS, SWEEP_COLUMNS, main
 from lossgate.data import generate_toy_corpus, load_dataset, write_jsonl
 
@@ -127,6 +128,34 @@ def test_run_unknown_config_key_exits_2(corpus_file, tmp_path, capsys):
     cfg_path.write_text("warp_factor = 9\n")
     assert run_cli("run", "--data", corpus_file, "--config", str(cfg_path)) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+BAD_CONFIGS = [
+    ("batch_decision", [], "batch_decision = median"),
+    ("t_forward", ["--t-forward", "0"], None),
+    ("t_backward", ["--t-backward", "-1"], None),
+    ("agot_epsilon", ["--agot-epsilon", "1.5"], None),
+    ("skip_margin_gamma", ["--skip-gamma", "0"], None),
+    ("variance_tolerance", ["--variance-tolerance", "-0.1"], None),
+    ("smoothing_alpha", ["--smoothing-alpha", "0"], None),
+    ("batch_size", [], "batch_size = 8.5"),
+    ("epochs", [], "epochs = true"),
+]
+
+
+@pytest.mark.parametrize("field, flags, config_line", BAD_CONFIGS, ids=[c[0] for c in BAD_CONFIGS])
+def test_run_bad_config_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, field, flags, config_line):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on an invalid config")
+
+    monkeypatch.setattr(cli, "run", no_training)
+    argv = ["run", "--data", corpus_file, *flags]
+    if config_line is not None:
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(config_line + "\n")
+        argv += ["--config", str(cfg_path)]
+    assert run_cli(*argv) == 2
+    assert field in capsys.readouterr().err
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 
 from lossgate.data import (
     HASH_BUCKETS,
-    BowVector,
     Example,
     generate_toy_corpus,
     hash_bucket,
     load_dataset,
     make_batches,
+    pack,
     tokenize,
     vectorize,
     write_jsonl,
@@ -63,13 +63,13 @@ def test_hash_bucket_golden_values():
 
 def test_vectorize_golden_buckets():
     vec = vectorize(["good", "movie"])
-    assert vec.buckets == {231175, 247968}
+    assert vec.tolist() == [231175, 247968]
 
 
 def test_vectorize_set_semantics():
     vec = vectorize(["x", "x", "y"])
     assert len(vec) in (1, 2)  # 1 only if x and y collide
-    assert vec.buckets == vectorize(["y", "x"]).buckets
+    assert np.array_equal(vec, vectorize(["y", "x"]))
 
 
 def test_vectorize_empty():
@@ -80,22 +80,37 @@ def test_vectorize_stable_across_calls():
     tokens = ["alpha", "beta", "gamma", "alpha"]
     a = vectorize(tokens)
     b = vectorize(list(tokens))
-    assert a.buckets == b.buckets
-    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a, b)
 
 
 def test_bow_vector_indices_sorted_in_range():
     rng = np.random.default_rng(7)
     for _ in range(50):
         tokens = [f"t{rng.integers(10_000)}" for _ in range(rng.integers(0, 30))]
-        idx = vectorize(tokens).indices
+        idx = vectorize(tokens)
         assert np.all(np.diff(idx) > 0)
         assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < HASH_BUCKETS)
 
 
 def test_bow_vector_rejects_out_of_range():
     with pytest.raises(ValueError):
-        BowVector(frozenset([HASH_BUCKETS]))
+        pack([[1, 2], [HASH_BUCKETS]])
+    with pytest.raises(ValueError):
+        pack([[-1]])
+
+
+def test_pack_sorts_dedups_and_names_rows():
+    batch = pack([[5, 3, 5], [], [7]], labels=[1, 0, 1], index=4)
+    assert batch.indices.tolist() == [3, 5, 7]
+    assert batch.rows.tolist() == [0, 0, 2]
+    assert batch.labels.tolist() == [1, 0, 1]
+    assert batch.index == 4
+    assert len(batch) == 3
+
+
+def test_example_features_match_vectorize():
+    example = Example("Good movie, good plot", tokenize("Good movie, good plot"), 1)
+    assert np.array_equal(example.features(), vectorize(["good", "movie", "plot"]))
 
 
 # -- load_dataset ---------------------------------------------------------------
@@ -186,17 +201,17 @@ def test_make_batches_sizes():
 def test_make_batches_no_shuffle_preserves_order():
     examples = _examples(7)
     batches = make_batches(examples, batch_size=3, seed=9, shuffle=False)
-    flattened = [ex for b in batches for ex in b.examples]
-    assert flattened == examples
+    flattened = np.concatenate([b.indices for b in batches])
+    assert np.array_equal(flattened, np.concatenate([ex.features() for ex in examples]))
+    assert [int(y) for b in batches for y in b.labels] == [ex.label for ex in examples]
 
 
 def test_make_batches_same_seed_same_permutation():
     examples = _examples(23)
     a = make_batches(examples, batch_size=5, seed=11)
     b = make_batches(examples, batch_size=5, seed=11)
-    assert [[ex.text for ex in batch.examples] for batch in a] == [
-        [ex.text for ex in batch.examples] for batch in b
-    ]
+    assert [batch.indices.tolist() for batch in a] == [batch.indices.tolist() for batch in b]
+    assert [batch.rows.tolist() for batch in a] == [batch.rows.tolist() for batch in b]
 
 
 def test_make_batches_partition_property():
@@ -204,7 +219,9 @@ def test_make_batches_partition_property():
     for _ in range(20):
         examples = _examples(int(rng.integers(1, 40)))
         batches = make_batches(examples, batch_size=int(rng.integers(1, 9)), seed=int(rng.integers(1000)))
-        assert Counter(id(ex) for b in batches for ex in b.examples) == Counter(id(ex) for ex in examples)
+        packed = Counter(int(i) for b in batches for i in b.indices)
+        assert packed == Counter(int(i) for ex in examples for i in ex.features())
+        assert sum(len(b) for b in batches) == len(examples)
 
 
 def test_make_batches_rejects_bad_input():

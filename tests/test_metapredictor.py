@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lossgate.data import BowVector
+from lossgate.data import pack
 from lossgate.metapredictor import (
     NaiveBayesModel,
     PredictorLossWindow,
@@ -16,7 +16,8 @@ from lossgate.threshold import ThresholdState
 
 
 def bow(*buckets):
-    return BowVector(frozenset(buckets))
+    """One example's buckets."""
+    return list(buckets)
 
 
 def oracle_posterior(class_counts, bucket_counts, alpha, query):
@@ -47,7 +48,7 @@ def random_instance(rng, max_vocab=4, max_examples=20):
     for _ in range(int(rng.integers(1, max_examples + 1))):
         label = int(rng.integers(0, 2))
         present = frozenset(b for b in vocab if rng.random() < 0.5)
-        model.update([BowVector(present)], label)
+        model.update(pack([present]), label)
         class_counts[label] += 1
         for b in present:
             bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
@@ -76,13 +77,13 @@ def test_make_label_complements_skip_decision():
 
 def test_update_empty_feature_list_is_noop():
     model = NaiveBayesModel()
-    model.update([], 1)
+    model.update(pack([]), 1)
     assert model.total_examples == 0
 
 
 def test_update_counts_one_example():
     model = NaiveBayesModel()
-    model.update([bow(3, 7)], 1)
+    model.update(pack([bow(3, 7)]), 1)
     assert list(model.class_counts) == [0, 1]
     assert model.bucket_count(1, 3) == 1
     assert model.bucket_count(1, 7) == 1
@@ -90,7 +91,7 @@ def test_update_counts_one_example():
 
 
 def test_update_order_does_not_matter():
-    batches = [([bow(1, 2), bow(2)], 1), ([bow(3)], 0), ([bow(1)], 1)]
+    batches = [(pack([bow(1, 2), bow(2)]), 1), (pack([bow(3)]), 0), (pack([bow(1)]), 1)]
     a = NaiveBayesModel()
     for feats, label in batches:
         a.update(feats, label)
@@ -107,7 +108,7 @@ def test_counts_never_decrease():
     prev_class = model.class_counts.copy()
     prev_buckets = model._bucket_counts[:, :100].copy()
     for _ in range(30):
-        feats = [BowVector(frozenset(int(b) for b in rng.choice(100, size=3, replace=False)))]
+        feats = pack([rng.choice(100, size=3, replace=False)])
         model.update(feats, int(rng.integers(0, 2)))
         assert np.all(model.class_counts >= prev_class)
         assert np.all(model._bucket_counts[:, :100] >= prev_buckets)
@@ -119,7 +120,7 @@ def test_bucket_count_never_exceeds_class_count():
     rng = np.random.default_rng(1)
     model = NaiveBayesModel()
     for _ in range(40):
-        feats = [BowVector(frozenset(int(b) for b in rng.choice(20, size=rng.integers(1, 5), replace=False)))]
+        feats = pack([rng.choice(20, size=rng.integers(1, 5), replace=False)])
         model.update(feats, int(rng.integers(0, 2)))
     for c in (0, 1):
         assert model._bucket_counts[c, :20].max(initial=0) <= model.class_counts[c]
@@ -130,16 +131,16 @@ def test_bucket_count_never_exceeds_class_count():
 
 def test_posterior_symmetric_model_is_half():
     model = NaiveBayesModel()
-    model.update([bow(5)], 0)
-    model.update([bow(5)], 1)
+    model.update(pack([bow(5)]), 0)
+    model.update(pack([bow(5)]), 1)
     assert model.posterior(bow(5)) == 0.5
 
 
 def test_posterior_single_bucket_hand_case():
     # counts (1, 1); bucket seen once under class 1 only; alpha = 1
     model = NaiveBayesModel(smoothing_alpha=1.0)
-    model.update([bow()], 0)
-    model.update([bow(9)], 1)
+    model.update(pack([bow()]), 0)
+    model.update(pack([bow(9)]), 1)
     expected = oracle_posterior([1, 1], [{}, {9: 1}], 1.0, {9})
     assert expected == pytest.approx(2 / 3, abs=1e-12)
     assert model.posterior(bow(9)) == pytest.approx(expected, abs=1e-10)
@@ -147,15 +148,16 @@ def test_posterior_single_bucket_hand_case():
 
 def test_posterior_all_subsets_match_exhaustive_joint():
     model = NaiveBayesModel(smoothing_alpha=1.0)
-    training = [([bow(1, 2)], 1), ([bow(2, 3)], 1), ([bow(3)], 0), ([bow(1, 3)], 0), ([bow(2)], 1)]
+    training = [
+        (pack([bow(1, 2)]), 1), (pack([bow(2, 3)]), 1), (pack([bow(3)]), 0), (pack([bow(1, 3)]), 0), (pack([bow(2)]), 1)
+    ]
     class_counts = [0, 0]
     bucket_counts = [{}, {}]
     for feats, label in training:
         model.update(feats, label)
         class_counts[label] += len(feats)
-        for vec in feats:
-            for b in vec.buckets:
-                bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
+        for b in feats.indices.tolist():
+            bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
 
     # full joint over every (class, outcome) cell, then normalize one slice
     vocab = [1, 2, 3]
@@ -187,20 +189,20 @@ def test_posterior_matches_oracle_on_random_instances():
             if rng.random() < 0.3:
                 query.add(12345)  # never observed: must cancel out
             expected = oracle_posterior(class_counts, bucket_counts, model.smoothing_alpha, query)
-            assert model.posterior(BowVector(frozenset(query))) == pytest.approx(expected, abs=1e-10)
+            assert model.posterior(query) == pytest.approx(expected, abs=1e-10)
 
 
 def test_posterior_strictly_inside_unit_interval():
     rng = np.random.default_rng(3)
     for _ in range(30):
         model, _, _, vocab = random_instance(rng, max_examples=6)
-        p = model.posterior(BowVector(frozenset(vocab)))
+        p = model.posterior(vocab)
         assert 0.0 < p < 1.0
 
 
 def test_posterior_defined_for_single_class_model():
     model = NaiveBayesModel()
-    model.update([bow(4)], 1)
+    model.update(pack([bow(4)]), 1)
     assert 0.0 < model.posterior(bow(4)) < 1.0
 
 
@@ -215,47 +217,66 @@ def test_posterior_empty_model_raises():
 def _biased_model(toward: int) -> NaiveBayesModel:
     model = NaiveBayesModel()
     for _ in range(20):
-        model.update([bow(1)], toward)
-    model.update([bow(2)], 1 - toward)
+        model.update(pack([bow(1)]), toward)
+    model.update(pack([bow(2)]), 1 - toward)
     return model
 
 
 def test_predict_batch_high_posteriors_say_train():
     model = _biased_model(toward=1)
-    decision, mean_p1 = model.predict_batch([bow(1), bow(1)])
+    decision, mean_p1 = model.predict_batch(pack([bow(1), bow(1)]))
     assert decision == 1
     assert mean_p1 > 0.5
 
 
 def test_predict_batch_low_posteriors_say_skip():
     model = _biased_model(toward=0)
-    decision, mean_p1 = model.predict_batch([bow(1), bow(1)])
+    decision, mean_p1 = model.predict_batch(pack([bow(1), bow(1)]))
     assert decision == 0
     assert mean_p1 < 0.5
 
 
 def test_predict_batch_boundary_goes_to_train():
     model = NaiveBayesModel()
-    model.update([bow(5)], 0)
-    model.update([bow(5)], 1)
-    decision, mean_p1 = model.predict_batch([bow(5)])
+    model.update(pack([bow(5)]), 0)
+    model.update(pack([bow(5)]), 1)
+    decision, mean_p1 = model.predict_batch(pack([bow(5)]))
     assert mean_p1 == 0.5
     assert decision == 1
 
 
 def test_predict_batch_fails_open_without_both_classes():
     model = NaiveBayesModel()
-    model.update([bow(1)], 1)
-    assert model.predict_batch([bow(1)]) == (1, None)
-    assert NaiveBayesModel().predict_batch([bow(1)]) == (1, None)
+    model.update(pack([bow(1)]), 1)
+    assert model.predict_batch(pack([bow(1)])) == (1, None)
+    assert NaiveBayesModel().predict_batch(pack([bow(1)])) == (1, None)
 
 
 def test_predict_batch_vote_policy():
     model = _biased_model(toward=1)
-    decision, _ = model.predict_batch([bow(1), bow(1), bow(2)], policy="vote")
+    decision, _ = model.predict_batch(pack([bow(1), bow(1), bow(2)]), policy="vote")
     assert decision == 1
     with pytest.raises(ValueError):
-        model.predict_batch([bow(1)], policy="median")
+        model.predict_batch(pack([bow(1)]), policy="median")
+
+
+def test_zero_bucket_example_last_in_batch():
+    # an example with no buckets at the end of a batch gets its own row,
+    # exactly as when it is queried alone
+    model = NaiveBayesModel()
+    model.update(pack([bow(1, 2), bow(2)]), 1)
+    model.update(pack([bow(3), bow(1, 3)]), 0)
+    rows = [bow(1, 2), bow(3), bow()]
+    batch = pack(rows)
+    p1 = np.array([model.posterior(r) for r in rows])
+    labels = [1, 0, 1]
+    expected = -np.mean(np.log([p1[0], 1.0 - p1[1], p1[2]]))
+    assert model.loss(batch, labels) == pytest.approx(expected, abs=1e-12)
+    decision, mean_p1 = model.predict_batch(batch)
+    assert mean_p1 == pytest.approx(p1.mean(), abs=1e-12)
+    assert decision == int(p1.mean() >= 0.5)
+    vote, _ = model.predict_batch(batch, policy="vote")
+    assert vote == int(2 * (p1 >= 0.5).sum() >= 3)
 
 
 # -- predictor loss -------------------------------------------------------------------
@@ -263,29 +284,29 @@ def test_predict_batch_vote_policy():
 
 def test_loss_uniform_predictor_is_ln2():
     model = NaiveBayesModel()
-    model.update([bow(5)], 0)
-    model.update([bow(5)], 1)
-    assert model.loss([bow(5), bow(5)], [1, 0]) == pytest.approx(math.log(2), abs=1e-12)
+    model.update(pack([bow(5)]), 0)
+    model.update(pack([bow(5)]), 1)
+    assert model.loss(pack([bow(5), bow(5)]), [1, 0]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_loss_matches_negative_log_oracle():
     model = NaiveBayesModel(smoothing_alpha=1.0)
-    model.update([bow()], 0)
-    model.update([bow(9)], 1)
+    model.update(pack([bow()]), 0)
+    model.update(pack([bow(9)]), 1)
     p1 = oracle_posterior([1, 1], [{}, {9: 1}], 1.0, {9})
-    assert model.loss([bow(9)], [1]) == pytest.approx(-math.log(p1), abs=1e-10)
-    assert model.loss([bow(9)], [0]) == pytest.approx(-math.log(1 - p1), abs=1e-10)
+    assert model.loss(pack([bow(9)]), [1]) == pytest.approx(-math.log(p1), abs=1e-10)
+    assert model.loss(pack([bow(9)]), [0]) == pytest.approx(-math.log(1 - p1), abs=1e-10)
 
 
 def test_loss_small_when_predictor_is_confident_and_right():
     model = _biased_model(toward=1)
-    assert model.loss([bow(1)], [1]) < 0.2
+    assert model.loss(pack([bow(1)]), [1]) < 0.2
 
 
 def test_loss_length_mismatch():
     model = _biased_model(toward=1)
     with pytest.raises(ValueError, match="length"):
-        model.loss([bow(1)], [1, 0])
+        model.loss(pack([bow(1)]), [1, 0])
 
 
 # -- window ----------------------------------------------------------------------------
@@ -322,5 +343,4 @@ def test_predictor_checkpoint_roundtrip(tmp_path):
     save_predictor(model, str(path))
     loaded = load_predictor(str(path))
     assert list(loaded.class_counts) == list(model.class_counts)
-    query = BowVector(frozenset(vocab))
-    assert loaded.posterior(query) == model.posterior(query)
+    assert loaded.posterior(vocab) == model.posterior(vocab)

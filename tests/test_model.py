@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lossgate.data import Example, MiniBatch, vectorize
+from scipy.special import expit
+
+from lossgate.data import Example, pack_examples, tokenize, vectorize
 from lossgate.model import TargetModel, load_checkpoint, save_checkpoint
 
 
 def ex(tokens, label):
-    e = Example(" ".join(tokens), list(tokens), label)
-    e.features()
-    return e
+    return Example(" ".join(tokens), list(tokens), label)
 
 
 def batch(pairs, index=0):
-    return MiniBatch([ex(tokens, label) for tokens, label in pairs], index=index)
+    return pack_examples([ex(tokens, label) for tokens, label in pairs], index=index)
 
 
 def random_case(rng, n_examples=6, vocab=30):
@@ -22,7 +22,7 @@ def random_case(rng, n_examples=6, vocab=30):
     model = TargetModel(learning_rate=0.1)
     tokens = [f"tok{i}" for i in range(vocab)]
     for t in tokens:
-        b = vectorize([t]).indices[0]
+        b = vectorize([t])[0]
         model.weights[b] = rng.normal(scale=0.8)
     model.bias = rng.normal(scale=0.3)
     pairs = []
@@ -47,7 +47,7 @@ def test_forward_perfect_prediction_zero_loss():
     model = TargetModel()
     b = batch([(["hooray"], 1)])
     # large enough that exp(-score) underflows: probability is exactly 1.0
-    model.weights[b.examples[0].features().indices[0]] = 800.0
+    model.weights[b.indices[0]] = 800.0
     result = model.forward(b)
     assert result.per_example_probs[0] == 1.0
     assert result.batch_loss == 0.0
@@ -56,7 +56,7 @@ def test_forward_perfect_prediction_zero_loss():
 def test_forward_quarter_probability_loss():
     model = TargetModel()
     b = batch([(["tok"], 1)])
-    model.weights[b.examples[0].features().indices[0]] = math.log(0.25 / 0.75)
+    model.weights[b.indices[0]] = math.log(0.25 / 0.75)
     result = model.forward(b)
     assert result.batch_loss == pytest.approx(-math.log(0.25), rel=1e-12)
 
@@ -85,14 +85,52 @@ def test_forward_does_not_touch_model():
 def test_forward_rejects_diverged_model():
     model = TargetModel()
     b = batch([(["boom"], 1)])
-    model.weights[b.examples[0].features().indices[0]] = np.inf
+    model.weights[b.indices[0]] = np.inf
     with pytest.raises(RuntimeError, match="diverged"):
         model.forward(b)
 
 
 def test_forward_rejects_empty_batch():
     with pytest.raises(ValueError):
-        TargetModel().forward(MiniBatch([], index=0))
+        TargetModel().forward(pack_examples([]))
+
+
+def test_forward_matches_per_example_sums():
+    # reference: one plain sum per example; only the summation order differs
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        model = TargetModel()
+        model.weights[:] = rng.normal(scale=0.5, size=model.dimension)
+        model.bias = rng.normal()
+        examples = [ex([f"w{rng.integers(40)}" for _ in range(rng.integers(0, 15))], 1) for _ in range(6)]
+        scores = [model.bias + sum(model.weights[e.features()].tolist()) for e in examples]
+        result = model.forward(pack_examples(examples))
+        assert np.allclose(result.per_example_probs, expit(scores), rtol=1e-12, atol=0.0)
+
+
+def test_zero_bucket_example_last_in_batch():
+    # "!!!" tokenizes to nothing: its score is the bias alone and only the
+    # bias sees its gradient, also as the last row of a packed batch
+    rng = np.random.default_rng(8)
+    model, _ = random_case(rng)
+    empty = Example("!!!", tokenize("!!!"), 1)
+    assert empty.features().size == 0
+    examples = [ex(["tok1", "tok2"], 0), ex(["tok3"], 1), empty]
+    b = pack_examples(examples)
+    result = model.forward(b)
+    assert result.per_example_probs[-1] == expit(model.bias)
+    assert result.per_example_losses[-1] == np.logaddexp(0.0, -model.bias)
+    grad = model.batch_gradient(result, b)
+    assert np.array_equal(grad.indices, np.concatenate([e.features() for e in examples[:2]]))
+    coef = (result.per_example_probs - [0, 1, 1]) / 3
+    assert np.array_equal(grad.values, np.repeat(coef[:2], [2, 1]))
+    assert grad.bias_grad == pytest.approx(coef.sum(), abs=1e-15)
+
+    alone = pack_examples([empty])
+    before_w, before_bias = model.weights.copy(), model.bias
+    model.backward(model.forward(alone), alone)
+    assert np.array_equal(model.weights, before_w)
+    assert model.bias == before_bias - model.learning_rate * (expit(before_bias) - 1.0)
 
 
 # -- backward --------------------------------------------------------------------
@@ -122,7 +160,7 @@ def test_backward_gradient_matches_finite_differences():
 def test_backward_zero_gradient_leaves_weights_bit_identical():
     model = TargetModel()
     b = batch([(["sure"], 1)])
-    model.weights[b.examples[0].features().indices[0]] = 40.0
+    model.weights[b.indices[0]] = 40.0
     before = model.weights.copy()
     result = model.forward(b)
     model.backward(result, b)
@@ -187,21 +225,21 @@ def test_training_is_deterministic():
 
 def test_evaluate_zero_model_predicts_class_zero():
     examples = [ex(["a"], 0), ex(["b"], 0), ex(["c"], 1)]
-    assert TargetModel().evaluate(examples) == pytest.approx(2 / 3)
+    assert TargetModel().evaluate(pack_examples(examples)) == pytest.approx(2 / 3)
 
 
 def test_evaluate_separable_set_reaches_perfect_accuracy():
     model = TargetModel(learning_rate=1.0)
     train = [ex(["up"], 1), ex(["down"], 0)]
     for i in range(50):
-        b = MiniBatch(train, index=i)
+        b = pack_examples(train, index=i)
         model.backward(model.forward(b), b)
-    assert model.evaluate(train) == 1.0
+    assert model.evaluate(pack_examples(train)) == 1.0
 
 
 def test_evaluate_rejects_empty():
     with pytest.raises(ValueError):
-        TargetModel().evaluate([])
+        TargetModel().evaluate(pack_examples([]))
 
 
 # -- checkpoint ------------------------------------------------------------------
