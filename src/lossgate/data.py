@@ -6,6 +6,7 @@ vocabulary pass is needed; everything downstream stays single-pass.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -23,11 +24,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def hash_bucket(token: str) -> int:
     """Stable 64-bit hash of a token, folded into [0, HASH_BUCKETS).
 
     Uses blake2b so the mapping is identical across runs, platforms, and
-    interpreter hash seeds.
+    interpreter hash seeds. Memoized: a corpus repeats a small vocabulary.
     """
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % HASH_BUCKETS

@@ -6,17 +6,33 @@ applied to both the per-bucket likelihoods and the class priors, so
 posteriors stay strictly inside (0, 1) even when only one class has been
 seen. Absent-feature terms are restricted to buckets the model has observed;
 unseen buckets contribute the same factor to both classes and cancel.
+
+The observed vocabulary is kept as a sorted bucket array, refreshed only when
+an update brings a bucket not seen before, so a query after an update costs
+one pass over that vocabulary plus the batch, never a pass over all
+``dimension`` buckets.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import HASH_BUCKETS, MiniBatch, pack
+
+
+def _log_normalize(joint: np.ndarray) -> np.ndarray:
+    """Subtract each row's log-sum-exp from an (n, 2) array of log joints.
+
+    Two columns need no general reduction: with ``hi`` the larger entry and
+    ``lo`` the smaller, the row sum is ``hi + log1p(exp(lo - hi))``, the same
+    arithmetic ``scipy.special.logsumexp`` performs on two columns.
+    """
+    hi = joint.max(axis=1, keepdims=True)
+    return joint - (np.log1p(np.exp(joint.min(axis=1, keepdims=True) - hi)) + hi)
 
 
 def make_label(batch_loss: float, gate: float) -> int:
@@ -30,13 +46,14 @@ def make_label(batch_loss: float, gate: float) -> int:
 
 class NaiveBayesModel:
     def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
-        if smoothing_alpha <= 0:
+        if not smoothing_alpha > 0:
             raise ValueError("smoothing_alpha must be positive")
         self.smoothing_alpha = float(smoothing_alpha)
         self.dimension = int(dimension)
         self.class_counts = np.zeros(2, dtype=np.int64)
         self._bucket_counts = np.zeros((2, self.dimension), dtype=np.int64)
-        self._seen: set[int] = set()
+        # sorted buckets counted under either class
+        self._vocab = np.zeros(0, dtype=np.int64)
         self._cache = None
 
     @property
@@ -62,38 +79,42 @@ class NaiveBayesModel:
             return
         self.class_counts[label] += len(batch)
         if batch.indices.size:
+            # buckets neither class has counted yet join the vocabulary
+            new = batch.indices[~self._bucket_counts[:, batch.indices].any(axis=0)]
             # indices within one example are unique, so this counts
             # "number of examples containing the bucket"
             np.add.at(self._bucket_counts[label], batch.indices, 1)
-            self._seen.update(batch.indices.tolist())
+            if new.size:
+                new = np.unique(new)
+                self._vocab = np.insert(self._vocab, np.searchsorted(self._vocab, new), new)
         self._cache = None
 
     def _tables(self):
         """Smoothed log-probability tables over the observed vocabulary."""
         if self._cache is None:
             alpha = self.smoothing_alpha
-            vocab = np.fromiter(sorted(self._seen), dtype=np.int64, count=len(self._seen))
+            vocab = self._vocab
             denom = self.class_counts.astype(np.float64) + 2.0 * alpha
             log_prior = np.log(self.class_counts + alpha) - np.log(self.class_counts.sum() + 2.0 * alpha)
             if vocab.size:
                 theta = (self._bucket_counts[:, vocab] + alpha) / denom[:, None]
-                log_theta = np.log(theta)
                 log_one_minus = np.log1p(-theta)
+                present_gain = np.log(theta) - log_one_minus
                 absent_sum = log_one_minus.sum(axis=1)
             else:
-                log_theta = np.zeros((2, 0))
-                log_one_minus = np.zeros((2, 0))
+                present_gain = np.zeros((2, 0))
                 absent_sum = np.zeros(2)
-            self._cache = (vocab, log_prior, log_theta, log_one_minus, absent_sum)
+            self._cache = (vocab, log_prior + absent_sum, present_gain)
         return self._cache
 
     def _batch_log_posteriors(self, batch: MiniBatch) -> np.ndarray:
         """(n, 2) array of log P(class | features), one row per example."""
         if not self.queryable:
             raise ValueError("untrained predictor: no examples seen")
-        vocab, log_prior, log_theta, log_one_minus, absent_sum = self._tables()
+        vocab, all_absent, present_gain = self._tables()
         n = len(batch)
-        joint = np.tile(log_prior + absent_sum, (n, 1))
+        joint = np.empty((n, 2))
+        joint[:] = all_absent
         idx = batch.indices
         if vocab.size and idx.size:
             # keep only query buckets the model has actually observed;
@@ -102,11 +123,11 @@ class NaiveBayesModel:
             in_range = pos < vocab.size
             hit = np.zeros(idx.size, dtype=bool)
             hit[in_range] = vocab[pos[in_range]] == idx[in_range]
-            contrib = (log_theta - log_one_minus)[:, pos[hit]]
+            contrib = present_gain[:, pos[hit]]
             rows = batch.rows[hit]
             for c in (0, 1):
                 joint[:, c] += np.bincount(rows, weights=contrib[c], minlength=n)
-        return joint - logsumexp(joint, axis=1, keepdims=True)
+        return _log_normalize(joint)
 
     def log_posteriors(self, features) -> np.ndarray:
         """Log P(class | features) for one example's buckets; sums to 1 in probability."""
@@ -188,13 +209,42 @@ def save_predictor(model: NaiveBayesModel, path: str) -> None:
         json.dump(payload, fh)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_predictor(path: str) -> NaiveBayesModel:
+    """Read a ``save_predictor`` checkpoint.
+
+    Raises ValueError on a checkpoint no live model could have written: an
+    ``alpha`` that is not positive and finite, ``class_counts`` that are not
+    two non-negative integers, an entry that is not an integer pair, a bucket
+    outside ``[0, dimension)``, or a bucket count that is negative or above
+    its class total.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    model = NaiveBayesModel(smoothing_alpha=payload["alpha"], dimension=payload["dimension"])
-    model.class_counts = np.array(payload["class_counts"], dtype=np.int64)
+    alpha, dimension, class_counts = payload["alpha"], payload["dimension"], payload["class_counts"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
+    if not _is_int(dimension) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+    if not (isinstance(class_counts, list) and len(class_counts) == 2
+            and all(_is_int(c) and c >= 0 for c in class_counts)):
+        raise ValueError(f"class_counts must be two non-negative integers, got {class_counts!r}")
+    model = NaiveBayesModel(smoothing_alpha=alpha, dimension=dimension)
+    model.class_counts = np.array(class_counts, dtype=np.int64)
     for label in (0, 1):
-        for bucket, count in payload["token_counts"][str(label)]:
-            model._bucket_counts[label, int(bucket)] = int(count)
-            model._seen.add(int(bucket))
+        for entry in payload["token_counts"][str(label)]:
+            if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
+                raise ValueError(f"class {label} entry must be an integer [bucket, count] pair, got {entry!r}")
+            bucket, count = entry
+            if not 0 <= bucket < dimension:
+                raise ValueError(f"class {label} bucket {bucket} outside [0, {dimension})")
+            if not 0 <= count <= class_counts[label]:
+                raise ValueError(
+                    f"class {label} bucket {bucket} count {count} outside [0, {class_counts[label]}]"
+                )
+            model._bucket_counts[label, bucket] = count
+    model._vocab = np.flatnonzero(model._bucket_counts.any(axis=0))
     return model

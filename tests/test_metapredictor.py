@@ -1,13 +1,16 @@
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from lossgate.data import pack
+from lossgate.data import HASH_BUCKETS, pack
 from lossgate.metapredictor import (
     NaiveBayesModel,
     PredictorLossWindow,
+    _log_normalize,
     load_predictor,
     make_label,
     save_predictor,
@@ -333,6 +336,50 @@ def test_window_size_validation():
         PredictorLossWindow(0)
 
 
+# -- incremental state -------------------------------------------------------------------
+
+
+def test_incremental_state_matches_reload(tmp_path):
+    # buckets from both ends of the hash space, so a new bucket lands before,
+    # between and after the ones already seen
+    pool = np.concatenate([np.arange(40), HASH_BUCKETS - 1 - np.arange(40)])
+    rng = np.random.default_rng(5)
+    model = NaiveBayesModel(smoothing_alpha=0.5)
+    path = tmp_path / "predictor.json"
+    for _ in range(60):
+        rows = [rng.choice(pool, size=rng.integers(0, 6), replace=False) for _ in range(rng.integers(1, 5))]
+        batch = pack(rows)
+        op = rng.integers(0, 3)
+        if op == 0 or not model.queryable:
+            model.update(batch, int(rng.integers(0, 2)))
+        elif op == 1:
+            model.loss(batch, rng.integers(0, 2, size=len(batch)))
+        else:
+            model.predict_batch(batch)
+        assert np.array_equal(model._vocab, np.flatnonzero(model._bucket_counts.sum(axis=0)))
+        assert np.all(np.diff(model._vocab) > 0)
+        if model.queryable:
+            save_predictor(model, str(path))
+            query = pack([rng.choice(pool, size=4, replace=False), [], [12345]])
+            assert np.array_equal(
+                model._batch_log_posteriors(query), load_predictor(str(path))._batch_log_posteriors(query)
+            )
+
+
+def test_log_normalize_matches_scipy_logsumexp_bitwise():
+    rng = np.random.default_rng(6)
+    joints = [np.array([[-3.5, -1.25]])]  # a single row
+    for scale in (1.0, 50.0, 1e4):
+        joint = rng.normal(-scale, scale, size=(500, 2))
+        joint[:50, 1] = joint[:50, 0]  # tied columns
+        gap = rng.uniform(700.0, 800.0, size=100)
+        joint[50:100, 1] = joint[50:100, 0] - gap[:50]  # gaps above 700, either way round
+        joint[100:150, 0] = joint[100:150, 1] - gap[50:]
+        joints.append(joint)
+    for joint in joints:
+        assert np.array_equal(_log_normalize(joint), joint - logsumexp(joint, axis=1, keepdims=True))
+
+
 # -- checkpoint --------------------------------------------------------------------------
 
 
@@ -344,3 +391,75 @@ def test_predictor_checkpoint_roundtrip(tmp_path):
     loaded = load_predictor(str(path))
     assert list(loaded.class_counts) == list(model.class_counts)
     assert loaded.posterior(vocab) == model.posterior(vocab)
+    batch = pack([vocab, vocab[:1], [], [12345]])
+    assert loaded.predict_batch(batch) == model.predict_batch(batch)
+    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+    for m in (model, loaded):
+        m.update(pack([vocab[:1], [77]]), 1)
+    assert loaded.posterior(vocab + [77]) == model.posterior(vocab + [77])
+    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+
+
+def _checkpoint(tmp_path, **changes):
+    """Path of a small valid checkpoint with ``changes`` applied to its fields."""
+    payload = {
+        "alpha": 1.0,
+        "dimension": 8,
+        "class_counts": [3, 3],
+        "token_counts": {"0": [[1, 2]], "1": [[1, 3], [7, 1]]},
+    }
+    payload.update(changes)
+    path = tmp_path / "predictor.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_load_predictor_accepts_valid_checkpoint(tmp_path):
+    model = load_predictor(_checkpoint(tmp_path))
+    assert model.bucket_count(1, 7) == 1
+    assert list(model._vocab) == [1, 7]
+
+
+def test_load_predictor_rejects_negative_bucket(tmp_path):
+    # negative indexing would otherwise write bucket -1 into the last bucket
+    with pytest.raises(ValueError, match="bucket -1 outside"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[-1, 1]]}))
+
+
+def test_load_predictor_rejects_bucket_at_dimension(tmp_path):
+    with pytest.raises(ValueError, match="bucket 8 outside"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[8, 1]], "1": []}))
+
+
+def test_load_predictor_rejects_negative_count(tmp_path):
+    with pytest.raises(ValueError, match="count -1"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[1, -1]], "1": []}))
+
+
+def test_load_predictor_rejects_count_above_class_total(tmp_path):
+    with pytest.raises(ValueError, match="count 9"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[1, 9]]}))
+
+
+@pytest.mark.parametrize("class_counts", [[3], [3, 3, 3], [3, -1], [3.0, 3], [True, 3], "33"])
+def test_load_predictor_rejects_bad_class_counts(tmp_path, class_counts):
+    with pytest.raises(ValueError, match="class_counts"):
+        load_predictor(_checkpoint(tmp_path, class_counts=class_counts))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1.0"])
+def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        load_predictor(_checkpoint(tmp_path, alpha=alpha))
+
+
+@pytest.mark.parametrize("entry", [[1], [1, 1, 1], [1.0, 1], ["1", 1], [1, True]])
+def test_load_predictor_rejects_malformed_entry(tmp_path, entry):
+    with pytest.raises(ValueError, match="pair"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [entry], "1": []}))
+
+
+@pytest.mark.parametrize("dimension", [0, 8.0, True])
+def test_load_predictor_rejects_bad_dimension(tmp_path, dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        load_predictor(_checkpoint(tmp_path, dimension=dimension))
