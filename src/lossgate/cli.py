@@ -64,6 +64,13 @@ def _load_examples(path: str, format: str | None, header: bool) -> list[Example]
     return examples
 
 
+def _load_data(args: argparse.Namespace) -> tuple[list[Example], list[Example] | None]:
+    """The training set and the optional held-out set named by the data flags."""
+    train = _load_examples(args.data, args.format, args.header)
+    held_out = _load_examples(args.eval_data, args.format, args.header) if args.eval_data else None
+    return train, held_out
+
+
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainerConfig)}
 
 
@@ -151,8 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.trace:
         cfg = replace(cfg, record_trace=True)
-    train_examples = _load_examples(args.data, args.format, args.header)
-    eval_examples = _load_examples(args.eval_data, args.format, args.header) if args.eval_data else None
+    train_examples, eval_examples = _load_data(args)
     report = run(cfg, train_examples, eval_examples)
     payload = json.dumps(report.to_json_dict(), indent=2)
     if args.report:
@@ -174,38 +180,29 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- sweep ---------------------------------------------------------------------
 
 
+def _sweep_row(common: TrainerConfig, method: str, n0=None, w=None, alt=None, t=None) -> dict:
+    """One grid row: the method label, its swept parameters (None where the
+    method has none) and the full TrainerConfig they set."""
+    swept = {"n0_fraction": n0, "predictor_window": w, "alt": alt, "fixed_threshold": t}
+    config = replace(common, mode=method, **{k: v for k, v in swept.items() if v is not None})
+    return {
+        "method": method, "config": config,
+        "n0_fraction": n0, "window_w": w, "alt": alt, "fixed_threshold": t,
+        "epochs": common.epochs, "seed": common.seed,
+    }
+
+
 def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[dict]:
-    """Ordered grid rows; each carries the method label, its parameters, and
-    the full TrainerConfig."""
+    """Ordered grid rows, one per run."""
     rows = []
     for epochs in args.epochs_grid:
         for seed in args.seeds:
             common = replace(base, epochs=epochs, seed=seed)
-            rows.append({
-                "method": "train-all",
-                "config": replace(common, mode="train-all"),
-                "n0_fraction": None, "window_w": None, "alt": None, "fixed_threshold": None,
-                "epochs": epochs, "seed": seed,
-            })
-            for t in args.fixed_thresholds:
-                rows.append({
-                    "method": "fixed-threshold",
-                    "config": replace(common, mode="fixed-threshold", fixed_threshold=t),
-                    "n0_fraction": None, "window_w": None, "alt": None, "fixed_threshold": t,
-                    "epochs": epochs, "seed": seed,
-                })
+            rows.append(_sweep_row(common, "train-all"))
+            rows.extend(_sweep_row(common, "fixed-threshold", t=t) for t in args.fixed_thresholds)
             for n0 in args.n0_grid:
                 for w in args.window_grid:
-                    for alt in args.alt_grid:
-                        rows.append({
-                            "method": "three-stage",
-                            "config": replace(
-                                common, mode="three-stage", n0_fraction=n0,
-                                predictor_window=w, alt=alt,
-                            ),
-                            "n0_fraction": n0, "window_w": w, "alt": alt, "fixed_threshold": None,
-                            "epochs": epochs, "seed": seed,
-                        })
+                    rows.extend(_sweep_row(common, "three-stage", n0, w, alt) for alt in args.alt_grid)
     return rows
 
 
@@ -222,8 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for grid_name in ("n0_grid", "window_grid", "alt_grid", "epochs_grid", "seeds"):
         if not getattr(args, grid_name):
             raise UsageError(f"empty grid: {grid_name.replace('_', '-')}")
-    train_examples = _load_examples(args.data, args.format, args.header)
-    eval_examples = _load_examples(args.eval_data, args.format, args.header) if args.eval_data else None
+    train_examples, eval_examples = _load_data(args)
 
     rows = _sweep_grid(args, base)
     if len(rows) > args.max_runs:
@@ -300,8 +296,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     if not args.seeds:
         raise UsageError("need at least one seed")
-    train_examples = _load_examples(args.data, args.format, args.header)
-    eval_examples = _load_examples(args.eval_data, args.format, args.header) if args.eval_data else None
+    train_examples, eval_examples = _load_data(args)
 
     method_configs: list[tuple[str, TrainerConfig]] = [("train-all", replace(base, mode="train-all"))]
     method_configs.append(("three-stage", replace(base, mode="three-stage")))
@@ -331,7 +326,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             random_jobs.append((f"random@{label}", replace(base, seed=seed), ratio))
             targets.setdefault(f"random@{label}", []).append(ratio)
     for label, cfg, ratio in random_jobs:
-        report = run(replace(cfg, mode="random-skip", random_skip_ratio=ratio), train_examples, eval_examples)
+        report = run_random_skip(cfg, train_examples, ratio, eval_examples)
         per_method.setdefault(label, []).append(report)
 
     lines = [",".join(COMPARE_COLUMNS)]

@@ -46,8 +46,8 @@ def make_label(batch_loss: float, gate: float) -> int:
 
 class NaiveBayesModel:
     def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
-        if not smoothing_alpha > 0:
-            raise ValueError("smoothing_alpha must be positive")
+        if not 0 < smoothing_alpha < math.inf:
+            raise ValueError("smoothing_alpha must be positive and finite")
         self.smoothing_alpha = float(smoothing_alpha)
         self.dimension = int(dimension)
         self.class_counts = np.zeros(2, dtype=np.int64)

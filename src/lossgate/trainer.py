@@ -1,16 +1,18 @@
 """Three-stage training loop plus the baseline modes.
 
-Stage 0 (warmup) runs every pass and accumulates the loss window. Stage 1
-freezes the threshold, gates backward passes on it, and trains the meta
-predictor from those gate decisions. Stage 2 asks the predictor first and
-skips both passes on batches it rejects, updating it continually on the
-batches it accepts. Transitions only ever move forward, and a run is fully
-determined by (config, dataset).
+Every mode runs one per-batch sequence, ``Trainer._pass``, and only picks
+its three arguments: a forward screen that drops the batch before any pass,
+a gate (backward runs iff the loss is at or above it) and a learner fed each
+forward batch's loss and label.
 
-Baselines: train-all (no filtering), fixed-threshold (gates backward on
-``config.fixed_threshold`` from the first batch; no warmup, no predictor),
-auto-threshold-only (warmup plus backward gating, never a predictor),
-random-skip (seeded coin per batch, both passes).
+- train-all: no screen, no gate, no learner.
+- fixed-threshold: gate ``config.fixed_threshold`` from the first batch.
+- random-skip: a seeded coin per batch screens.
+- three-stage and auto-threshold-only: stage 0 (warmup) has only a learner,
+  the loss window. Stage 1 gates on the frozen window; under three-stage its
+  learner scores and updates the meta predictor. Stage 2 (three-stage only)
+  screens by the predictor, keeps the stage-1 gate and updates the predictor.
+  Stages only ever move forward; a run is fully determined by (config, dataset).
 """
 
 from __future__ import annotations
@@ -108,15 +110,17 @@ class TrainerConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("learning_rate", "alt", "skip_margin_gamma", "smoothing_alpha", "t_forward", "t_backward"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("seed", "variance_tolerance", "power_cpu_watts", "power_dram_watts", "power_gpu_watts", "gpu_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if not 0.0 < self.n0_fraction <= 1.0:
             raise ValueError("n0_fraction must lie in (0, 1]")
         if not 0.0 <= self.agot_epsilon <= 1.0:
             raise ValueError("agot_epsilon must lie in [0, 1]")
+        if self.a_full is not None and not 0.0 <= self.a_full <= 1.0:
+            raise ValueError("a_full must lie in [0, 1]")
         if self.mode == "fixed-threshold" and self.fixed_threshold is None:
             raise ValueError("fixed-threshold mode needs fixed_threshold")
         if self.mode == "random-skip":
@@ -220,35 +224,23 @@ class Trainer:
 
     # -- single-batch steps ------------------------------------------------
 
-    def step_warmup(self, batch: MiniBatch) -> StepTrace:
-        """Stage 0: always forward + backward, feeding the loss window."""
+    def _pass(
+        self, batch: MiniBatch, gate: float | None = None, learn=None, skip: bool = False, predictor_p1=None
+    ) -> StepTrace:
+        """Count the batch and stop on ``skip``; else forward, label the loss
+        against ``gate`` (none trains every batch), time ``learn(batch, loss,
+        label)`` as overhead and run the backward iff the label is 1."""
         st = self.state
         st.batches_seen += 1
+        stage = int(st.stage) if self._staged else None
+        if skip:
+            st.forward_skipped += 1
+            return StepTrace(st.epoch_index, batch.index, stage, DECISION_SKIPPED, predictor_p1=predictor_p1)
         fr = self.model.forward(batch)
-        t0 = time.perf_counter()
-        st.threshold.observe(fr.batch_loss)
-        if st.threshold_stable_at is None and st.threshold.is_stable(self.config.variance_tolerance):
-            st.threshold_stable_at = st.batches_seen
-        self._overhead += time.perf_counter() - t0
-        self.model.backward(fr, batch)
-        st.full_steps += 1
-        return StepTrace(st.epoch_index, batch.index, int(st.stage), DECISION_FULL, fr.batch_loss)
-
-    def step_backward_filter(self, batch: MiniBatch) -> StepTrace:
-        """Stage 1: forward always; the gate decides backward and, when the
-        predictor is on, labels it one training example (loss measured on the
-        batch before the update)."""
-        st = self.state
-        st.batches_seen += 1
-        fr = self.model.forward(batch)
-        label = make_label(fr.batch_loss, st.threshold.skip_boundary)
-        if self._predictor_enabled:
+        label = 1 if gate is None else make_label(fr.batch_loss, gate)
+        if learn is not None:
             t0 = time.perf_counter()
-            # a single-class predictor is degenerate (its smoothed posteriors
-            # saturate), so its loss only counts once both classes are seen
-            if st.predictor.has_both_classes:
-                st.predictor_window.push(st.predictor.loss(batch, [label] * len(batch)))
-            st.predictor.update(batch, label)
+            learn(batch, fr.batch_loss, label)
             self._overhead += time.perf_counter() - t0
         if label == 1:
             self.model.backward(fr, batch)
@@ -257,64 +249,43 @@ class Trainer:
         else:
             st.backward_skipped += 1
             decision = DECISION_FORWARD_ONLY
-        return StepTrace(st.epoch_index, batch.index, int(st.stage), decision, fr.batch_loss)
+        return StepTrace(st.epoch_index, batch.index, stage, decision, fr.batch_loss, predictor_p1)
+
+    def _observe_loss(self, batch: MiniBatch, loss: float, label: int) -> None:
+        st = self.state
+        st.threshold.observe(loss)
+        if st.threshold_stable_at is None and st.threshold.is_stable(self.config.variance_tolerance):
+            st.threshold_stable_at = st.batches_seen
+
+    def _score_and_update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
+        st = self.state
+        # a single-class predictor is degenerate (its smoothed posteriors
+        # saturate), so its loss only counts once both classes are seen
+        if st.predictor.has_both_classes:
+            st.predictor_window.push(st.predictor.loss(batch, [label] * len(batch)))
+        st.predictor.update(batch, label)
+
+    def _update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
+        self.state.predictor.update(batch, label)
+
+    def step_warmup(self, batch: MiniBatch) -> StepTrace:
+        """Stage 0: always forward + backward, feeding the loss window."""
+        return self._pass(batch, learn=self._observe_loss)
+
+    def step_backward_filter(self, batch: MiniBatch) -> StepTrace:
+        """Stage 1: forward always; the gate decides backward and, when the
+        predictor is on, labels it one training example (loss measured on the
+        batch before the update)."""
+        learn = self._score_and_update_predictor if self._predictor_enabled else None
+        return self._pass(batch, self.state.threshold.skip_boundary, learn)
 
     def step_full_filter(self, batch: MiniBatch) -> StepTrace:
         """Stage 2: the predictor screens first; accepted batches run forward,
         gate the backward as in stage 1, and update the predictor."""
-        st = self.state
-        st.batches_seen += 1
         t0 = time.perf_counter()
-        decision, mean_p1 = st.predictor.predict_batch(batch, self.config.batch_decision)
+        decision, mean_p1 = self.state.predictor.predict_batch(batch, self.config.batch_decision)
         self._overhead += time.perf_counter() - t0
-        if decision == 0:
-            st.forward_skipped += 1
-            return StepTrace(
-                st.epoch_index, batch.index, int(st.stage), DECISION_SKIPPED, predictor_p1=mean_p1
-            )
-        fr = self.model.forward(batch)
-        label = make_label(fr.batch_loss, st.threshold.skip_boundary)
-        t0 = time.perf_counter()
-        st.predictor.update(batch, label)
-        self._overhead += time.perf_counter() - t0
-        if label == 1:
-            self.model.backward(fr, batch)
-            st.full_steps += 1
-            outcome = DECISION_FULL
-        else:
-            st.backward_skipped += 1
-            outcome = DECISION_FORWARD_ONLY
-        return StepTrace(st.epoch_index, batch.index, int(st.stage), outcome, fr.batch_loss, mean_p1)
-
-    def _step_train_all(self, batch: MiniBatch) -> StepTrace:
-        st = self.state
-        st.batches_seen += 1
-        fr = self.model.forward(batch)
-        self.model.backward(fr, batch)
-        st.full_steps += 1
-        return StepTrace(st.epoch_index, batch.index, None, DECISION_FULL, fr.batch_loss)
-
-    def _step_fixed_threshold(self, batch: MiniBatch) -> StepTrace:
-        st = self.state
-        st.batches_seen += 1
-        fr = self.model.forward(batch)
-        if fr.batch_loss < self.config.fixed_threshold:
-            st.backward_skipped += 1
-            return StepTrace(st.epoch_index, batch.index, None, DECISION_FORWARD_ONLY, fr.batch_loss)
-        self.model.backward(fr, batch)
-        st.full_steps += 1
-        return StepTrace(st.epoch_index, batch.index, None, DECISION_FULL, fr.batch_loss)
-
-    def _step_random_skip(self, batch: MiniBatch) -> StepTrace:
-        st = self.state
-        st.batches_seen += 1
-        if self._skip_rng.random() < self.config.random_skip_ratio:
-            st.forward_skipped += 1
-            return StepTrace(st.epoch_index, batch.index, None, DECISION_SKIPPED)
-        fr = self.model.forward(batch)
-        self.model.backward(fr, batch)
-        st.full_steps += 1
-        return StepTrace(st.epoch_index, batch.index, None, DECISION_FULL, fr.batch_loss)
+        return self._pass(batch, self.state.threshold.skip_boundary, self._update_predictor, decision == 0, mean_p1)
 
     # -- stage transitions ---------------------------------------------------
 
@@ -332,9 +303,7 @@ class Trainer:
                 st.threshold.freeze(override=self.config.force_l_low)
                 st.stage = Stage.BACKWARD_FILTER
                 st.backward_filter_start = st.batches_seen
-        elif st.stage == Stage.BACKWARD_FILTER and self._predictor_enabled:
-            if self.config.disable_predictor:
-                return
+        elif st.stage == Stage.BACKWARD_FILTER and self._predictor_enabled and not self.config.disable_predictor:
             mean = st.predictor_window.mean()
             if mean is not None and mean < self.config.alt:
                 st.stage = Stage.FULL_FILTER
@@ -343,11 +312,11 @@ class Trainer:
     def _step(self, batch: MiniBatch) -> StepTrace:
         mode = self.config.mode
         if mode == "train-all":
-            return self._step_train_all(batch)
+            return self._pass(batch)
         if mode == "fixed-threshold":
-            return self._step_fixed_threshold(batch)
+            return self._pass(batch, gate=self.config.fixed_threshold)
         if mode == "random-skip":
-            return self._step_random_skip(batch)
+            return self._pass(batch, skip=self._skip_rng.random() < self.config.random_skip_ratio)
         if self.state.stage == Stage.WARMUP:
             trace = self.step_warmup(batch)
         elif self.state.stage == Stage.BACKWARD_FILTER:

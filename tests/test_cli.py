@@ -140,11 +140,18 @@ BAD_CONFIGS = [
     ("smoothing_alpha", ["--smoothing-alpha", "0"], None),
     ("batch_size", [], "batch_size = 8.5"),
     ("epochs", [], "epochs = true"),
+    ("smoothing_alpha-inf", ["--smoothing-alpha", "inf"], None),
+    ("t_forward-inf", ["--t-forward", "inf"], None),
+    ("learning_rate", ["--learning-rate", "inf"], None),
+    ("variance_tolerance-inf", ["--variance-tolerance", "inf"], None),
+    ("power_cpu_watts", ["--power-cpu", "inf"], None),
+    ("a_full", ["--a-full", "7"], None),
+    ("a_full-negative", ["--a-full", "-0.5"], None),
 ]
 
 
-@pytest.mark.parametrize("field, flags, config_line", BAD_CONFIGS, ids=[c[0] for c in BAD_CONFIGS])
-def test_run_bad_config_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, field, flags, config_line):
+@pytest.mark.parametrize("case, flags, config_line", BAD_CONFIGS, ids=[c[0] for c in BAD_CONFIGS])
+def test_run_bad_config_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, case, flags, config_line):
     def no_training(*args, **kwargs):
         raise AssertionError("training started on an invalid config")
 
@@ -155,6 +162,7 @@ def test_run_bad_config_exits_2_before_training(corpus_file, tmp_path, capsys, m
         cfg_path.write_text(config_line + "\n")
         argv += ["--config", str(cfg_path)]
     assert run_cli(*argv) == 2
+    field = case.partition("-")[0]
     assert field in capsys.readouterr().err
 
 

@@ -451,6 +451,9 @@ def test_load_predictor_rejects_bad_class_counts(tmp_path, class_counts):
 def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
     with pytest.raises(ValueError, match="alpha"):
         load_predictor(_checkpoint(tmp_path, alpha=alpha))
+    if not isinstance(alpha, str):  # a string is TrainerConfig.validate's type error
+        with pytest.raises(ValueError, match="alpha"):
+            NaiveBayesModel(smoothing_alpha=alpha)
 
 
 @pytest.mark.parametrize("entry", [[1], [1, 1, 1], [1.0, 1], ["1", 1], [1, True]])

@@ -12,6 +12,7 @@ from lossgate.trainer import (
     DECISION_FORWARD_ONLY,
     DECISION_FULL,
     DECISION_SKIPPED,
+    MODES,
     Stage,
     Trainer,
     TrainerConfig,
@@ -73,6 +74,17 @@ def test_fixed_threshold_filters_from_first_batch():
     report = run_mode("fixed-threshold", fixed_threshold=0.8)
     assert report.traces[0].decision == DECISION_FORWARD_ONLY
     assert report.alpha_fb == 0.0
+    assert report.backward_skipped > 0
+
+
+def test_fixed_threshold_gate_is_strict_less_than():
+    # at zero weights every example's loss is ln 2, so the first batch sits
+    # exactly on the gate and must train
+    report = run_mode("fixed-threshold", fixed_threshold=math.log(2))
+    assert report.traces[0].loss == math.log(2)
+    assert report.traces[0].decision == DECISION_FULL
+    for t in report.traces:
+        assert (t.decision == DECISION_FORWARD_ONLY) == (t.loss < math.log(2))
     assert report.backward_skipped > 0
 
 
@@ -236,8 +248,12 @@ def test_report_json_fields():
     json.dumps(payload)  # must be serializable as-is
 
 
-def test_skip_fractions_recomputable_from_trace_file(tmp_path):
-    report = run_mode("three-stage")
+MODE_ARGS = {"fixed-threshold": {"fixed_threshold": 0.5}, "random-skip": {"random_skip_ratio": 0.3}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_skip_fractions_recomputable_from_trace_file(tmp_path, mode):
+    report = run_mode(mode, **MODE_ARGS.get(mode, {}))
     path = tmp_path / "trace.csv"
     write_trace(report.traces, str(path))
     lines = path.read_text().strip().split("\n")
@@ -246,11 +262,15 @@ def test_skip_fractions_recomputable_from_trace_file(tmp_path):
     assert len(rows) == report.batches_total
     n_forward_only = sum(r[3] == DECISION_FORWARD_ONLY for r in rows)
     n_skipped = sum(r[3] == DECISION_SKIPPED for r in rows)
+    assert n_forward_only == report.backward_skipped
+    assert n_skipped == report.forward_skipped
     assert n_forward_only / len(rows) == pytest.approx(report.alpha_b, abs=1e-12)
     assert n_skipped / len(rows) == pytest.approx(report.alpha_fb, abs=1e-12)
-    # loss present exactly when a forward pass ran
+    staged = mode in ("three-stage", "auto-threshold-only")
     for r in rows:
+        # loss present exactly when a forward pass ran
         assert (r[4] == "") == (r[3] == DECISION_SKIPPED)
+        assert (r[2] == "") == (not staged)
 
 
 def test_time_model_consistency():
