@@ -16,10 +16,10 @@ from .data import (
     vectorize,
     write_jsonl,
 )
-from .metapredictor import NaiveBayesModel, PredictorLossWindow, make_label
+from .metapredictor import NaiveBayesModel, PredictorLossWindow
 from .metrics import AgotParams, EnergyParams, SkipFractions, TimingModel, agot, energy_co2, t_norm, total_time
 from .model import ForwardResult, TargetModel, load_checkpoint, save_checkpoint
-from .threshold import ThresholdState
+from .threshold import ThresholdState, make_label
 from .trainer import (
     RunReport,
     Stage,

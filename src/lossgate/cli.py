@@ -16,7 +16,7 @@ import numpy as np
 
 from . import trainer as trainer_mod
 from .data import Example, generate_toy_corpus, load_dataset, write_jsonl
-from .trainer import TrainerConfig, run, run_random_skip, write_trace
+from .trainer import TrainerConfig, csv_field, run, run_random_skip, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
 DEFAULT_WINDOW_GRID = [4, 8, 16]
@@ -37,14 +37,6 @@ COMPARE_COLUMNS = [
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _parse_floats(raw: str) -> list[float]:
@@ -252,10 +244,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rep = row["report"]
         lines.append(",".join([
             "run", row["method"],
-            _fmt(row["n0_fraction"]), _fmt(row["window_w"]), _fmt(row["alt"]),
-            _fmt(row["fixed_threshold"]), str(row["epochs"]), str(row["seed"]),
-            _fmt(rep.accuracy), "", _fmt(rep.alpha_b), _fmt(rep.alpha_fb),
-            _fmt(rep.total_time), _fmt(rep.t_norm), _fmt(rep.agot),
+            csv_field(row["n0_fraction"]), csv_field(row["window_w"]), csv_field(row["alt"]),
+            csv_field(row["fixed_threshold"]), str(row["epochs"]), str(row["seed"]),
+            csv_field(rep.accuracy), "", csv_field(rep.alpha_b), csv_field(rep.alpha_fb),
+            csv_field(rep.total_time), csv_field(rep.t_norm), csv_field(rep.agot),
             "1" if row is optimal_row else "0",
         ]))
 
@@ -270,14 +262,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mean_agot = float(np.mean(agots)) if all(a is not None for a in agots) else None
         lines.append(",".join([
             "summary", key[0],
-            _fmt(key[1]), _fmt(key[2]), _fmt(key[3]), _fmt(key[4]), str(key[5]), "",
-            _fmt(float(accs.mean())),
-            _fmt(float(accs.std(ddof=1)) if len(accs) > 1 else 0.0),
-            _fmt(float(np.mean([r["report"].alpha_b for r in group]))),
-            _fmt(float(np.mean([r["report"].alpha_fb for r in group]))),
-            _fmt(float(np.mean([r["report"].total_time for r in group]))),
-            _fmt(float(np.mean([r["report"].t_norm for r in group]))),
-            _fmt(mean_agot), "",
+            csv_field(key[1]), csv_field(key[2]), csv_field(key[3]), csv_field(key[4]), str(key[5]), "",
+            csv_field(float(accs.mean())),
+            csv_field(float(accs.std(ddof=1)) if len(accs) > 1 else 0.0),
+            csv_field(float(np.mean([r["report"].alpha_b for r in group]))),
+            csv_field(float(np.mean([r["report"].alpha_fb for r in group]))),
+            csv_field(float(np.mean([r["report"].total_time for r in group]))),
+            csv_field(float(np.mean([r["report"].t_norm for r in group]))),
+            csv_field(mean_agot), "",
         ]))
 
     payload = "\n".join(lines) + "\n"
@@ -338,10 +330,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         target = targets.get(label)
         row = [
             label, str(len(reps)),
-            _fmt(float(accs.mean())), _fmt(float(accs.std(ddof=1)) if len(reps) > 1 else 0.0),
-            _fmt(float(tns.mean())), _fmt(float(tns.std(ddof=1)) if len(reps) > 1 else 0.0),
-            _fmt(float(skips.mean())),
-            _fmt(float(np.mean(target)) if target else None),
+            csv_field(float(accs.mean())), csv_field(float(accs.std(ddof=1)) if len(reps) > 1 else 0.0),
+            csv_field(float(tns.mean())), csv_field(float(tns.std(ddof=1)) if len(reps) > 1 else 0.0),
+            csv_field(float(skips.mean())),
+            csv_field(float(np.mean(target)) if target else None),
         ]
         lines.append(",".join(row))
         table.append((label, accs.mean(), accs.std(ddof=1) if len(reps) > 1 else 0.0, tns.mean(), skips.mean()))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -67,32 +68,30 @@ class MiniBatch:
 
     ``indices`` concatenates every example's sorted, distinct buckets and
     ``rows`` names the example each index belongs to, so per-example sums are
-    one ``np.bincount(rows, weights, minlength=len(batch))``. ``index`` is the
-    batch's run-level ordinal.
+    one ``np.bincount(rows, weights, minlength=len(batch))``.
     """
 
     indices: np.ndarray
     rows: np.ndarray
     labels: np.ndarray
-    index: int
 
     def __len__(self) -> int:
         return self.labels.size
 
 
-def _packed(features: list[np.ndarray], labels, index: int) -> MiniBatch:
+def _packed(features: list[np.ndarray], labels) -> MiniBatch:
     lengths = [f.size for f in features]
     indices = np.concatenate(features) if features else np.empty(0, dtype=np.int64)
     rows = np.repeat(np.arange(len(features)), lengths)
-    return MiniBatch(indices, rows, np.asarray(labels, dtype=np.int64).reshape(len(features)), index)
+    return MiniBatch(indices, rows, np.asarray(labels, dtype=np.int64).reshape(len(features)))
 
 
-def pack_examples(examples: list[Example], index: int = 0) -> MiniBatch:
+def pack_examples(examples: list[Example]) -> MiniBatch:
     """Pack examples, in order, with their class labels."""
-    return _packed([ex.features() for ex in examples], [ex.label for ex in examples], index)
+    return _packed([ex.features() for ex in examples], [ex.label for ex in examples])
 
 
-def pack(buckets, labels=None, index: int = 0, dimension: int = HASH_BUCKETS) -> MiniBatch:
+def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
     """Pack caller-supplied bucket collections, one per example.
 
     Each collection is reduced to its sorted distinct buckets; every bucket
@@ -102,11 +101,21 @@ def pack(buckets, labels=None, index: int = 0, dimension: int = HASH_BUCKETS) ->
     features = [np.unique(np.asarray(list(b), dtype=np.int64)) for b in buckets]
     if any(f.size and (f[0] < 0 or f[-1] >= dimension) for f in features):
         raise ValueError("bucket index out of range")
-    return _packed(features, np.zeros(len(features)) if labels is None else labels, index)
+    return _packed(features, np.zeros(len(features)) if labels is None else labels)
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite JSON number: an ``is_int`` or a finite ``float``."""
+    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 def _example_from_fields(text: str, label, line_no: int) -> Example:
-    if not isinstance(label, int) or isinstance(label, bool):
+    if not is_int(label):
         raise ValueError(f"line {line_no}: label must be an integer, got {label!r}")
     if label not in (0, 1):
         raise ValueError(f"line {line_no}: label out of range: {label}")
@@ -183,15 +192,9 @@ def make_batches(
         raise ValueError("no examples to batch")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(len(examples))
-        ordered = [examples[i] for i in order]
-    else:
-        ordered = list(examples)
-    return [
-        pack_examples(ordered[start : start + batch_size], index=m)
-        for m, start in enumerate(range(0, len(ordered), batch_size))
-    ]
+    order = np.random.default_rng(seed).permutation(len(examples)) if shuffle else range(len(examples))
+    ordered = [examples[i] for i in order]
+    return [pack_examples(ordered[start : start + batch_size]) for start in range(0, len(ordered), batch_size)]
 
 
 def generate_toy_corpus(

@@ -21,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, pack
+from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack
 
 
 def _log_normalize(joint: np.ndarray) -> np.ndarray:
@@ -33,15 +33,6 @@ def _log_normalize(joint: np.ndarray) -> np.ndarray:
     """
     hi = joint.max(axis=1, keepdims=True)
     return joint - (np.log1p(np.exp(joint.min(axis=1, keepdims=True) - hi)) + hi)
-
-
-def make_label(batch_loss: float, gate: float) -> int:
-    """Train-worthiness label: 1 iff the loss is at or above the gate.
-
-    The boundary goes to 1, the exact complement of the skip rule's strict
-    less-than.
-    """
-    return 1 if batch_loss >= gate else 0
 
 
 class NaiveBayesModel:
@@ -209,10 +200,6 @@ def save_predictor(model: NaiveBayesModel, path: str) -> None:
         json.dump(payload, fh)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_predictor(path: str) -> NaiveBayesModel:
     """Read a ``save_predictor`` checkpoint.
 
@@ -225,18 +212,18 @@ def load_predictor(path: str) -> NaiveBayesModel:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     alpha, dimension, class_counts = payload["alpha"], payload["dimension"], payload["class_counts"]
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < math.inf:
+    if not is_finite(alpha) or not alpha > 0:
         raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
-    if not _is_int(dimension) or dimension < 1:
+    if not is_int(dimension) or dimension < 1:
         raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
     if not (isinstance(class_counts, list) and len(class_counts) == 2
-            and all(_is_int(c) and c >= 0 for c in class_counts)):
+            and all(is_int(c) and c >= 0 for c in class_counts)):
         raise ValueError(f"class_counts must be two non-negative integers, got {class_counts!r}")
     model = NaiveBayesModel(smoothing_alpha=alpha, dimension=dimension)
     model.class_counts = np.array(class_counts, dtype=np.int64)
     for label in (0, 1):
         for entry in payload["token_counts"][str(label)]:
-            if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
+            if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_int, entry))):
                 raise ValueError(f"class {label} entry must be an integer [bucket, count] pair, got {entry!r}")
             bucket, count = entry
             if not 0 <= bucket < dimension:

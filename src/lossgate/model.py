@@ -9,12 +9,13 @@ ln 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .data import HASH_BUCKETS, MiniBatch
+from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int
 
 
 @dataclass
@@ -24,7 +25,7 @@ class ForwardResult:
     per_example_losses: np.ndarray
     batch_loss: float
     per_example_probs: np.ndarray
-    batch_index: int
+    batch: MiniBatch
     model_step: int
 
 
@@ -41,8 +42,8 @@ class TargetModel:
     """Binary logistic regression with a dense weight per hash bucket."""
 
     def __init__(self, learning_rate: float = 0.5, dimension: int = HASH_BUCKETS):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         self.weights = np.zeros(dimension, dtype=np.float64)
         self.bias = 0.0
         self.learning_rate = float(learning_rate)
@@ -71,21 +72,20 @@ class TargetModel:
             per_example_losses=losses,
             batch_loss=float(losses.mean()),
             per_example_probs=probs,
-            batch_index=batch.index,
+            batch=batch,
             model_step=self.step_count,
         )
 
-    def batch_gradient(self, result: ForwardResult, batch: MiniBatch) -> BatchGradient:
+    def batch_gradient(self, result: ForwardResult) -> BatchGradient:
+        batch = result.batch
         coef = (result.per_example_probs - batch.labels) / len(batch)
         return BatchGradient(indices=batch.indices, values=coef[batch.rows], bias_grad=float(coef.sum()))
 
-    def backward(self, result: ForwardResult, batch: MiniBatch) -> None:
-        """One SGD step from a forward result. Rejects stale results."""
+    def backward(self, result: ForwardResult) -> None:
+        """One SGD step on the forward result's batch. Rejects stale results."""
         if result.model_step != self.step_count:
             raise RuntimeError("stale forward result: model was updated since forward")
-        if result.batch_index != batch.index:
-            raise RuntimeError("forward result does not belong to this batch")
-        grad = self.batch_gradient(result, batch)
+        grad = self.batch_gradient(result)
         if not np.all(np.isfinite(grad.values)) or not np.isfinite(grad.bias_grad):
             raise RuntimeError("model diverged: non-finite gradient")
         np.add.at(self.weights, grad.indices, -self.learning_rate * grad.values)
@@ -115,11 +115,34 @@ def save_checkpoint(model: TargetModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> TargetModel:
+    """Read a ``save_checkpoint`` file.
+
+    Raises ValueError on a checkpoint no live model could have written: a
+    ``dimension`` that is not a positive integer, a ``step_count`` that is not
+    a non-negative integer, a learning rate that is not positive and finite, a
+    bias or weight that is not finite, or a bucket that is not an integer in
+    ``[0, dimension)``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    model = TargetModel(learning_rate=payload["learning_rate"], dimension=payload["dimension"])
-    model.bias = float(payload["bias"])
-    model.step_count = int(payload["step_count"])
-    for bucket, value in payload["weights"]:
-        model.weights[int(bucket)] = float(value)
+    dimension, learning_rate = payload["dimension"], payload["learning_rate"]
+    step_count, bias = payload["step_count"], payload["bias"]
+    if not is_int(dimension) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+    if not is_finite(learning_rate):
+        raise ValueError(f"learning_rate must be a finite number, got {learning_rate!r}")
+    if not is_int(step_count) or step_count < 0:
+        raise ValueError(f"step_count must be a non-negative integer, got {step_count!r}")
+    if not is_finite(bias):
+        raise ValueError(f"bias must be a finite number, got {bias!r}")
+    model = TargetModel(learning_rate=learning_rate, dimension=dimension)
+    model.bias = float(bias)
+    model.step_count = step_count
+    for entry in payload["weights"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and is_int(entry[0]) and is_finite(entry[1])):
+            raise ValueError(f"weight entry must be an [integer bucket, finite weight] pair, got {entry!r}")
+        bucket, value = entry
+        if not 0 <= bucket < dimension:
+            raise ValueError(f"bucket {bucket} outside [0, {dimension})")
+        model.weights[bucket] = float(value)
     return model

@@ -11,6 +11,15 @@ from collections import deque
 import numpy as np
 
 
+def make_label(batch_loss: float, gate: float) -> int:
+    """Train-worthiness label: 1 iff the loss is at or above the gate.
+
+    The boundary goes to 1: a batch skips its backward only when its loss is
+    strictly below the gate.
+    """
+    return 1 if batch_loss >= gate else 0
+
+
 class ThresholdState:
     def __init__(self, window_size: int, skip_margin_gamma: float = 1.0):
         if window_size < 1:
@@ -83,4 +92,4 @@ class ThresholdState:
 
     def should_skip_backward(self, batch_loss: float) -> bool:
         """True when the loss falls strictly below the gate."""
-        return batch_loss < self.skip_boundary
+        return make_label(batch_loss, self.skip_boundary) == 0

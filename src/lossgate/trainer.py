@@ -27,9 +27,9 @@ import numpy as np
 
 from . import metrics
 from .data import Example, MiniBatch, make_batches, pack_examples
-from .metapredictor import NaiveBayesModel, PredictorLossWindow, make_label
+from .metapredictor import NaiveBayesModel, PredictorLossWindow
 from .model import TargetModel
-from .threshold import ThresholdState
+from .threshold import ThresholdState, make_label
 
 MODES = ("three-stage", "train-all", "fixed-threshold", "auto-threshold-only", "random-skip")
 
@@ -203,7 +203,6 @@ class Trainer:
         if not train_examples:
             raise ValueError("dataset is empty")
         self.config = config
-        self.train_examples = train_examples
         self._eval_batch = pack_examples(eval_examples if eval_examples else train_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
         self.state = TrainerState()
@@ -231,11 +230,12 @@ class Trainer:
         against ``gate`` (none trains every batch), time ``learn(batch, loss,
         label)`` as overhead and run the backward iff the label is 1."""
         st = self.state
+        ordinal = st.batches_seen
         st.batches_seen += 1
         stage = int(st.stage) if self._staged else None
         if skip:
             st.forward_skipped += 1
-            return StepTrace(st.epoch_index, batch.index, stage, DECISION_SKIPPED, predictor_p1=predictor_p1)
+            return StepTrace(st.epoch_index, ordinal, stage, DECISION_SKIPPED, predictor_p1=predictor_p1)
         fr = self.model.forward(batch)
         label = 1 if gate is None else make_label(fr.batch_loss, gate)
         if learn is not None:
@@ -243,13 +243,13 @@ class Trainer:
             learn(batch, fr.batch_loss, label)
             self._overhead += time.perf_counter() - t0
         if label == 1:
-            self.model.backward(fr, batch)
+            self.model.backward(fr)
             st.full_steps += 1
             decision = DECISION_FULL
         else:
             st.backward_skipped += 1
             decision = DECISION_FORWARD_ONLY
-        return StepTrace(st.epoch_index, batch.index, stage, decision, fr.batch_loss, predictor_p1)
+        return StepTrace(st.epoch_index, ordinal, stage, decision, fr.batch_loss, predictor_p1)
 
     def _observe_loss(self, batch: MiniBatch, loss: float, label: int) -> None:
         st = self.state
@@ -335,8 +335,8 @@ class Trainer:
         epoch_accuracies: list[float] | None = [] if cfg.eval_every_epoch else None
         for epoch in range(cfg.epochs):
             st.epoch_index = epoch
-            for within_epoch in self._epoch_batches:
-                trace = self._step(replace(within_epoch, index=st.batches_seen))
+            for batch in self._epoch_batches:
+                trace = self._step(batch)
                 if cfg.record_trace:
                     self.traces.append(trace)
             if epoch_accuracies is not None:
@@ -420,15 +420,17 @@ def run_random_skip(
 TRACE_HEADER = "epoch,batch,stage,decision,loss,predictor_p1"
 
 
+def csv_field(value) -> str:
+    """One CSV field: empty for None, ``repr`` for a float (it reads back
+    exactly), ``str`` otherwise."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
 def write_trace(traces: list[StepTrace], path: str) -> None:
     """One line per batch; loss / probability fields are empty when the
     corresponding pass never ran."""
-
-    def fmt(value) -> str:
-        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for t in traces:
-            fields = [str(t.epoch), str(t.batch), fmt(t.stage), t.decision, fmt(t.loss), fmt(t.predictor_p1)]
-            fh.write(",".join(fields) + "\n")
+            fields = (t.epoch, t.batch, t.stage, t.decision, t.loss, t.predictor_p1)
+            fh.write(",".join(map(csv_field, fields)) + "\n")

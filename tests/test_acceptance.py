@@ -124,7 +124,7 @@ def test_criterion_02_gradients_match_finite_differences():
             chosen = list(rng.choice(tokens, size=int(rng.integers(1, 6)), replace=False))
             examples.append(Example(" ".join(chosen), chosen, int(rng.integers(0, 2))))
         batch = pack_examples(examples)
-        grad = model.batch_gradient(model.forward(batch), batch)
+        grad = model.batch_gradient(model.forward(batch))
         dense = np.zeros_like(model.weights)
         np.add.at(dense, grad.indices, grad.values)
         touched = np.unique(grad.indices)
@@ -215,8 +215,7 @@ def test_criterion_05_state_machine_invariants_over_100_runs():
         for t in report.traces:
             if t.decision != DECISION_FULL:
                 continue
-            batch = replace(epoch_batches[t.batch % m], index=t.batch)
-            replayed.backward(replayed.forward(batch), batch)
+            replayed.backward(replayed.forward(epoch_batches[t.batch % m]))
         assert np.array_equal(replayed.weights, trainer.model.weights), f"run {i}: replay drifted"
         assert replayed.bias == trainer.model.bias, f"run {i}: replay bias drifted"
     elapsed = time.perf_counter() - started

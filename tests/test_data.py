@@ -100,11 +100,10 @@ def test_bow_vector_rejects_out_of_range():
 
 
 def test_pack_sorts_dedups_and_names_rows():
-    batch = pack([[5, 3, 5], [], [7]], labels=[1, 0, 1], index=4)
+    batch = pack([[5, 3, 5], [], [7]], labels=[1, 0, 1])
     assert batch.indices.tolist() == [3, 5, 7]
     assert batch.rows.tolist() == [0, 0, 2]
     assert batch.labels.tolist() == [1, 0, 1]
-    assert batch.index == 4
     assert len(batch) == 3
 
 
@@ -195,7 +194,6 @@ def _examples(n):
 def test_make_batches_sizes():
     batches = make_batches(_examples(10), batch_size=4, seed=0)
     assert [len(b) for b in batches] == [4, 4, 2]
-    assert [b.index for b in batches] == [0, 1, 2]
 
 
 def test_make_batches_no_shuffle_preserves_order():

@@ -12,10 +12,9 @@ from lossgate.metapredictor import (
     PredictorLossWindow,
     _log_normalize,
     load_predictor,
-    make_label,
     save_predictor,
 )
-from lossgate.threshold import ThresholdState
+from lossgate.threshold import ThresholdState, make_label
 
 
 def bow(*buckets):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ def ex(tokens, label):
     return Example(" ".join(tokens), list(tokens), label)
 
 
-def batch(pairs, index=0):
-    return pack_examples([ex(tokens, label) for tokens, label in pairs], index=index)
+def batch(pairs):
+    return pack_examples([ex(tokens, label) for tokens, label in pairs])
 
 
 def random_case(rng, n_examples=6, vocab=30):
@@ -120,7 +121,7 @@ def test_zero_bucket_example_last_in_batch():
     result = model.forward(b)
     assert result.per_example_probs[-1] == expit(model.bias)
     assert result.per_example_losses[-1] == np.logaddexp(0.0, -model.bias)
-    grad = model.batch_gradient(result, b)
+    grad = model.batch_gradient(result)
     assert np.array_equal(grad.indices, np.concatenate([e.features() for e in examples[:2]]))
     coef = (result.per_example_probs - [0, 1, 1]) / 3
     assert np.array_equal(grad.values, np.repeat(coef[:2], [2, 1]))
@@ -128,7 +129,7 @@ def test_zero_bucket_example_last_in_batch():
 
     alone = pack_examples([empty])
     before_w, before_bias = model.weights.copy(), model.bias
-    model.backward(model.forward(alone), alone)
+    model.backward(model.forward(alone))
     assert np.array_equal(model.weights, before_w)
     assert model.bias == before_bias - model.learning_rate * (expit(before_bias) - 1.0)
 
@@ -140,7 +141,7 @@ def test_backward_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     model, b = random_case(rng)
     result = model.forward(b)
-    grad = model.batch_gradient(result, b)
+    grad = model.batch_gradient(result)
     touched = np.unique(grad.indices)
     coords = rng.choice(touched, size=min(20, touched.size), replace=False)
     dense = np.zeros_like(model.weights)
@@ -162,8 +163,7 @@ def test_backward_zero_gradient_leaves_weights_bit_identical():
     b = batch([(["sure"], 1)])
     model.weights[b.indices[0]] = 40.0
     before = model.weights.copy()
-    result = model.forward(b)
-    model.backward(result, b)
+    model.backward(model.forward(b))
     assert np.array_equal(model.weights, before)
     assert model.step_count == 1
 
@@ -173,7 +173,7 @@ def test_backward_descent_on_repeated_batch():
     for _ in range(5):
         model, b = random_case(rng)
         first = model.forward(b)
-        model.backward(first, b)
+        model.backward(first)
         second = model.forward(b)
         assert second.batch_loss < first.batch_loss
 
@@ -182,18 +182,9 @@ def test_backward_rejects_stale_result():
     rng = np.random.default_rng(4)
     model, b = random_case(rng)
     result = model.forward(b)
-    model.backward(result, b)
+    model.backward(result)
     with pytest.raises(RuntimeError, match="stale"):
-        model.backward(result, b)
-
-
-def test_backward_rejects_wrong_batch():
-    model = TargetModel()
-    b1 = batch([(["a"], 1)], index=0)
-    b2 = batch([(["b"], 0)], index=1)
-    result = model.forward(b1)
-    with pytest.raises(RuntimeError):
-        model.backward(result, b2)
+        model.backward(result)
 
 
 def test_skipping_backward_leaves_weights_bit_identical():
@@ -209,10 +200,9 @@ def test_training_is_deterministic():
     def train():
         rng = np.random.default_rng(6)
         model = TargetModel(learning_rate=0.3)
-        for i in range(30):
+        for _ in range(30):
             tokens = [f"w{rng.integers(20)}" for _ in range(4)]
-            b = batch([(tokens, int(rng.integers(0, 2)))], index=i)
-            model.backward(model.forward(b), b)
+            model.backward(model.forward(batch([(tokens, int(rng.integers(0, 2)))])))
         return model
 
     a, b_ = train(), train()
@@ -231,9 +221,9 @@ def test_evaluate_zero_model_predicts_class_zero():
 def test_evaluate_separable_set_reaches_perfect_accuracy():
     model = TargetModel(learning_rate=1.0)
     train = [ex(["up"], 1), ex(["down"], 0)]
-    for i in range(50):
-        b = pack_examples(train, index=i)
-        model.backward(model.forward(b), b)
+    b = pack_examples(train)
+    for _ in range(50):
+        model.backward(model.forward(b))
     assert model.evaluate(pack_examples(train)) == 1.0
 
 
@@ -242,13 +232,19 @@ def test_evaluate_rejects_empty():
         TargetModel().evaluate(pack_examples([]))
 
 
+@pytest.mark.parametrize("learning_rate", [0.0, -0.5, float("nan"), float("inf")])
+def test_model_rejects_bad_learning_rate(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TargetModel(learning_rate=learning_rate)
+
+
 # -- checkpoint ------------------------------------------------------------------
 
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     model, b = random_case(rng)
-    model.backward(model.forward(b), b)
+    model.backward(model.forward(b))
     path = tmp_path / "model.json"
     save_checkpoint(model, str(path))
     loaded = load_checkpoint(str(path))
@@ -257,3 +253,50 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.step_count == model.step_count
     assert loaded.learning_rate == model.learning_rate
     assert loaded.forward(b).batch_loss == model.forward(b).batch_loss
+
+
+VALID_CHECKPOINT = {"dimension": 8, "learning_rate": 0.5, "step_count": 2, "bias": -0.25, "weights": [[1, 0.5], [7, -1.5]]}
+
+
+def _checkpoint(tmp_path, **changes):
+    """Path of ``VALID_CHECKPOINT`` with ``changes`` applied to its fields."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**VALID_CHECKPOINT, **changes}), encoding="utf-8")
+    return str(path)
+
+
+def test_load_checkpoint_accepts_valid_checkpoint(tmp_path):
+    model = load_checkpoint(_checkpoint(tmp_path))
+    assert model.weights.tolist() == [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -1.5]
+    assert (model.bias, model.step_count, model.learning_rate) == (-0.25, 2, 0.5)
+    path = tmp_path / "again.json"
+    save_checkpoint(model, str(path))
+    assert json.loads(path.read_text(encoding="utf-8")) == VALID_CHECKPOINT
+
+
+BAD_CHECKPOINTS = {
+    "negative-bucket": ("weights", [[-1, 0.5]], "bucket -1 outside"),
+    "bucket-at-dimension": ("weights", [[8, 0.5]], "bucket 8 outside"),
+    "float-bucket": ("weights", [[3.7, 0.5]], "pair"),
+    "bool-bucket": ("weights", [[True, 0.5]], "pair"),
+    "nan-weight": ("weights", [[1, float("nan")]], "pair"),
+    "inf-weight": ("weights", [[1, float("inf")]], "pair"),
+    "short-entry": ("weights", [[1]], "pair"),
+    "inf-bias": ("bias", float("inf"), "bias"),
+    "nan-bias": ("bias", float("nan"), "bias"),
+    "negative-step_count": ("step_count", -5, "step_count"),
+    "float-step_count": ("step_count", 2.0, "step_count"),
+    "zero-dimension": ("dimension", 0, "dimension"),
+    "float-dimension": ("dimension", 8.0, "dimension"),
+    "nan-learning_rate": ("learning_rate", float("nan"), "learning_rate"),
+    "inf-learning_rate": ("learning_rate", float("inf"), "learning_rate"),
+    "zero-learning_rate": ("learning_rate", 0.0, "learning_rate"),
+    "string-learning_rate": ("learning_rate", "0.5", "learning_rate"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_load_checkpoint_rejects_invalid(tmp_path, case):
+    field, value, match = BAD_CHECKPOINTS[case]
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(_checkpoint(tmp_path, **{field: value}))

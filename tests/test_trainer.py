@@ -52,8 +52,7 @@ def replay_backward_batches(report, config, corpus):
             continue
         epoch, within = divmod(trace.batch, m)
         assert epoch == trace.epoch
-        batch = replace(epoch_batches[within], index=trace.batch)
-        model.backward(model.forward(batch), batch)
+        model.backward(model.forward(epoch_batches[within]))
     return model
 
 
