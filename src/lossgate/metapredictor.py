@@ -7,10 +7,21 @@ posteriors stay strictly inside (0, 1) even when only one class has been
 seen. Absent-feature terms are restricted to buckets the model has observed;
 unseen buckets contribute the same factor to both classes and cancel.
 
-The observed vocabulary is kept as a sorted bucket array, refreshed only when
-an update brings a bucket not seen before, so a query after an update costs
-one pass over that vocabulary plus the batch, never a pass over all
-``dimension`` buckets.
+A query uses the model's log-odds form (Bernoulli Naive Bayes is a linear
+classifier): ``s = log P(1 | x) - log P(0 | x) = b + sum_{j in x, j seen} w_j``.
+With ``n_cj`` the count of bucket ``j`` under class ``c``, ``N_c`` the class
+total and ``L[k] = log(k + alpha)``,
+
+    w_j = (L[n_1j] - L[N_1 - n_1j]) - (L[n_0j] - L[N_0 - n_0j])
+    b   = L[N_1] - L[N_0] + absent_1 - absent_0,
+    absent_c = sum_{j seen} (L[N_c - n_cj] - log(N_c + 2 alpha)).
+
+Every count is an integer, so ``L`` is one cached table, regrown when a class
+total outgrows it, and no query computes a logarithm per bucket. ``w`` is
+gathered for the batch's buckets only. ``b`` is cached; the first query after
+an update recomputes it, and recomputes ``absent_c`` with one gather over the
+sorted observed vocabulary for each class the update changed (its own class,
+plus the other one when it brought a bucket new to the vocabulary).
 """
 
 from __future__ import annotations
@@ -23,16 +34,9 @@ import numpy as np
 
 from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack
 
-
-def _log_normalize(joint: np.ndarray) -> np.ndarray:
-    """Subtract each row's log-sum-exp from an (n, 2) array of log joints.
-
-    Two columns need no general reduction: with ``hi`` the larger entry and
-    ``lo`` the smaller, the row sum is ``hi + log1p(exp(lo - hi))``, the same
-    arithmetic ``scipy.special.logsumexp`` performs on two columns.
-    """
-    hi = joint.max(axis=1, keepdims=True)
-    return joint - (np.log1p(np.exp(joint.min(axis=1, keepdims=True) - hi)) + hi)
+# entries of the log table a model starts with; a query after a class total
+# reaches its size rebuilds it at twice that total
+_LOG_TABLE_SIZE = 256
 
 
 class NaiveBayesModel:
@@ -45,7 +49,11 @@ class NaiveBayesModel:
         self._bucket_counts = np.zeros((2, self.dimension), dtype=np.int64)
         # sorted buckets counted under either class
         self._vocab = np.zeros(0, dtype=np.int64)
-        self._cache = None
+        # _log[k] = log(k + alpha) for every count k up to the largest class total
+        self._log = np.log(np.arange(_LOG_TABLE_SIZE) + self.smoothing_alpha)
+        # absent_c per class and the log-odds bias b; None once an update changes them
+        self._absent = [None, None]
+        self._bias = None
 
     @property
     def total_examples(self) -> int:
@@ -69,56 +77,45 @@ class NaiveBayesModel:
         if len(batch) == 0:
             return
         self.class_counts[label] += len(batch)
-        if batch.indices.size:
-            # buckets neither class has counted yet join the vocabulary
-            new = batch.indices[~self._bucket_counts[:, batch.indices].any(axis=0)]
-            # indices within one example are unique, so this counts
-            # "number of examples containing the bucket"
-            np.add.at(self._bucket_counts[label], batch.indices, 1)
-            if new.size:
-                new = np.unique(new)
-                self._vocab = np.insert(self._vocab, np.searchsorted(self._vocab, new), new)
-        self._cache = None
+        # buckets neither class has counted yet join the vocabulary
+        before = np.take(self._bucket_counts, batch.indices, axis=1)
+        new = batch.indices[~np.logical_or(before[0], before[1])]
+        # indices within one example are unique, so this counts
+        # "number of examples containing the bucket"
+        np.add.at(self._bucket_counts[label], batch.indices, 1)
+        self._absent[label] = self._bias = None
+        if new.size:
+            new = np.unique(new)
+            self._vocab = np.insert(self._vocab, np.searchsorted(self._vocab, new), new)
+            # a new bucket adds an absent term to the other class too
+            self._absent[1 - label] = None
 
-    def _tables(self):
-        """Smoothed log-probability tables over the observed vocabulary."""
-        if self._cache is None:
-            alpha = self.smoothing_alpha
-            vocab = self._vocab
-            denom = self.class_counts.astype(np.float64) + 2.0 * alpha
-            log_prior = np.log(self.class_counts + alpha) - np.log(self.class_counts.sum() + 2.0 * alpha)
-            if vocab.size:
-                theta = (self._bucket_counts[:, vocab] + alpha) / denom[:, None]
-                log_one_minus = np.log1p(-theta)
-                present_gain = np.log(theta) - log_one_minus
-                absent_sum = log_one_minus.sum(axis=1)
-            else:
-                present_gain = np.zeros((2, 0))
-                absent_sum = np.zeros(2)
-            self._cache = (vocab, log_prior + absent_sum, present_gain)
-        return self._cache
+    def _scores(self, batch: MiniBatch) -> np.ndarray:
+        """Log-odds ``log P(1 | x) - log P(0 | x)``, one per example."""
+        if not self.queryable:
+            raise ValueError("untrained predictor: no examples seen")
+        totals = self.class_counts
+        if self._bias is None:
+            top = int(totals.max())
+            if top >= self._log.size:
+                self._log = np.log(np.arange(2 * (top + 1)) + self.smoothing_alpha)
+            for c in (0, 1):
+                if self._absent[c] is None:
+                    # one term per observed bucket, each normalised before the sum
+                    seen = self._bucket_counts[c].take(self._vocab)
+                    norm = math.log(totals[c] + 2.0 * self.smoothing_alpha)
+                    self._absent[c] = float((self._log.take(totals[c] - seen) - norm).sum())
+            self._bias = float(self._log[totals[1]] - self._log[totals[0]] + self._absent[1] - self._absent[0])
+        counts = np.take(self._bucket_counts, batch.indices, axis=1)
+        gain = self._log.take(counts) - self._log.take(totals[:, None] - counts)
+        # a bucket neither class has counted is outside the vocabulary and cancels
+        w = np.where(np.logical_or(counts[0], counts[1]), gain[1] - gain[0], 0.0)
+        return self._bias + np.bincount(batch.rows, weights=w, minlength=len(batch))
 
     def _batch_log_posteriors(self, batch: MiniBatch) -> np.ndarray:
         """(n, 2) array of log P(class | features), one row per example."""
-        if not self.queryable:
-            raise ValueError("untrained predictor: no examples seen")
-        vocab, all_absent, present_gain = self._tables()
-        n = len(batch)
-        joint = np.empty((n, 2))
-        joint[:] = all_absent
-        idx = batch.indices
-        if vocab.size and idx.size:
-            # keep only query buckets the model has actually observed;
-            # unknown buckets cancel between the classes
-            pos = np.searchsorted(vocab, idx)
-            in_range = pos < vocab.size
-            hit = np.zeros(idx.size, dtype=bool)
-            hit[in_range] = vocab[pos[in_range]] == idx[in_range]
-            contrib = present_gain[:, pos[hit]]
-            rows = batch.rows[hit]
-            for c in (0, 1):
-                joint[:, c] += np.bincount(rows, weights=contrib[c], minlength=n)
-        return _log_normalize(joint)
+        s = self._scores(batch)
+        return np.stack([-np.logaddexp(0.0, s), -np.logaddexp(0.0, -s)], axis=1)
 
     def log_posteriors(self, features) -> np.ndarray:
         """Log P(class | features) for one example's buckets; sums to 1 in probability."""
@@ -142,8 +139,8 @@ class NaiveBayesModel:
             return 1, None
         if len(batch) == 0:
             raise ValueError("empty batch")
-        p1 = np.exp(self._batch_log_posteriors(batch)[:, 1])
-        mean_p1 = float(p1.mean())
+        p1 = np.exp(-np.logaddexp(0.0, -self._scores(batch)))
+        mean_p1 = float(p1.sum()) / len(batch)  # p1.mean(), bit for bit, without its overhead
         if policy == "mean":
             decision = 1 if mean_p1 >= 0.5 else 0
         else:
@@ -157,9 +154,9 @@ class NaiveBayesModel:
             raise ValueError("features and labels differ in length")
         if len(batch) == 0:
             raise ValueError("empty batch")
-        log_post = self._batch_log_posteriors(batch)
-        picked = log_post[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
-        return float(-picked.mean())
+        s = self._scores(batch)
+        # -log P(1 | x) = log(1 + e^-s) and -log P(0 | x) = log(1 + e^s)
+        return float(np.logaddexp(0.0, np.where(np.asarray(labels) == 1, -s, s)).mean())
 
 
 class PredictorLossWindow:

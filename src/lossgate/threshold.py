@@ -6,6 +6,7 @@ losses, and once frozen it never moves again.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -24,8 +25,8 @@ class ThresholdState:
     def __init__(self, window_size: int, skip_margin_gamma: float = 1.0):
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if skip_margin_gamma <= 0:
-            raise ValueError("skip_margin_gamma must be positive")
+        if not 0 < skip_margin_gamma < math.inf:
+            raise ValueError("skip_margin_gamma must be positive and finite")
         self.window_size = int(window_size)
         self.skip_margin_gamma = float(skip_margin_gamma)
         self._window: deque[float] = deque(maxlen=self.window_size)
@@ -57,12 +58,20 @@ class ThresholdState:
         self._window.append(float(loss))
 
     def variance(self) -> float | None:
-        """Sample variance (n-1 denominator) of the window; None until full."""
+        """Sample variance (n-1 denominator) of the window; None until full.
+
+        Raises RuntimeError when it overflows: losses that large mean the
+        model diverged, and the gate could not be trusted.
+        """
         if not self.window_full:
             return None
         if self.window_size == 1:
             return 0.0
-        return float(np.var(np.array(self._window), ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = float(np.var(np.array(self._window), ddof=1))
+        if not math.isfinite(var):
+            raise RuntimeError("model diverged: non-finite loss window variance")
+        return var
 
     def is_stable(self, variance_tolerance: float) -> bool:
         if variance_tolerance < 0:

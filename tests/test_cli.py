@@ -69,6 +69,18 @@ def test_run_three_stage_writes_report(corpus_file, tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+def test_run_huge_learning_rate_exits_3(corpus_file, tmp_path, capsys):
+    # a finite but huge step size overflows the warmup loss window's variance
+    report_path = tmp_path / "report.json"
+    code = run_cli(
+        "run", "--data", corpus_file, "--mode", "three-stage", "--batch-size", "8",
+        "--learning-rate", "1e300", "--report", str(report_path),
+    )
+    assert code == 3
+    assert "non-finite loss window variance" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_run_train_all_reports_zero_skips(corpus_file, tmp_path):
     report_path = tmp_path / "report.json"
     code = run_cli(

@@ -4,13 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from lossgate.data import HASH_BUCKETS, pack
 from lossgate.metapredictor import (
+    _LOG_TABLE_SIZE,
     NaiveBayesModel,
     PredictorLossWindow,
-    _log_normalize,
     load_predictor,
     save_predictor,
 )
@@ -340,13 +339,14 @@ def test_window_size_validation():
 
 def test_incremental_state_matches_reload(tmp_path):
     # buckets from both ends of the hash space, so a new bucket lands before,
-    # between and after the ones already seen
+    # between and after the ones already seen; batches large enough that both
+    # class totals outgrow the log table the model starts with
     pool = np.concatenate([np.arange(40), HASH_BUCKETS - 1 - np.arange(40)])
     rng = np.random.default_rng(5)
     model = NaiveBayesModel(smoothing_alpha=0.5)
     path = tmp_path / "predictor.json"
-    for _ in range(60):
-        rows = [rng.choice(pool, size=rng.integers(0, 6), replace=False) for _ in range(rng.integers(1, 5))]
+    for _ in range(160):
+        rows = [rng.choice(pool, size=rng.integers(0, 6), replace=False) for _ in range(rng.integers(1, 25))]
         batch = pack(rows)
         op = rng.integers(0, 3)
         if op == 0 or not model.queryable:
@@ -359,24 +359,63 @@ def test_incremental_state_matches_reload(tmp_path):
         assert np.all(np.diff(model._vocab) > 0)
         if model.queryable:
             save_predictor(model, str(path))
+            loaded = load_predictor(str(path))
             query = pack([rng.choice(pool, size=4, replace=False), [], [12345]])
-            assert np.array_equal(
-                model._batch_log_posteriors(query), load_predictor(str(path))._batch_log_posteriors(query)
-            )
+            assert np.array_equal(model._batch_log_posteriors(query), loaded._batch_log_posteriors(query))
+            # the table grown update by update equals the one built for the loaded totals
+            size = min(model._log.size, loaded._log.size)
+            assert size > model.class_counts.max()
+            assert np.array_equal(model._log[:size], loaded._log[:size])
+    assert model.class_counts.min() > _LOG_TABLE_SIZE
 
 
-def test_log_normalize_matches_scipy_logsumexp_bitwise():
-    rng = np.random.default_rng(6)
-    joints = [np.array([[-3.5, -1.25]])]  # a single row
-    for scale in (1.0, 50.0, 1e4):
-        joint = rng.normal(-scale, scale, size=(500, 2))
-        joint[:50, 1] = joint[:50, 0]  # tied columns
-        gap = rng.uniform(700.0, 800.0, size=100)
-        joint[50:100, 1] = joint[50:100, 0] - gap[:50]  # gaps above 700, either way round
-        joint[100:150, 0] = joint[100:150, 1] - gap[50:]
-        joints.append(joint)
-    for joint in joints:
-        assert np.array_equal(_log_normalize(joint), joint - logsumexp(joint, axis=1, keepdims=True))
+def reference_log_posteriors(class_counts, bucket_counts, alpha, query):
+    """log P(class | query) summed with math.fsum over math.log / math.log1p
+    terms, restricted to the observed vocabulary like the model."""
+    vocab = sorted(set(bucket_counts[0]) | set(bucket_counts[1]))
+    total = class_counts[0] + class_counts[1]
+    joint = []
+    for c in (0, 1):
+        terms = [math.log((class_counts[c] + alpha) / (total + 2 * alpha))]
+        for b in vocab:
+            theta = (bucket_counts[c].get(b, 0) + alpha) / (class_counts[c] + 2 * alpha)
+            terms.append(math.log(theta) if b in query else math.log1p(-theta))
+        joint.append(math.fsum(terms))
+    hi, lo = max(joint), min(joint)
+    norm = hi + math.log1p(math.exp(lo - hi))
+    return [j - norm for j in joint]
+
+
+def test_log_posteriors_match_reference_at_realistic_scale():
+    # a predictor the size a benchmark run trains: thousands of observed
+    # buckets spread over the hash space and thousands of examples per class
+    rng = np.random.default_rng(7)
+    vocab = rng.choice(HASH_BUCKETS, size=2500, replace=False)
+    probs = [0.5 / vocab.size + 0.5 * rng.dirichlet(np.ones(vocab.size)) for _ in (0, 1)]
+    model = NaiveBayesModel(smoothing_alpha=1.0)
+    class_counts = [0, 0]
+    bucket_counts = [{}, {}]
+
+    def sample(label, n):
+        tokens = rng.choice(vocab, size=(n, 10), p=probs[label])
+        return [t[:k] for t, k in zip(tokens, rng.integers(1, 11, size=n))]
+
+    for _ in range(800):
+        label = int(rng.integers(0, 2))
+        rows = sample(label, 16)
+        model.update(pack(rows), label)
+        class_counts[label] += len(rows)
+        for row in rows:
+            for b in set(row.tolist()):
+                bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
+    assert model._vocab.size >= 2000
+    assert min(class_counts) >= 5000
+
+    queries = sample(0, 15) + sample(1, 15) + [np.array([], dtype=np.int64), np.array([12345]), vocab[:300]]
+    got = model._batch_log_posteriors(pack(queries))
+    for row, query in zip(got, queries):
+        expected = reference_log_posteriors(class_counts, bucket_counts, 1.0, set(query.tolist()))
+        assert np.max(np.abs(row - expected)) <= 1e-10
 
 
 # -- checkpoint --------------------------------------------------------------------------

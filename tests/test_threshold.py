@@ -99,6 +99,15 @@ def test_partial_window_never_stable():
     assert not state.is_stable(1e6)
 
 
+def test_overflowing_window_variance_raises():
+    # finite losses whose squared deviations overflow come from a diverged model
+    state = filled([0.0, 1e300], window_size=2)
+    with pytest.raises(RuntimeError, match="non-finite loss window variance"):
+        state.variance()
+    with pytest.raises(RuntimeError, match="non-finite loss window variance"):
+        state.is_stable(1.0)
+
+
 def test_single_slot_window_has_zero_variance():
     state = filled([0.9], window_size=1)
     assert state.is_stable(0.0)
@@ -160,6 +169,13 @@ def test_skip_margin_gamma_scales_the_gate():
     assert state.skip_boundary == pytest.approx(0.2, abs=1e-15)
     assert state.should_skip_backward(0.15) is True
     assert state.should_skip_backward(0.3) is False
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_skip_margin_gamma_must_be_positive_and_finite(gamma):
+    # a NaN gamma would make every comparison false, i.e. skip every backward
+    with pytest.raises(ValueError, match="skip_margin_gamma"):
+        ThresholdState(2, skip_margin_gamma=gamma)
 
 
 def test_skip_decision_is_pure():
