@@ -10,21 +10,25 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import fields, replace
 
 import numpy as np
 
 from . import trainer as trainer_mod
 from .data import Example, generate_toy_corpus, load_dataset, write_jsonl
-from .trainer import TrainerConfig, csv_field, run, run_random_skip, write_trace
+from .trainer import RunReport, TrainerConfig, csv_field, run, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
 DEFAULT_WINDOW_GRID = [4, 8, 16]
 DEFAULT_ALT_GRID = [0.1, 0.2, 0.3, 0.4, 0.5]
 DEFAULT_FIXED_THRESHOLDS = [0.1, 0.3, 0.5, 0.7]
 
+# a sweep row's grid columns; the modes without such a parameter leave it empty
+GRID_COLUMNS = ["n0_fraction", "window_w", "alt", "fixed_threshold"]
+
 SWEEP_COLUMNS = [
-    "row_type", "method", "n0_fraction", "window_w", "alt", "fixed_threshold",
+    "row_type", "method", *GRID_COLUMNS,
     "epochs", "seed", "accuracy", "accuracy_std", "alpha_b", "alpha_fb",
     "t_total", "t_norm", "agot", "agot_optimal",
 ]
@@ -169,115 +173,120 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- sweep and compare ---------------------------------------------------------
+
+
+def _reject_repeats(name: str, values: list) -> None:
+    """A repeated value would run or summarise the same row twice."""
+    if len(set(values)) < len(values):
+        raise UsageError(f"repeated value in {name}")
+
+
+def _run_in_order(
+    configs: list[TrainerConfig], train_examples: list[Example], eval_examples: list[Example] | None
+) -> Iterator[tuple[TrainerConfig, RunReport]]:
+    """Run ``configs`` in order, yielding each run's config and report. A run
+    other than train-all takes as its ``a_full`` the accuracy of the earlier
+    train-all run with the same (epochs, seed). Configs appended to the list
+    while it is being run are run too."""
+    a_full: dict[tuple[int, int], float] = {}
+    for cfg in configs:
+        key = (cfg.epochs, cfg.seed)
+        if cfg.mode != "train-all":
+            cfg = replace(cfg, a_full=a_full[key])
+        report = run(cfg, train_examples, eval_examples)
+        if cfg.mode == "train-all":
+            a_full[key] = report.accuracy
+        yield cfg, report
+
+
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """The mean and the sample standard deviation (0.0 for a single value)."""
+    values = np.array(values)
+    return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
+
+
 # -- sweep ---------------------------------------------------------------------
 
 
-def _sweep_row(common: TrainerConfig, method: str, n0=None, w=None, alt=None, t=None) -> dict:
-    """One grid row: the method label, its swept parameters (None where the
-    method has none) and the full TrainerConfig they set."""
-    swept = {"n0_fraction": n0, "predictor_window": w, "alt": alt, "fixed_threshold": t}
-    config = replace(common, mode=method, **{k: v for k, v in swept.items() if v is not None})
-    return {
-        "method": method, "config": config,
-        "n0_fraction": n0, "window_w": w, "alt": alt, "fixed_threshold": t,
-        "epochs": common.epochs, "seed": common.seed,
-    }
-
-
-def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[dict]:
-    """Ordered grid rows, one per run."""
-    rows = []
+def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[TrainerConfig]:
+    """One config per run, train-all first in each (epochs, seed) block."""
+    configs = []
     for epochs in args.epochs_grid:
         for seed in args.seeds:
             common = replace(base, epochs=epochs, seed=seed)
-            rows.append(_sweep_row(common, "train-all"))
-            rows.extend(_sweep_row(common, "fixed-threshold", t=t) for t in args.fixed_thresholds)
+            configs.append(replace(common, mode="train-all"))
+            configs.extend(replace(common, mode="fixed-threshold", fixed_threshold=t) for t in args.fixed_thresholds)
             for n0 in args.n0_grid:
                 for w in args.window_grid:
-                    rows.extend(_sweep_row(common, "three-stage", n0, w, alt) for alt in args.alt_grid)
-    return rows
+                    configs.extend(
+                        replace(common, mode="three-stage", n0_fraction=n0, predictor_window=w, alt=alt)
+                        for alt in args.alt_grid
+                    )
+    return configs
 
 
-def _config_label(row: dict) -> str:
-    parts = [row["method"]]
-    for key in ("n0_fraction", "window_w", "alt", "fixed_threshold", "epochs"):
-        if row[key] is not None:
-            parts.append(f"{key}={row[key]}")
-    return " ".join(parts)
+def _grid_values(cfg: TrainerConfig) -> tuple:
+    """The config's GRID_COLUMNS values: None where its mode has no such
+    parameter."""
+    staged = cfg.mode == "three-stage"
+    return (
+        cfg.n0_fraction if staged else None,
+        cfg.predictor_window if staged else None,
+        cfg.alt if staged else None,
+        cfg.fixed_threshold if cfg.mode == "fixed-threshold" else None,
+    )
+
+
+def _config_label(cfg: TrainerConfig) -> str:
+    named = zip((*GRID_COLUMNS, "epochs"), (*_grid_values(cfg), cfg.epochs))
+    return " ".join([cfg.mode] + [f"{key}={value}" for key, value in named if value is not None])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
-    for grid_name in ("n0_grid", "window_grid", "alt_grid", "epochs_grid", "seeds"):
-        if not getattr(args, grid_name):
-            raise UsageError(f"empty grid: {grid_name.replace('_', '-')}")
+    for grid_name in ("n0_grid", "window_grid", "alt_grid", "fixed_thresholds", "epochs_grid", "seeds"):
+        values, name = getattr(args, grid_name), grid_name.replace("_", "-")
+        if not values and grid_name != "fixed_thresholds":
+            raise UsageError(f"empty grid: {name}")
+        _reject_repeats(f"grid: {name}", values)
     train_examples, eval_examples = _load_data(args)
 
-    rows = _sweep_grid(args, base)
-    if len(rows) > args.max_runs:
-        raise UsageError(f"grid has {len(rows)} runs, over the cap of {args.max_runs}")
+    configs = _sweep_grid(args, base)
+    if len(configs) > args.max_runs:
+        raise UsageError(f"grid has {len(configs)} runs, over the cap of {args.max_runs}")
+    runs = list(_run_in_order(configs, train_examples, eval_examples))
 
-    # train-all reference runs first: they supply a_full for every other row
-    ref_rows = [r for r in rows if r["method"] == "train-all"]
-    a_full = {}
-    for row in ref_rows:
-        row["report"] = run(row["config"], train_examples, eval_examples)
-        a_full[(row["epochs"], row["seed"])] = row["report"].accuracy
-
-    for row in rows:
-        if row["method"] != "train-all":
-            cfg = replace(row["config"], a_full=a_full[(row["epochs"], row["seed"])])
-            row["report"] = run(cfg, train_examples, eval_examples)
-
-    best = None
-    for row in rows:
-        agot = row["report"].agot
-        if agot is None:
-            continue
-        key = (-agot, row["report"].t_norm, _config_label(row))
-        if best is None or key < best[0]:
-            best = (key, row)
-    optimal_row = best[1] if best else None
+    scored = [i for i, (_, rep) in enumerate(runs) if rep.agot is not None]
+    optimal = min(
+        scored, key=lambda i: (-runs[i][1].agot, runs[i][1].t_norm, _config_label(runs[i][0])), default=None
+    )
 
     lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        rep = row["report"]
-        lines.append(",".join([
-            "run", row["method"],
-            csv_field(row["n0_fraction"]), csv_field(row["window_w"]), csv_field(row["alt"]),
-            csv_field(row["fixed_threshold"]), str(row["epochs"]), str(row["seed"]),
-            csv_field(rep.accuracy), "", csv_field(rep.alpha_b), csv_field(rep.alpha_fb),
-            csv_field(rep.total_time), csv_field(rep.t_norm), csv_field(rep.agot),
-            "1" if row is optimal_row else "0",
-        ]))
-
-    groups: dict[tuple, list] = {}
-    for row in rows:
-        key = (row["method"], row["n0_fraction"], row["window_w"], row["alt"],
-               row["fixed_threshold"], row["epochs"])
-        groups.setdefault(key, []).append(row)
+    groups: dict[tuple, list[RunReport]] = {}
+    for i, (cfg, rep) in enumerate(runs):
+        lines.append(",".join(map(csv_field, [
+            "run", cfg.mode, *_grid_values(cfg), cfg.epochs, cfg.seed, rep.accuracy, None,
+            rep.alpha_b, rep.alpha_fb, rep.total_time, rep.t_norm, rep.agot, int(i == optimal),
+        ])))
+        groups.setdefault((cfg.mode, *_grid_values(cfg), cfg.epochs), []).append(rep)
     for key, group in groups.items():
-        accs = np.array([r["report"].accuracy for r in group])
-        agots = [r["report"].agot for r in group]
-        mean_agot = float(np.mean(agots)) if all(a is not None for a in agots) else None
-        lines.append(",".join([
-            "summary", key[0],
-            csv_field(key[1]), csv_field(key[2]), csv_field(key[3]), csv_field(key[4]), str(key[5]), "",
-            csv_field(float(accs.mean())),
-            csv_field(float(accs.std(ddof=1)) if len(accs) > 1 else 0.0),
-            csv_field(float(np.mean([r["report"].alpha_b for r in group]))),
-            csv_field(float(np.mean([r["report"].alpha_fb for r in group]))),
-            csv_field(float(np.mean([r["report"].total_time for r in group]))),
-            csv_field(float(np.mean([r["report"].t_norm for r in group]))),
-            csv_field(mean_agot), "",
-        ]))
+        agots = [r.agot for r in group]
+        lines.append(",".join(map(csv_field, [
+            "summary", *key, None, *_mean_std([r.accuracy for r in group]),
+            float(np.mean([r.alpha_b for r in group])),
+            float(np.mean([r.alpha_fb for r in group])),
+            float(np.mean([r.total_time for r in group])),
+            float(np.mean([r.t_norm for r in group])),
+            float(np.mean(agots)) if None not in agots else None, None,
+        ])))
 
-    payload = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    print(f"wrote {len(rows)} runs + {len(groups)} summaries to {args.out}")
-    if optimal_row is not None:
-        print(f"agot-optimal: {_config_label(optimal_row)} (agot={optimal_row['report'].agot:.4f})")
+        fh.write("\n".join(lines) + "\n")
+    print(f"wrote {len(runs)} runs + {len(groups)} summaries to {args.out}")
+    if optimal is not None:
+        cfg, rep = runs[optimal]
+        print(f"agot-optimal: {_config_label(cfg)} (agot={rep.agot:.4f})")
     return 0
 
 
@@ -288,62 +297,44 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = _config_from_args(args)
     if not args.seeds:
         raise UsageError("need at least one seed")
+    _reject_repeats("--seeds", args.seeds)
+    methods = [(mode, replace(base, mode=mode)) for mode in ("train-all", "three-stage", "auto-threshold-only")]
+    methods += [
+        (f"fixed-threshold-{t:g}", replace(base, mode="fixed-threshold", fixed_threshold=t))
+        for t in args.fixed_thresholds
+    ]
+    _reject_repeats("--fixed-thresholds", [label for label, _ in methods])
     train_examples, eval_examples = _load_data(args)
 
-    method_configs: list[tuple[str, TrainerConfig]] = [("train-all", replace(base, mode="train-all"))]
-    method_configs.append(("three-stage", replace(base, mode="three-stage")))
-    method_configs.append(("auto-threshold-only", replace(base, mode="auto-threshold-only")))
-    for t in args.fixed_thresholds:
-        method_configs.append((f"fixed-threshold-{t:g}", replace(base, mode="fixed-threshold", fixed_threshold=t)))
-
-    jobs = [
-        (label, replace(cfg, seed=seed))
-        for seed in args.seeds
-        for label, cfg in method_configs
-    ]
-    per_method: dict[str, list] = {}
-    for label, cfg in jobs:
-        per_method.setdefault(label, []).append(run(cfg, train_examples, eval_examples))
-
-    # matched-ratio controls: one random-skip run per filtered method and seed
-    random_jobs = []
-    targets: dict[str, list[float]] = {}
-    for label, _ in method_configs:
-        if label == "train-all":
+    labels = [label for label, _ in methods for _ in args.seeds]
+    configs = [replace(cfg, seed=seed) for _, cfg in methods for seed in args.seeds]
+    per_label: dict[str, list[RunReport]] = {}
+    for label, (cfg, report) in zip(labels, _run_in_order(configs, train_examples, eval_examples)):
+        per_label.setdefault(label, []).append(report)
+        if cfg.mode in ("train-all", "random-skip"):
             continue
-        for seed_idx, seed in enumerate(args.seeds):
-            ratio = per_method[label][seed_idx].alpha_b + per_method[label][seed_idx].alpha_fb
-            if ratio >= 1.0:
-                ratio = min(ratio, 1.0 - 1e-9)
-            random_jobs.append((f"random@{label}", replace(base, seed=seed), ratio))
-            targets.setdefault(f"random@{label}", []).append(ratio)
-    for label, cfg, ratio in random_jobs:
-        report = run_random_skip(cfg, train_examples, ratio, eval_examples)
-        per_method.setdefault(label, []).append(report)
+        # the method's matched-ratio control, appended so it runs after every method
+        ratio = report.alpha_b + report.alpha_fb
+        labels.append(f"random@{label}")
+        configs.append(replace(cfg, mode="random-skip", random_skip_ratio=ratio if ratio < 1.0 else 1.0 - 1e-9))
 
-    lines = [",".join(COMPARE_COLUMNS)]
-    table = []
-    for label, reps in per_method.items():
-        accs = np.array([r.accuracy for r in reps])
-        tns = np.array([r.t_norm for r in reps])
-        skips = np.array([r.alpha_b + r.alpha_fb for r in reps])
-        target = targets.get(label)
-        row = [
-            label, str(len(reps)),
-            csv_field(float(accs.mean())), csv_field(float(accs.std(ddof=1)) if len(reps) > 1 else 0.0),
-            csv_field(float(tns.mean())), csv_field(float(tns.std(ddof=1)) if len(reps) > 1 else 0.0),
-            csv_field(float(skips.mean())),
-            csv_field(float(np.mean(target)) if target else None),
-        ]
-        lines.append(",".join(row))
-        table.append((label, accs.mean(), accs.std(ddof=1) if len(reps) > 1 else 0.0, tns.mean(), skips.mean()))
+    rows = []
+    for label, reps in per_label.items():
+        targets = [r.config["random_skip_ratio"] for r in reps if r.config["mode"] == "random-skip"]
+        rows.append([
+            label, len(reps),
+            *_mean_std([r.accuracy for r in reps]),
+            *_mean_std([r.t_norm for r in reps]),
+            float(np.mean([r.alpha_b + r.alpha_fb for r in reps])),
+            float(np.mean(targets)) if targets else None,
+        ])
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([",".join(COMPARE_COLUMNS)] + [",".join(map(csv_field, row)) for row in rows]) + "\n")
         print(f"wrote comparison to {args.out}")
     print(f"{'method':<28}{'accuracy':>18}{'t_norm':>10}{'skipped':>10}")
-    for label, acc, std, tn, skip in table:
+    for label, _, acc, std, tn, _, skip, _ in rows:
         print(f"{label:<28}{acc:>10.4f} ± {std:.4f}{tn:>10.4f}{skip:>10.4f}")
     return 0
 
@@ -352,35 +343,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_toy(args: argparse.Namespace) -> int:
-    if args.dup_factor < 1:
-        raise UsageError("--dup-factor must be >= 1")
-    if not 0.0 <= args.noise < 1.0:
-        raise UsageError("--noise must lie in [0, 1)")
-    corpus = generate_toy_corpus(
-        num_examples=args.num_examples,
-        duplication=args.dup_factor,
-        noise_rate=args.noise,
-        seed=args.seed,
-        class_vocab=args.class_vocab,
-        shared_vocab=args.shared_vocab,
-        min_tokens=args.min_tokens,
-        max_tokens=args.max_tokens,
-        indicative_prob=args.indicative_prob,
+    shape = dict(
+        class_vocab=args.class_vocab, shared_vocab=args.shared_vocab, min_tokens=args.min_tokens,
+        max_tokens=args.max_tokens, indicative_prob=args.indicative_prob,
     )
+    eval_seed = args.eval_seed if args.eval_seed is not None else args.seed + 1
+    try:
+        corpus = generate_toy_corpus(
+            args.num_examples, duplication=args.dup_factor, noise_rate=args.noise, seed=args.seed, **shape
+        )
+        eval_corpus = None
+        if args.eval_out:
+            eval_corpus = generate_toy_corpus(args.eval_size, duplication=1, noise_rate=0.0, seed=eval_seed, **shape)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     write_jsonl(corpus, args.out)
     print(f"wrote {len(corpus)} examples to {args.out}")
-    if args.eval_out:
-        eval_corpus = generate_toy_corpus(
-            num_examples=args.eval_size,
-            duplication=1,
-            noise_rate=0.0,
-            seed=args.eval_seed if args.eval_seed is not None else args.seed + 1,
-            class_vocab=args.class_vocab,
-            shared_vocab=args.shared_vocab,
-            min_tokens=args.min_tokens,
-            max_tokens=args.max_tokens,
-            indicative_prob=args.indicative_prob,
-        )
+    if eval_corpus is not None:
         write_jsonl(eval_corpus, args.eval_out)
         print(f"wrote {len(eval_corpus)} eval examples to {args.eval_out}")
     return 0

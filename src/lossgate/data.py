@@ -223,6 +223,12 @@ def generate_toy_corpus(
         raise ValueError("duplication must be >= 1")
     if not 0.0 <= noise_rate < 1.0:
         raise ValueError("noise_rate must be in [0, 1)")
+    if class_vocab < 1 or shared_vocab < 1:
+        raise ValueError("class_vocab and shared_vocab must be >= 1")
+    if not 0 <= min_tokens <= max_tokens:
+        raise ValueError("token counts must satisfy 0 <= min_tokens <= max_tokens")
+    if not 0.0 <= indicative_prob <= 1.0:
+        raise ValueError("indicative_prob must be in [0, 1]")
     rng = np.random.default_rng(seed)
     num_unique = max(1, int(round(num_examples / duplication)))
 

@@ -355,8 +355,9 @@ class Trainer:
         a_full_ref = cfg.a_full
         if a_full_ref is None and cfg.mode == "train-all":
             a_full_ref = accuracy
+        # AGOT divides by a power of T_norm: undefined when every batch was skipped
         agot_value = None
-        if a_full_ref is not None and a_full_ref != a_base:
+        if a_full_ref is not None and a_full_ref != a_base and time_norm > 0:
             params = metrics.AgotParams(epsilon=cfg.agot_epsilon, a_base=a_base, a_full=a_full_ref)
             agot_value = metrics.agot(accuracy, time_norm, params)
 

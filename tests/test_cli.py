@@ -51,6 +51,30 @@ def test_gen_toy_rejects_bad_noise(tmp_path):
     assert run_cli("gen-toy", "--out", str(tmp_path / "x.jsonl"), "--noise", "1.5") == 2
 
 
+BAD_GEN_TOY = [
+    ("num-examples", ["--num-examples", "0"]),
+    ("dup-factor", ["--dup-factor", "0"]),
+    ("class-vocab", ["--class-vocab", "0"]),
+    ("shared-vocab", ["--shared-vocab", "0"]),
+    ("token-range", ["--min-tokens", "10", "--max-tokens", "5"]),
+    ("min-tokens", ["--min-tokens", "-1"]),
+    ("indicative-prob", ["--indicative-prob", "1.5"]),
+    ("indicative-prob-nan", ["--indicative-prob", "nan"]),
+    ("eval-size", ["--eval-size", "0"]),
+]
+
+
+@pytest.mark.parametrize("case, flags", BAD_GEN_TOY, ids=[c[0] for c in BAD_GEN_TOY])
+def test_gen_toy_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, case, flags):
+    out = tmp_path / "toy.jsonl"
+    eval_out = tmp_path / "eval.jsonl"
+    code = run_cli("gen-toy", "--out", str(out), "--eval-out", str(eval_out), "--num-examples", "40", *flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert not eval_out.exists()
+
+
 # -- run --------------------------------------------------------------------------
 
 
@@ -222,13 +246,41 @@ def test_sweep_rerun_is_byte_identical(corpus_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_parallel_matches_serial(corpus_file, tmp_path, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert run_cli("sweep", "--data", corpus_file, "--out", str(serial), *SWEEP_ARGS) == 0
-    monkeypatch.setenv("LOSSGATE_THREADS", "4")
-    assert run_cli("sweep", "--data", corpus_file, "--out", str(parallel), *SWEEP_ARGS) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def record_runs(monkeypatch):
+    """Make every run the CLI starts append its (config, report) to the
+    returned list."""
+    runs = []
+
+    def recording_run(cfg, *data):
+        report = cli.trainer_mod.run(cfg, *data)
+        runs.append((cfg, report))
+        return report
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    return runs
+
+
+def assert_a_full_from_train_all(runs):
+    """Each non-train-all run took as a_full the accuracy of an earlier
+    train-all run with its (epochs, seed)."""
+    reference = {}
+    for cfg, report in runs:
+        key = (cfg.epochs, cfg.seed)
+        if cfg.mode == "train-all":
+            reference[key] = report.accuracy
+        else:
+            assert cfg.a_full == reference[key]
+
+
+def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkeypatch):
+    runs = record_runs(monkeypatch)
+    args = [*SWEEP_ARGS, "--epochs-grid", "1,2"]
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(tmp_path / "s.csv"), *args) == 0
+    # per (epochs, seed): train-all, then fixed 0.3, then three-stage at alt 0.4 and 0.6
+    assert len(runs) == 16
+    assert [cfg.mode for cfg, _ in runs[:4]] == ["train-all", "fixed-threshold", "three-stage", "three-stage"]
+    assert [(cfg.epochs, cfg.seed) for cfg, _ in runs[::4]] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert_a_full_from_train_all(runs)
 
 
 def test_sweep_over_cap_exits_2(corpus_file, tmp_path, capsys):
@@ -246,6 +298,27 @@ def test_sweep_empty_grid_exits_2(corpus_file, tmp_path):
         "--seeds", "", "--epochs-grid", "1",
     )
     assert code == 2
+
+
+REPEATED_SWEEP_GRIDS = [
+    ("n0-grid", "0.1,0.1"),
+    ("window-grid", "4,8,4"),
+    ("alt-grid", "0.4,0.40"),
+    ("fixed-thresholds", "0.3,0.3"),
+    ("epochs-grid", "1,1"),
+    ("seeds", "0,1,0"),
+]
+
+
+@pytest.mark.parametrize("flag, values", REPEATED_SWEEP_GRIDS, ids=[c[0] for c in REPEATED_SWEEP_GRIDS])
+def test_sweep_repeated_grid_value_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, flag, values):
+    runs = record_runs(monkeypatch)
+    out = tmp_path / "x.csv"
+    code = run_cli("sweep", "--data", corpus_file, "--out", str(out), *SWEEP_ARGS, f"--{flag}", values)
+    assert code == 2
+    assert f"repeated value in grid: {flag}" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 # -- compare -----------------------------------------------------------------------
@@ -282,3 +355,39 @@ def test_compare_outputs_matched_random_rows(corpus_file, tmp_path, capsys):
 
 def test_compare_requires_seed(corpus_file, tmp_path):
     assert run_cli("compare", "--data", corpus_file, "--seeds", "") == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "0,0"],
+    ["--seeds", "0,1", "--fixed-thresholds", "0.3,0.3"],
+    # distinct values with the same fixed-threshold-0.3 label
+    ["--seeds", "0", "--fixed-thresholds", "0.3,0.3000001"],
+], ids=["seeds", "thresholds", "threshold-labels"])
+def test_compare_repeated_value_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, flags):
+    runs = record_runs(monkeypatch)
+    out = tmp_path / "c.csv"
+    assert run_cli("compare", "--data", corpus_file, "--out", str(out), *flags) == 2
+    assert "repeated value" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+def test_compare_fills_a_full_and_survives_a_control_that_skips_everything(corpus_file, tmp_path, monkeypatch):
+    runs = record_runs(monkeypatch)
+    out = tmp_path / "c.csv"
+    # at batch 32 every loss of this corpus is below 0.7, so fixed-threshold-0.7
+    # skips every backward and its matched control skips every batch
+    code = run_cli(
+        "compare", "--data", corpus_file, "--seeds", "0,1", "--fixed-thresholds", "0.3,0.7",
+        "--a-full", "0.9", "--out", str(out),
+    )
+    assert code == 0
+    assert_a_full_from_train_all(runs)
+    # 5 methods and 4 controls per seed, methods first
+    assert len(runs) == 18
+    assert [cfg.mode for cfg, _ in runs[10:]] == ["random-skip"] * 8
+    skipped_all = [report for cfg, report in runs if cfg.mode == "random-skip" and report.t_norm == 0.0]
+    assert skipped_all and all(report.agot is None for report in skipped_all)
+    rows = {line.split(",")[0]: line.split(",") for line in out.read_text().strip().split("\n")[1:]}
+    assert rows["random@fixed-threshold-0.7"][1] == "2"
+    assert float(rows["random@fixed-threshold-0.7"][6]) == 1.0

@@ -133,6 +133,15 @@ def test_run_random_skip_wrapper_validates_ratio():
         run_random_skip(BASE, CORPUS, 1.0, EVAL)
 
 
+def test_run_skipping_every_batch_reports_null_agot():
+    # AGOT divides by a power of T_norm, which is 0 when no pass ran
+    report = run_mode("random-skip", random_skip_ratio=0.999999, a_full=0.9)
+    assert report.forward_skipped == report.batches_total
+    assert report.t_norm == 0.0
+    assert report.agot is None
+    assert report.to_json_dict()["agot"] is None
+
+
 # -- stage transitions ------------------------------------------------------------
 
 
