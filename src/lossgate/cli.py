@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import fields, replace
@@ -182,6 +183,16 @@ def _reject_repeats(name: str, values: list) -> None:
         raise UsageError(f"repeated value in {name}")
 
 
+def _check_configs(configs: list[TrainerConfig]) -> None:
+    """Validate every config a command built, so that a bad grid value exits
+    with status 2 before the first run."""
+    for cfg in configs:
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise UsageError(f"{_config_label(cfg)} seed={cfg.seed}: {exc}") from exc
+
+
 def _run_in_order(
     configs: list[TrainerConfig], train_examples: list[Example], eval_examples: list[Example] | None
 ) -> Iterator[tuple[TrainerConfig, RunReport]]:
@@ -250,11 +261,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not values and grid_name != "fixed_thresholds":
             raise UsageError(f"empty grid: {name}")
         _reject_repeats(f"grid: {name}", values)
-    train_examples, eval_examples = _load_data(args)
-
     configs = _sweep_grid(args, base)
     if len(configs) > args.max_runs:
         raise UsageError(f"grid has {len(configs)} runs, over the cap of {args.max_runs}")
+    _check_configs(configs)
+    train_examples, eval_examples = _load_data(args)
     runs = list(_run_in_order(configs, train_examples, eval_examples))
 
     scored = [i for i, (_, rep) in enumerate(runs) if rep.agot is not None]
@@ -304,10 +315,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for t in args.fixed_thresholds
     ]
     _reject_repeats("--fixed-thresholds", [label for label, _ in methods])
-    train_examples, eval_examples = _load_data(args)
-
     labels = [label for label, _ in methods for _ in args.seeds]
     configs = [replace(cfg, seed=seed) for _, cfg in methods for seed in args.seeds]
+    _check_configs(configs)
+    train_examples, eval_examples = _load_data(args)
+
     per_label: dict[str, list[RunReport]] = {}
     for label, (cfg, report) in zip(labels, _run_in_order(configs, train_examples, eval_examples)):
         per_label.setdefault(label, []).append(report)
@@ -342,21 +354,39 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # -- gen-toy -------------------------------------------------------------------
 
 
+# the gen-toy flag that sets each generate_toy_corpus parameter
+_GEN_TOY_FLAGS = {
+    "num_examples": "--num-examples", "duplication": "--dup-factor", "noise_rate": "--noise",
+    "class_vocab": "--class-vocab", "shared_vocab": "--shared-vocab", "min_tokens": "--min-tokens",
+    "max_tokens": "--max-tokens", "indicative_prob": "--indicative-prob",
+}
+
+
+def _toy_corpus(flags: dict[str, str], **params) -> list[Example]:
+    """``generate_toy_corpus``, with a bad argument reported by its ``flags`` name."""
+    try:
+        return generate_toy_corpus(**params)
+    except ValueError as exc:
+        message = re.sub(r"\b(" + "|".join(flags) + r")\b", lambda m: flags[m.group()], str(exc))
+        raise UsageError(message) from exc
+
+
 def cmd_gen_toy(args: argparse.Namespace) -> int:
     shape = dict(
         class_vocab=args.class_vocab, shared_vocab=args.shared_vocab, min_tokens=args.min_tokens,
         max_tokens=args.max_tokens, indicative_prob=args.indicative_prob,
     )
     eval_seed = args.eval_seed if args.eval_seed is not None else args.seed + 1
-    try:
-        corpus = generate_toy_corpus(
-            args.num_examples, duplication=args.dup_factor, noise_rate=args.noise, seed=args.seed, **shape
+    corpus = _toy_corpus(
+        _GEN_TOY_FLAGS, num_examples=args.num_examples, duplication=args.dup_factor, noise_rate=args.noise,
+        seed=args.seed, **shape,
+    )
+    eval_corpus = None
+    if args.eval_out:
+        eval_flags = {**_GEN_TOY_FLAGS, "num_examples": "--eval-size"}
+        eval_corpus = _toy_corpus(
+            eval_flags, num_examples=args.eval_size, duplication=1, noise_rate=0.0, seed=eval_seed, **shape
         )
-        eval_corpus = None
-        if args.eval_out:
-            eval_corpus = generate_toy_corpus(args.eval_size, duplication=1, noise_rate=0.0, seed=eval_seed, **shape)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     write_jsonl(corpus, args.out)
     print(f"wrote {len(corpus)} examples to {args.out}")
     if eval_corpus is not None:

@@ -12,16 +12,24 @@ classifier): ``s = log P(1 | x) - log P(0 | x) = b + sum_{j in x, j seen} w_j``.
 With ``n_cj`` the count of bucket ``j`` under class ``c``, ``N_c`` the class
 total and ``L[k] = log(k + alpha)``,
 
-    w_j = (L[n_1j] - L[N_1 - n_1j]) - (L[n_0j] - L[N_0 - n_0j])
+    w_j = G_1[n_1j] - G_0[n_0j],   G_c[k] = L[k] - L[N_c - k],
     b   = L[N_1] - L[N_0] + absent_1 - absent_0,
-    absent_c = sum_{j seen} (L[N_c - n_cj] - log(N_c + 2 alpha)).
+    absent_c = sum_{j seen} (L[N_c - n_cj] - log(N_c + 2 alpha))
+             = sum_v H_c[v] (L[N_c - v] - log(N_c + 2 alpha)),
 
-Every count is an integer, so ``L`` is one cached table, regrown when a class
-total outgrows it, and no query computes a logarithm per bucket. ``w`` is
-gathered for the batch's buckets only. ``b`` is cached; the first query after
-an update recomputes it, and recomputes ``absent_c`` with one gather over the
-sorted observed vocabulary for each class the update changed (its own class,
-plus the other one when it brought a bucket new to the vocabulary).
+where ``H_c[v]`` is the number of observed buckets class ``c`` has counted
+``v`` times. Every count is an integer, so ``L`` is one cached table, regrown
+when a class total outgrows it, and no query computes a logarithm per
+bucket. ``update`` keeps ``H_c`` current from the batch's distinct buckets:
+each moves from its old count to its new one, and a bucket new to the
+vocabulary first joins both classes at count 0. The first query after an
+update rebuilds ``absent_c`` and the gain table ``G_c`` of each class the
+update changed, in O(largest count) rather than O(vocabulary).
+
+An observed bucket's count is stored as count + 1 and an unseen bucket's as
+0. ``H_c`` and ``G_c`` are indexed by that stored value, and ``G_c`` at 0 is
+0, so a query is one gather of the batch's stored counts plus one lookup per
+class, and an unseen bucket adds exactly 0 to ``s``.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ import numpy as np
 
 from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack
 
-# entries of the log table a model starts with; a query after a class total
-# reaches its size rebuilds it at twice that total
+# entries a model's log table and count histogram start with; each is
+# rebuilt at twice the size once a class total or count reaches its end
 _LOG_TABLE_SIZE = 256
 
 
@@ -46,12 +54,17 @@ class NaiveBayesModel:
         self.smoothing_alpha = float(smoothing_alpha)
         self.dimension = int(dimension)
         self.class_counts = np.zeros(2, dtype=np.int64)
+        # count + 1 of a bucket either class has counted (the vocabulary), 0 elsewhere
         self._bucket_counts = np.zeros((2, self.dimension), dtype=np.int64)
-        # sorted buckets counted under either class
-        self._vocab = np.zeros(0, dtype=np.int64)
+        # _hist[c, k + 1] = vocabulary buckets class c has counted k times, for
+        # k up to _top[c], the largest count; indexed like _bucket_counts
+        self._hist = np.zeros((2, _LOG_TABLE_SIZE), dtype=np.int64)
+        self._top = [0, 0]
         # _log[k] = log(k + alpha) for every count k up to the largest class total
         self._log = np.log(np.arange(_LOG_TABLE_SIZE) + self.smoothing_alpha)
-        # absent_c per class and the log-odds bias b; None once an update changes them
+        # per class, the gain table G_c by stored count and absent_c, and the
+        # log-odds bias b; None once an update changes them
+        self._gain = [None, None]
         self._absent = [None, None]
         self._bias = None
 
@@ -68,7 +81,7 @@ class NaiveBayesModel:
         return bool(self.class_counts[0] > 0 and self.class_counts[1] > 0)
 
     def bucket_count(self, label: int, bucket: int) -> int:
-        return int(self._bucket_counts[label, bucket])
+        return max(int(self._bucket_counts[label, bucket]) - 1, 0)
 
     def update(self, batch: MiniBatch, label: int) -> None:
         """Count one batch of examples under ``label``. Pure accumulation."""
@@ -77,40 +90,58 @@ class NaiveBayesModel:
         if len(batch) == 0:
             return
         self.class_counts[label] += len(batch)
-        # buckets neither class has counted yet join the vocabulary
-        before = np.take(self._bucket_counts, batch.indices, axis=1)
-        new = batch.indices[~np.logical_or(before[0], before[1])]
-        # indices within one example are unique, so this counts
-        # "number of examples containing the bucket"
-        np.add.at(self._bucket_counts[label], batch.indices, 1)
-        self._absent[label] = self._bias = None
+        # indices within one example are unique, so a bucket appears in
+        # ``run`` once per example that contains it; ``buckets`` are distinct
+        run = np.sort(batch.indices)
+        first = np.empty(run.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(run[1:], run[:-1], out=first[1:])
+        buckets = run[first]
+        own = self._bucket_counts[label]
+        was = own.take(buckets)
+        new = buckets[was == 0]
         if new.size:
-            new = np.unique(new)
-            self._vocab = np.insert(self._vocab, np.searchsorted(self._vocab, new), new)
-            # a new bucket adds an absent term to the other class too
+            # a bucket new to the vocabulary joins both classes at count 0 (stored 1)
+            self._bucket_counts[:, new] = 1
+            self._hist[:, 1] += new.size
             self._absent[1 - label] = None
+            np.maximum(was, 1, out=was)
+        np.add.at(own, run, 1)
+        now = own.take(buckets)
+        top = int(now.max(initial=1))
+        if top >= self._hist.shape[1]:
+            self._hist = np.pad(self._hist, ((0, 0), (0, 2 * top - self._hist.shape[1])))
+        np.subtract.at(self._hist[label], was, 1)
+        np.add.at(self._hist[label], now, 1)
+        self._top[label] = max(self._top[label], top - 1)
+        self._absent[label] = self._bias = None
 
     def _scores(self, batch: MiniBatch) -> np.ndarray:
         """Log-odds ``log P(1 | x) - log P(0 | x)``, one per example."""
+        if self._bias is None:
+            self._rebuild_bias()
+        stored = self._bucket_counts.take(batch.indices, axis=1)
+        w = self._gain[1].take(stored[1]) - self._gain[0].take(stored[0])
+        return self._bias + np.bincount(batch.rows, weights=w, minlength=len(batch))
+
+    def _rebuild_bias(self) -> None:
+        """Rebuild ``b``, and ``G_c`` and ``absent_c`` of each class an update changed."""
         if not self.queryable:
             raise ValueError("untrained predictor: no examples seen")
         totals = self.class_counts
-        if self._bias is None:
-            top = int(totals.max())
-            if top >= self._log.size:
-                self._log = np.log(np.arange(2 * (top + 1)) + self.smoothing_alpha)
-            for c in (0, 1):
-                if self._absent[c] is None:
-                    # one term per observed bucket, each normalised before the sum
-                    seen = self._bucket_counts[c].take(self._vocab)
-                    norm = math.log(totals[c] + 2.0 * self.smoothing_alpha)
-                    self._absent[c] = float((self._log.take(totals[c] - seen) - norm).sum())
-            self._bias = float(self._log[totals[1]] - self._log[totals[0]] + self._absent[1] - self._absent[0])
-        counts = np.take(self._bucket_counts, batch.indices, axis=1)
-        gain = self._log.take(counts) - self._log.take(totals[:, None] - counts)
-        # a bucket neither class has counted is outside the vocabulary and cancels
-        w = np.where(np.logical_or(counts[0], counts[1]), gain[1] - gain[0], 0.0)
-        return self._bias + np.bincount(batch.rows, weights=w, minlength=len(batch))
+        largest = int(totals.max())
+        if largest >= self._log.size:
+            self._log = np.log(np.arange(2 * (largest + 1)) + self.smoothing_alpha)
+        for c in (0, 1):
+            if self._absent[c] is None:
+                n, top = int(totals[c]), self._top[c]
+                rest = self._log[n - top:n + 1][::-1]  # rest[k] = L[N_c - k]
+                gain = np.zeros(top + 2)
+                np.subtract(self._log[:top + 1], rest, out=gain[1:])
+                norm = math.log(n + 2.0 * self.smoothing_alpha)
+                self._gain[c] = gain
+                self._absent[c] = float((self._hist[c, 1:top + 2] * (rest - norm)).sum())
+        self._bias = float(self._log[totals[1]] - self._log[totals[0]] + self._absent[1] - self._absent[0])
 
     def _batch_log_posteriors(self, batch: MiniBatch) -> np.ndarray:
         """(n, 2) array of log P(class | features), one row per example."""
@@ -155,8 +186,9 @@ class NaiveBayesModel:
         if len(batch) == 0:
             raise ValueError("empty batch")
         s = self._scores(batch)
-        # -log P(1 | x) = log(1 + e^-s) and -log P(0 | x) = log(1 + e^s)
-        return float(np.logaddexp(0.0, np.where(np.asarray(labels) == 1, -s, s)).mean())
+        # -log P(1 | x) = log(1 + e^-s) and -log P(0 | x) = log(1 + e^s);
+        # .sum() / n is .mean(), bit for bit, without its overhead
+        return float(np.logaddexp(0.0, np.where(np.asarray(labels) == 1, -s, s)).sum()) / len(batch)
 
 
 class PredictorLossWindow:
@@ -185,8 +217,8 @@ def save_predictor(model: NaiveBayesModel, path: str) -> None:
     """JSON checkpoint: class counts plus sparse per-class bucket counts."""
     counts = {}
     for label in (0, 1):
-        nonzero = np.flatnonzero(model._bucket_counts[label])
-        counts[str(label)] = [[int(b), int(model._bucket_counts[label, b])] for b in nonzero]
+        stored = model._bucket_counts[label]
+        counts[str(label)] = [[int(b), int(stored[b]) - 1] for b in np.flatnonzero(stored > 1)]
     payload = {
         "alpha": model.smoothing_alpha,
         "dimension": model.dimension,
@@ -230,5 +262,10 @@ def load_predictor(path: str) -> NaiveBayesModel:
                     f"class {label} bucket {bucket} count {count} outside [0, {class_counts[label]}]"
                 )
             model._bucket_counts[label, bucket] = count
-    model._vocab = np.flatnonzero(model._bucket_counts.any(axis=0))
+    vocab = np.flatnonzero(model._bucket_counts.any(axis=0))
+    model._bucket_counts[:, vocab] += 1
+    stored = model._bucket_counts[:, vocab]
+    model._top = [int(row.max(initial=1)) - 1 for row in stored]
+    size = max(_LOG_TABLE_SIZE, max(model._top) + 2)
+    model._hist = np.stack([np.bincount(row, minlength=size) for row in stored])
     return model

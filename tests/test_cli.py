@@ -52,25 +52,30 @@ def test_gen_toy_rejects_bad_noise(tmp_path):
 
 
 BAD_GEN_TOY = [
-    ("num-examples", ["--num-examples", "0"]),
-    ("dup-factor", ["--dup-factor", "0"]),
-    ("class-vocab", ["--class-vocab", "0"]),
-    ("shared-vocab", ["--shared-vocab", "0"]),
-    ("token-range", ["--min-tokens", "10", "--max-tokens", "5"]),
-    ("min-tokens", ["--min-tokens", "-1"]),
-    ("indicative-prob", ["--indicative-prob", "1.5"]),
-    ("indicative-prob-nan", ["--indicative-prob", "nan"]),
-    ("eval-size", ["--eval-size", "0"]),
+    ("num-examples", ["--num-examples", "0"], "--num-examples"),
+    ("dup-factor", ["--dup-factor", "0"], "--dup-factor"),
+    ("class-vocab", ["--class-vocab", "0"], "--class-vocab"),
+    ("shared-vocab", ["--shared-vocab", "0"], "--shared-vocab"),
+    ("token-range", ["--min-tokens", "10", "--max-tokens", "5"], "--max-tokens"),
+    ("min-tokens", ["--min-tokens", "-1"], "--min-tokens"),
+    ("indicative-prob", ["--indicative-prob", "1.5"], "--indicative-prob"),
+    ("indicative-prob-nan", ["--indicative-prob", "nan"], "--indicative-prob"),
+    ("eval-size", ["--eval-size", "0"], "--eval-size"),
+    ("noise", ["--noise", "-0.1"], "--noise"),
 ]
 
 
-@pytest.mark.parametrize("case, flags", BAD_GEN_TOY, ids=[c[0] for c in BAD_GEN_TOY])
-def test_gen_toy_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, case, flags):
+@pytest.mark.parametrize("case, flags, named", BAD_GEN_TOY, ids=[c[0] for c in BAD_GEN_TOY])
+def test_gen_toy_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, case, flags, named):
     out = tmp_path / "toy.jsonl"
     eval_out = tmp_path / "eval.jsonl"
     code = run_cli("gen-toy", "--out", str(out), "--eval-out", str(eval_out), "--num-examples", "40", *flags)
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # the message names the flag, not generate_toy_corpus's parameter
+    assert named in err
+    assert not any(param in err for param in ("num_examples", "duplication", "noise_rate", "_vocab", "_tokens", "_prob"))
     assert not out.exists()
     assert not eval_out.exists()
 
@@ -321,6 +326,28 @@ def test_sweep_repeated_grid_value_exits_2_before_training(corpus_file, tmp_path
     assert not out.exists()
 
 
+BAD_SWEEP_GRIDS = [
+    ("n0-grid", "0.1,0", "n0_fraction must lie in (0, 1]"),
+    ("window-grid", "4,0", "predictor_window must be >= 1"),
+    ("alt-grid", "0.4,-1", "alt must be positive and finite"),
+    ("epochs-grid", "1,0", "epochs must be >= 1"),
+    ("seeds", "0,-1", "seed must be >= 0"),
+    ("fixed-thresholds", "0.3,nan", "fixed_threshold must not be NaN"),
+]
+
+
+@pytest.mark.parametrize("flag, values, message", BAD_SWEEP_GRIDS, ids=[c[0] for c in BAD_SWEEP_GRIDS])
+def test_sweep_bad_grid_value_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, flag, values, message):
+    # the bad value comes last in its grid, so every earlier run would train first
+    runs = record_runs(monkeypatch)
+    out = tmp_path / "x.csv"
+    code = run_cli("sweep", "--data", corpus_file, "--out", str(out), *SWEEP_ARGS, f"--{flag}", values)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 # -- compare -----------------------------------------------------------------------
 
 
@@ -368,6 +395,19 @@ def test_compare_repeated_value_exits_2_before_training(corpus_file, tmp_path, c
     out = tmp_path / "c.csv"
     assert run_cli("compare", "--data", corpus_file, "--out", str(out), *flags) == 2
     assert "repeated value" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "0", "--fixed-thresholds", "0.3,nan"], "fixed_threshold must not be NaN"),
+    (["--seeds", "0,-1"], "seed must be >= 0"),
+], ids=["nan-threshold", "negative-seed"])
+def test_compare_bad_value_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, flags, message):
+    runs = record_runs(monkeypatch)
+    out = tmp_path / "c.csv"
+    assert run_cli("compare", "--data", corpus_file, "--out", str(out), *flags) == 2
+    assert message in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 

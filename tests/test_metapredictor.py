@@ -124,7 +124,7 @@ def test_bucket_count_never_exceeds_class_count():
         feats = pack([rng.choice(20, size=rng.integers(1, 5), replace=False)])
         model.update(feats, int(rng.integers(0, 2)))
     for c in (0, 1):
-        assert model._bucket_counts[c, :20].max(initial=0) <= model.class_counts[c]
+        assert max(model.bucket_count(c, b) for b in range(20)) <= model.class_counts[c]
 
 
 # -- posterior ---------------------------------------------------------------------
@@ -337,6 +337,28 @@ def test_window_size_validation():
 # -- incremental state -------------------------------------------------------------------
 
 
+def trimmed(row):
+    """A histogram row without its trailing zeros."""
+    return row[: np.flatnonzero(row)[-1] + 1] if row.any() else row[:0]
+
+
+def assert_counted_state(model, pool, recount):
+    """The model's stored counts and histograms agree with ``recount``, the
+    per-class count of each bucket of ``pool`` (every bucket it has seen)."""
+    observed = recount.any(axis=0)
+    # count + 1 in both classes for a bucket either class has counted, 0 elsewhere
+    expected = np.where(observed, recount + 1, 0)
+    assert np.array_equal(model._bucket_counts[:, pool], expected)
+    assert np.count_nonzero(model._bucket_counts) == 2 * np.count_nonzero(observed)
+    for c in (0, 1):
+        assert [model.bucket_count(c, b) for b in pool] == recount[c].tolist()
+        # H_c[k + 1] = observed buckets counted k times under class c
+        counts = recount[c, observed]
+        assert np.array_equal(trimmed(model._hist[c]), trimmed(np.bincount(counts + 1, minlength=1)))
+        assert model._hist[c, 0] == 0
+        assert model._top[c] == counts.max(initial=0)
+
+
 def test_incremental_state_matches_reload(tmp_path):
     # buckets from both ends of the hash space, so a new bucket lands before,
     # between and after the ones already seen; batches large enough that both
@@ -345,21 +367,28 @@ def test_incremental_state_matches_reload(tmp_path):
     rng = np.random.default_rng(5)
     model = NaiveBayesModel(smoothing_alpha=0.5)
     path = tmp_path / "predictor.json"
+    recount = np.zeros((2, pool.size), dtype=np.int64)
     for _ in range(160):
         rows = [rng.choice(pool, size=rng.integers(0, 6), replace=False) for _ in range(rng.integers(1, 25))]
         batch = pack(rows)
         op = rng.integers(0, 3)
         if op == 0 or not model.queryable:
-            model.update(batch, int(rng.integers(0, 2)))
+            label = int(rng.integers(0, 2))
+            model.update(batch, label)
+            for row in rows:
+                recount[label] += np.isin(pool, row)
         elif op == 1:
             model.loss(batch, rng.integers(0, 2, size=len(batch)))
         else:
             model.predict_batch(batch)
-        assert np.array_equal(model._vocab, np.flatnonzero(model._bucket_counts.sum(axis=0)))
-        assert np.all(np.diff(model._vocab) > 0)
+        assert_counted_state(model, pool, recount)
         if model.queryable:
             save_predictor(model, str(path))
             loaded = load_predictor(str(path))
+            # the histograms kept update by update equal the ones rebuilt on load
+            for c in (0, 1):
+                assert loaded._top[c] == model._top[c]
+                assert np.array_equal(trimmed(loaded._hist[c]), trimmed(model._hist[c]))
             query = pack([rng.choice(pool, size=4, replace=False), [], [12345]])
             assert np.array_equal(model._batch_log_posteriors(query), loaded._batch_log_posteriors(query))
             # the table grown update by update equals the one built for the loaded totals
@@ -408,7 +437,10 @@ def test_log_posteriors_match_reference_at_realistic_scale():
         for row in rows:
             for b in set(row.tolist()):
                 bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
-    assert model._vocab.size >= 2000
+    vocab_size = len(set(bucket_counts[0]) | set(bucket_counts[1]))
+    assert vocab_size >= 2000
+    # each class histogram holds every observed bucket once
+    assert model._hist.sum(axis=1).tolist() == [vocab_size, vocab_size]
     assert min(class_counts) >= 5000
 
     queries = sample(0, 15) + sample(1, 15) + [np.array([], dtype=np.int64), np.array([12345]), vocab[:300]]
@@ -416,6 +448,39 @@ def test_log_posteriors_match_reference_at_realistic_scale():
     for row, query in zip(got, queries):
         expected = reference_log_posteriors(class_counts, bucket_counts, 1.0, set(query.tolist()))
         assert np.max(np.abs(row - expected)) <= 1e-10
+
+
+def test_log_posteriors_match_reference_with_repeats_within_a_batch():
+    # each batch holds one example with no buckets and 29 that all contain
+    # bucket 9, so an update moves bucket 9 by 29 at once; its count and both
+    # class totals outgrow the log table and histogram the model starts with
+    rng = np.random.default_rng(11)
+    pool = np.arange(20, 60)
+    tracked = np.append(9, pool)
+    model = NaiveBayesModel(smoothing_alpha=0.5)
+    class_counts = [0, 0]
+    bucket_counts = [{}, {}]
+    recount = np.zeros((2, tracked.size), dtype=np.int64)
+    queries = [np.array([], dtype=np.int64), np.array([9]), np.array([9, 12345]), pool[:7], np.array([12345])]
+    for step in range(24):
+        label = step % 2 if step < 20 else 1
+        rows = [np.array([], dtype=np.int64)]
+        rows += [np.append(9, rng.choice(pool, size=rng.integers(0, 4), replace=False)) for _ in range(29)]
+        model.update(pack(rows), label)
+        class_counts[label] += len(rows)
+        for row in rows:
+            for b in row.tolist():
+                bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
+            recount[label] += np.isin(tracked, row)
+        assert_counted_state(model, tracked, recount)
+        got = model._batch_log_posteriors(pack(queries))
+        for row, query in zip(got, queries):
+            expected = reference_log_posteriors(class_counts, bucket_counts, 0.5, set(query.tolist()))
+            assert np.max(np.abs(row - expected)) <= 1e-10
+    assert model.bucket_count(1, 9) == 14 * 29
+    assert model._top[1] > _LOG_TABLE_SIZE
+    assert model._hist.shape[1] > _LOG_TABLE_SIZE
+    assert model._log.size > max(class_counts)
 
 
 # -- checkpoint --------------------------------------------------------------------------
@@ -455,7 +520,14 @@ def _checkpoint(tmp_path, **changes):
 def test_load_predictor_accepts_valid_checkpoint(tmp_path):
     model = load_predictor(_checkpoint(tmp_path))
     assert model.bucket_count(1, 7) == 1
-    assert list(model._vocab) == [1, 7]
+    assert model.bucket_count(0, 7) == 0
+    # buckets 1 and 7 are observed: stored as count + 1 in both classes
+    assert np.flatnonzero(model._bucket_counts[0]).tolist() == [1, 7]
+    assert np.flatnonzero(model._bucket_counts[1]).tolist() == [1, 7]
+    assert model._bucket_counts[:, [1, 7]].tolist() == [[3, 1], [4, 2]]
+    assert trimmed(model._hist[0]).tolist() == [0, 1, 0, 1]
+    assert trimmed(model._hist[1]).tolist() == [0, 0, 1, 0, 1]
+    assert model._top == [2, 3]
 
 
 def test_load_predictor_rejects_negative_bucket(tmp_path):
