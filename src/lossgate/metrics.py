@@ -7,6 +7,7 @@ exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,8 +19,8 @@ class TimingModel:
     t_backward: float = 2.0
 
     def __post_init__(self):
-        if self.t_forward <= 0 or self.t_backward <= 0:
-            raise ValueError("pass times must be positive")
+        if not (0 < self.t_forward < math.inf and 0 < self.t_backward < math.inf):
+            raise ValueError("pass times must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class AgotParams:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        if not (math.isfinite(self.a_base) and math.isfinite(self.a_full)):
+            raise ValueError("a_base and a_full must be finite")
         if self.a_full == self.a_base:
             raise ValueError("a_full must differ from a_base")
 
@@ -64,8 +67,9 @@ class EnergyParams:
     co2_lb_per_kwh: float = 0.954
 
     def __post_init__(self):
-        if min(self.p_cpu, self.p_dram, self.p_gpu, self.hours) < 0 or self.gpu_count < 0:
-            raise ValueError("energy parameters must be non-negative")
+        values = (self.p_cpu, self.p_dram, self.p_gpu, self.gpu_count, self.hours, self.pue, self.co2_lb_per_kwh)
+        if not all(0 <= v < math.inf for v in values):
+            raise ValueError("energy parameters must be non-negative and finite")
 
 
 def total_time(fractions: SkipFractions, timing: TimingModel, num_batches: int) -> float:

@@ -4,6 +4,14 @@ Forward and backward passes are strictly separated so either can be skipped
 on its own, and the whole thing is deterministic: zero-initialized weights,
 plain SGD, fixed tie-breaking. The initial loss on any batch is exactly
 ln 2.
+
+The per-example loss is ``log(1 + exp(-y s))`` on the label-signed score
+(``y = +1`` for label 1, ``-1`` for label 0): one ``logaddexp`` per batch.
+On small batches each numpy call costs more than its arithmetic, so a pass
+makes only the calls its math needs. ``forward`` is a gather and a
+``bincount`` for the scores, one finiteness check, the signed ``logaddexp``,
+``expit`` and a sum; ``backward`` checks only the scalar bias gradient, the
+sum of every coefficient, before its ``np.add.at`` scatter.
 """
 
 from __future__ import annotations
@@ -62,15 +70,14 @@ class TargetModel:
         if len(batch) == 0:
             raise ValueError("batch is empty")
         scores = self._scores(batch)
-        if not np.all(np.isfinite(scores)):
+        if not np.isfinite(scores).all():
             raise RuntimeError("model diverged: non-finite prediction scores")
-        labels = batch.labels
-        # CE = log(1 + exp(-s)) for label 1, log(1 + exp(s)) for label 0
-        losses = np.where(labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
+        # CE = log(1 + exp(-y s)) with y = +1 for label 1 and -1 for label 0
+        losses = np.logaddexp(0.0, np.where(batch.labels == 1, -scores, scores))
         probs = expit(scores)
         return ForwardResult(
             per_example_losses=losses,
-            batch_loss=float(losses.mean()),
+            batch_loss=float(losses.sum()) / len(batch),
             per_example_probs=probs,
             batch=batch,
             model_step=self.step_count,
@@ -86,7 +93,9 @@ class TargetModel:
         if result.model_step != self.step_count:
             raise RuntimeError("stale forward result: model was updated since forward")
         grad = self.batch_gradient(result)
-        if not np.all(np.isfinite(grad.values)) or not np.isfinite(grad.bias_grad):
+        # bias_grad sums every coefficient and values repeats some of them, so
+        # one finite sum proves every value finite
+        if not math.isfinite(grad.bias_grad):
             raise RuntimeError("model diverged: non-finite gradient")
         np.add.at(self.weights, grad.indices, -self.learning_rate * grad.values)
         self.bias -= self.learning_rate * grad.bias_grad

@@ -13,6 +13,7 @@ from lossgate.metrics import (
 )
 
 TIMING = TimingModel(t_forward=1.0, t_backward=2.0)
+NAN, INF = float("nan"), float("inf")
 
 
 # -- total_time -----------------------------------------------------------------
@@ -46,6 +47,12 @@ def test_total_time_monotone_in_skip_fractions():
         assert total_time(SkipFractions(a_b + bump, a_fb), TIMING, 7) <= base + 1e-12
         assert total_time(SkipFractions(a_b, a_fb + bump), TIMING, 7) <= base + 1e-12
         assert base <= total_time(SkipFractions(0.0, 0.0), TIMING, 7) + 1e-12
+
+
+@pytest.mark.parametrize("times", [(0.0, 2.0), (1.0, -1.0), (NAN, 2.0), (1.0, NAN), (INF, 2.0), (1.0, INF)])
+def test_timing_model_rejects_bad_pass_times(times):
+    with pytest.raises(ValueError, match="pass times"):
+        TimingModel(*times)
 
 
 def test_skip_fractions_validation():
@@ -118,6 +125,13 @@ def test_agot_params_validation():
         AgotParams(a_base=0.7, a_full=0.7)
 
 
+@pytest.mark.parametrize("field", ["a_base", "a_full"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_agot_params_reject_non_finite_anchors(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        AgotParams(**{field: value})
+
+
 # -- energy -----------------------------------------------------------------------
 
 
@@ -148,3 +162,10 @@ def test_energy_constants_overridable():
     kwh, co2 = energy_co2(EnergyParams(p_cpu=1000, p_dram=0, p_gpu=0, gpu_count=0, hours=1, pue=1.0, co2_lb_per_kwh=2.0))
     assert kwh == pytest.approx(1.0, abs=1e-12)
     assert co2 == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("field", ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours", "pue", "co2_lb_per_kwh"])
+@pytest.mark.parametrize("value", [-1.0, NAN, INF])
+def test_energy_params_reject_negative_and_non_finite(field, value):
+    with pytest.raises(ValueError, match="energy parameters"):
+        EnergyParams(**{field: value})

@@ -6,8 +6,8 @@ import pytest
 
 from scipy.special import expit
 
-from lossgate.data import Example, pack_examples, tokenize, vectorize
-from lossgate.model import TargetModel, load_checkpoint, save_checkpoint
+from lossgate.data import Example, pack, pack_examples, tokenize, vectorize
+from lossgate.model import ForwardResult, TargetModel, load_checkpoint, save_checkpoint
 
 
 def ex(tokens, label):
@@ -109,6 +109,27 @@ def test_forward_matches_per_example_sums():
         assert np.allclose(result.per_example_probs, expit(scores), rtol=1e-12, atol=0.0)
 
 
+def test_forward_matches_two_branch_loss_bit_for_bit():
+    # reference: logaddexp on both s and -s, one kept per label, and .mean();
+    # scores reach +-700, where exp(-|s|) is near the bottom of float64
+    rng = np.random.default_rng(10)
+    for scale in (1.0, 30.0, 700.0):
+        for _ in range(30):
+            model = TargetModel(dimension=64)
+            model.weights[:] = rng.uniform(-scale, scale, size=64) / 4
+            model.bias = rng.uniform(-scale, scale) / 4
+            n = int(rng.integers(1, 10))
+            buckets = [rng.choice(64, size=rng.integers(0, 4), replace=False) for _ in range(n - 1)] + [[]]
+            b = pack(buckets, labels=rng.integers(0, 2, size=n), dimension=64)
+            scores = model.bias + np.bincount(b.rows, weights=model.weights[b.indices], minlength=n)
+            assert np.abs(scores).max() <= scale
+            old = np.where(b.labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
+            result = model.forward(b)
+            assert np.array_equal(result.per_example_losses, old)
+            assert result.batch_loss == float(old.mean())
+            assert np.array_equal(result.per_example_probs, expit(scores))
+
+
 def test_zero_bucket_example_last_in_batch():
     # "!!!" tokenizes to nothing: its score is the bias alone and only the
     # bias sees its gradient, also as the last row of a packed batch
@@ -166,6 +187,25 @@ def test_backward_zero_gradient_leaves_weights_bit_identical():
     model.backward(model.forward(b))
     assert np.array_equal(model.weights, before)
     assert model.step_count == 1
+
+
+@pytest.mark.parametrize("prob", [float("nan"), float("inf")])
+@pytest.mark.parametrize("row", [0, 1], ids=["with-buckets", "zero-buckets"])
+def test_backward_rejects_non_finite_gradient(prob, row):
+    rng = np.random.default_rng(11)
+    model, _ = random_case(rng)
+    empty = Example("!!!", tokenize("!!!"), 1)
+    b = pack_examples([ex(["tok1", "tok2"], 0), empty])
+    result = model.forward(b)
+    probs = result.per_example_probs.copy()
+    probs[row] = prob
+    bad = ForwardResult(result.per_example_losses, result.batch_loss, probs, b, model.step_count)
+    before_w, before_bias = model.weights.copy(), model.bias
+    with pytest.raises(RuntimeError, match="non-finite gradient"):
+        model.backward(bad)
+    assert np.array_equal(model.weights, before_w)
+    assert model.bias == before_bias
+    assert model.step_count == 0
 
 
 def test_backward_descent_on_repeated_batch():
