@@ -55,7 +55,10 @@ def _parse_ints(raw: str) -> list[int]:
 def _load_examples(path: str, format: str | None, header: bool) -> list[Example]:
     if not os.path.exists(path):
         raise UsageError(f"dataset not found: {path}")
-    examples = load_dataset(path, format=format, header=header)
+    try:
+        examples = load_dataset(path, format=format, header=header)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     if not examples:
         raise UsageError(f"dataset is empty: {path}")
     return examples

@@ -2,6 +2,12 @@
 
 Text is reduced to presence bits over a fixed 2**18-bucket hash space so no
 vocabulary pass is needed; everything downstream stays single-pass.
+
+A loaded corpus is kept compact: tokens are interned, so a token repeated
+across examples is one string object, and ``Example`` and ``MiniBatch`` are
+slotted. Batching packs the examples once into three read-only arrays
+(buckets, in-batch rows, labels) and every ``MiniBatch`` is a slice of them.
+Packing rejects a label other than 0 or 1.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +28,11 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace/punctuation, dropping the punctuation."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split on whitespace/punctuation, dropping the punctuation.
+
+    Tokens are interned, so equal tokens across a corpus are one object.
+    """
+    return list(map(sys.intern, _TOKEN_RE.findall(text.lower())))
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -42,10 +52,10 @@ def vectorize(tokens: list[str]) -> np.ndarray:
     Set semantics on purpose: duplicate tokens collapse to one bit, matching
     a Bernoulli feature model.
     """
-    return np.array(sorted({hash_bucket(t) for t in tokens}), dtype=np.int64)
+    return np.array(sorted(set(map(hash_bucket, tokens))), dtype=np.int64)
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     """One labelled text: the unit every filtering decision is made over."""
 
@@ -62,13 +72,14 @@ class Example:
         return self._buckets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MiniBatch:
     """Examples packed for the model and the predictor alike.
 
     ``indices`` concatenates every example's sorted, distinct buckets and
     ``rows`` names the example each index belongs to, so per-example sums are
-    one ``np.bincount(rows, weights, minlength=len(batch))``.
+    one ``np.bincount(rows, weights, minlength=len(batch))``. The arrays are
+    read-only views, shared with the other batches packed alongside.
     """
 
     indices: np.ndarray
@@ -79,16 +90,31 @@ class MiniBatch:
         return self.labels.size
 
 
-def _packed(features: list[np.ndarray], labels) -> MiniBatch:
-    lengths = [f.size for f in features]
+def _packed(features: list[np.ndarray], labels, batch_size: int) -> list[MiniBatch]:
+    """Cut ``features`` and their 0/1 ``labels``, in order, into batches of
+    ``batch_size`` (the last may be short; no examples give one empty batch),
+    each a slice of the same three read-only arrays."""
+    labels = np.asarray(labels)
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    n = len(features)
+    labels = labels.reshape(n).astype(np.int64)
+    lengths = np.fromiter(map(len, features), dtype=np.int64, count=n)
     indices = np.concatenate(features) if features else np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(len(features)), lengths)
-    return MiniBatch(indices, rows, np.asarray(labels, dtype=np.int64).reshape(len(features)))
+    rows = np.repeat(np.arange(n) % batch_size, lengths)
+    for array in (indices, rows, labels):
+        array.flags.writeable = False
+    offsets = [0, *np.cumsum(lengths).tolist()]
+    edges = [*range(0, max(n, 1), batch_size), n]
+    return [
+        MiniBatch(indices[offsets[a] : offsets[b]], rows[offsets[a] : offsets[b]], labels[a:b])
+        for a, b in zip(edges, edges[1:])
+    ]
 
 
 def pack_examples(examples: list[Example]) -> MiniBatch:
     """Pack examples, in order, with their class labels."""
-    return _packed([ex.features() for ex in examples], [ex.label for ex in examples])
+    return _packed([ex.features() for ex in examples], [ex.label for ex in examples], len(examples) or 1)[0]
 
 
 def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
@@ -101,7 +127,7 @@ def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
     features = [np.unique(np.asarray(list(b), dtype=np.int64)) for b in buckets]
     if any(f.size and (f[0] < 0 or f[-1] >= dimension) for f in features):
         raise ValueError("bucket index out of range")
-    return _packed(features, np.zeros(len(features)) if labels is None else labels)
+    return _packed(features, np.zeros(len(features)) if labels is None else labels, len(features) or 1)[0]
 
 
 def is_int(value) -> bool:
@@ -126,9 +152,9 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
     """Read a JSONL or TSV dataset into examples, preserving file order.
 
     JSONL records need a string ``text`` and an integer ``label`` in {0, 1};
-    an optional ``text2`` is appended to ``text`` with a space. TSV rows are
-    ``text<TAB>label``; ``header=True`` skips the first line. ``format``
-    defaults to the file extension.
+    an optional ``text2`` string (absent or null means none) is appended to
+    ``text`` with a space. TSV rows are ``text<TAB>label``; ``header=True``
+    skips the first line. ``format`` defaults to the file extension.
     """
     if format is None:
         suffix = str(path).rsplit(".", 1)[-1].lower()
@@ -157,8 +183,11 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
                 text = record["text"]
                 if not isinstance(text, str):
                     raise ValueError(f"line {line_no}: 'text' must be a string")
-                if isinstance(record.get("text2"), str):
-                    text = text + " " + record["text2"]
+                text2 = record.get("text2")
+                if text2 is not None:
+                    if not isinstance(text2, str):
+                        raise ValueError(f"line {line_no}: 'text2' must be a string")
+                    text = text + " " + text2
                 examples.append(_example_from_fields(text, record["label"], line_no))
             else:
                 if "\t" not in line:
@@ -187,6 +216,7 @@ def make_batches(
     """Partition examples into ordered minibatches; the final one may be short.
 
     The permutation is fully determined by ``seed`` when ``shuffle`` is on.
+    The corpus is packed once; every batch is a view of the same arrays.
     """
     if not examples:
         raise ValueError("no examples to batch")
@@ -194,7 +224,7 @@ def make_batches(
         raise ValueError("batch_size must be positive")
     order = np.random.default_rng(seed).permutation(len(examples)) if shuffle else range(len(examples))
     ordered = [examples[i] for i in order]
-    return [pack_examples(ordered[start : start + batch_size]) for start in range(0, len(ordered), batch_size)]
+    return _packed([ex.features() for ex in ordered], [ex.label for ex in ordered], batch_size)
 
 
 def generate_toy_corpus(

@@ -202,8 +202,10 @@ class Trainer:
         config.validate()
         if not train_examples:
             raise ValueError("dataset is empty")
+        if eval_examples is not None and not eval_examples:
+            raise ValueError("eval set is empty; pass None to evaluate on the training set")
         self.config = config
-        self._eval_batch = pack_examples(eval_examples if eval_examples else train_examples)
+        self._eval_batch = pack_examples(train_examples if eval_examples is None else eval_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
         self.state = TrainerState()
         self._epoch_batches = build_epoch_batches(train_examples, config)

@@ -129,6 +129,18 @@ def test_run_missing_dataset_exits_2(capsys, tmp_path):
     assert "dataset not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record, message", [
+    ('{"text": 5, "label": 1}', "line 2: 'text' must be a string"),
+    ('{"text": "a b", "text2": 123, "label": 1}', "line 2: 'text2' must be a string"),
+    ('{"text": "a b", "label": 2}', "line 2: label out of range"),
+])
+def test_run_bad_record_exits_2(tmp_path, capsys, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"text": "ok", "label": 0}\n' + record + "\n")
+    assert run_cli("run", "--data", str(path), "--mode", "train-all") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_writes_trace(corpus_file, tmp_path):
     trace_path = tmp_path / "trace.csv"
     report_path = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from lossgate.data import (
     load_dataset,
     make_batches,
     pack,
+    pack_examples,
     tokenize,
     vectorize,
     write_jsonl,
@@ -107,6 +109,12 @@ def test_pack_sorts_dedups_and_names_rows():
     assert len(batch) == 3
 
 
+def test_records_are_slotted():
+    example = Example("good movie", tokenize("good movie"), 1)
+    for record in (example, pack_examples([example])):
+        assert not hasattr(record, "__dict__")
+
+
 def test_example_features_match_vectorize():
     example = Example("Good movie, good plot", tokenize("Good movie, good plot"), 1)
     assert np.array_equal(example.features(), vectorize(["good", "movie", "plot"]))
@@ -167,6 +175,37 @@ def test_load_jsonl_pair_concatenation(tmp_path):
     assert examples[0].tokens == ["first", "part", "second", "part"]
 
 
+def test_load_jsonl_text2_must_be_a_string_when_present(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"text": "a b", "text2": null, "label": 1}\n')
+    assert load_dataset(str(path))[0].text == "a b"
+    path.write_text('{"text": "a b", "label": 1}\n{"text": "a b", "text2": 123, "label": 1}\n')
+    with pytest.raises(ValueError, match="line 2: 'text2' must be a string"):
+        load_dataset(str(path))
+
+
+def test_equal_tokens_across_loaded_examples_are_one_object(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"text": "good movie", "label": 1}\n{"text": "movie good", "label": 0}\n')
+    first, second = load_dataset(str(path))
+    assert first.tokens[0] is second.tokens[1]
+    assert first.tokens[1] is second.tokens[0]
+
+
+def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
+    # measured 529 bytes per example (CPython 3.11, numpy buffers included)
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(generate_toy_corpus(2000, seed=3), str(path))
+    load_dataset(str(path))  # fills the hash cache, which outlives any one corpus
+    tracemalloc.start()
+    try:
+        examples = load_dataset(str(path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(examples) < 640
+
+
 def test_load_unknown_extension_needs_format(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("x\t1\n")
@@ -220,6 +259,54 @@ def test_make_batches_partition_property():
         packed = Counter(int(i) for b in batches for i in b.indices)
         assert packed == Counter(int(i) for ex in examples for i in ex.features())
         assert sum(len(b) for b in batches) == len(examples)
+
+
+def _reference_batches(examples, batch_size, seed, shuffle):
+    order = np.random.default_rng(seed).permutation(len(examples)) if shuffle else range(len(examples))
+    ordered = [examples[i] for i in order]
+    return [pack_examples(ordered[start : start + batch_size]) for start in range(0, len(ordered), batch_size)]
+
+
+def _random_corpus(rng):
+    """1 to 40 examples of 0 to 5 tokens, so some examples have no buckets."""
+    sizes = rng.integers(0, 6, size=rng.integers(1, 41))
+    texts = [" ".join(f"w{k}" for k in rng.integers(0, 30, size=size)) for size in sizes]
+    return [Example(text, tokenize(text), int(rng.integers(2))) for text in texts]
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_make_batches_equal_per_batch_packing(shuffle):
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        examples = _random_corpus(rng)
+        n = len(examples)
+        for batch_size in (1, 7, int(rng.integers(2, 9)), n, n + 3):
+            got = make_batches(examples, batch_size, seed=trial, shuffle=shuffle)
+            want = _reference_batches(examples, batch_size, trial, shuffle)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                for name in ("indices", "rows", "labels"):
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert a.dtype == b.dtype == np.int64
+                    assert np.array_equal(a, b)
+
+
+def test_batch_arrays_are_read_only_views_of_one_array_per_field():
+    batches = make_batches(generate_toy_corpus(50, seed=2), batch_size=8, seed=1)
+    for name in ("indices", "rows", "labels"):
+        arrays = [getattr(batch, name) for batch in batches]
+        base = arrays[0].base
+        assert base is not None and not base.flags.writeable
+        assert all(array.base is base and not array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][:1] = 0
+
+
+def test_packing_rejects_labels_other_than_0_or_1():
+    bad = [Example("a b", tokenize("a b"), 1), Example("c", tokenize("c"), 5)]
+    for packed in (lambda: make_batches(bad, 1), lambda: pack_examples(bad), lambda: pack([[1], [2]], labels=[0, -1])):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            packed()
 
 
 def test_make_batches_rejects_bad_input():

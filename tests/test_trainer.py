@@ -323,6 +323,20 @@ def test_empty_dataset_rejected():
         run(BASE, [])
 
 
+def test_empty_eval_set_rejected_and_none_means_the_training_set():
+    with pytest.raises(ValueError, match="eval set is empty"):
+        Trainer(BASE, CORPUS, [])
+    cfg = replace(BASE, mode="train-all", epochs=1)
+    assert run(cfg, CORPUS).accuracy == run(cfg, CORPUS, CORPUS).accuracy
+
+
+@pytest.mark.parametrize("where", ["train", "eval"])
+def test_bad_label_rejected_at_construction(where):
+    bad = [*CORPUS[:20], Example("good movie", ["good", "movie"], 5)]
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Trainer(BASE, *((bad, EVAL) if where == "train" else (CORPUS, bad)))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         run(replace(BASE, mode="warp-speed"), CORPUS)
