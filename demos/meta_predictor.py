@@ -7,9 +7,11 @@ BEFORE updating on it drops; once the windowed mean is low, it is
 trustworthy enough to veto forward passes on its own.
 """
 
+from collections import deque
+
 import numpy as np
 
-from lossgate import NaiveBayesModel, PredictorLossWindow, generate_toy_corpus, pack_examples
+from lossgate import NaiveBayesModel, generate_toy_corpus, pack_examples
 
 corpus = generate_toy_corpus(3000, duplication=5, noise_rate=0.0, seed=1)
 
@@ -23,18 +25,19 @@ for label, pool in by_label.items():
 order = rng.permutation(len(batches))
 
 predictor = NaiveBayesModel()
-window = PredictorLossWindow(window_size=8)
+# the last 8 predictor losses, as the trainer keeps them for its stage-2 switch
+window = deque(maxlen=8)
 
 print("fresh predictor decision:", predictor.predict_batch(pack_examples(corpus[:1])))
 
 for m, pick in enumerate(order[:150]):
     batch, label = batches[pick]
     if predictor.has_both_classes:
-        window.push(predictor.loss(batch, [label] * len(batch)))
+        window.append(predictor.loss(batch, [label] * len(batch)))
     predictor.update(batch, label)
     if m in (1, 5, 20, 60, 149):
-        mean = window.mean()
-        shown = f"{mean:.4f}" if mean is not None else "window not full"
+        full = len(window) == window.maxlen
+        shown = f"{sum(window) / window.maxlen:.4f}" if full else "window not full"
         print(f"batch {m:3d}  windowed predictor loss: {shown}")
 
 held_batch, held_label = batches[order[150]]

@@ -16,7 +16,7 @@ from .data import (
     vectorize,
     write_jsonl,
 )
-from .metapredictor import NaiveBayesModel, PredictorLossWindow
+from .metapredictor import NaiveBayesModel
 from .metrics import AgotParams, EnergyParams, SkipFractions, TimingModel, agot, energy_co2, t_norm, total_time
 from .model import ForwardResult, TargetModel, load_checkpoint, save_checkpoint
 from .threshold import ThresholdState, make_label
@@ -26,7 +26,6 @@ from .trainer import (
     StepTrace,
     Trainer,
     TrainerConfig,
-    TrainerState,
     build_epoch_batches,
     run,
     run_random_skip,
@@ -43,7 +42,6 @@ __all__ = [
     "ForwardResult",
     "MiniBatch",
     "NaiveBayesModel",
-    "PredictorLossWindow",
     "RunReport",
     "SkipFractions",
     "Stage",
@@ -53,7 +51,6 @@ __all__ = [
     "TimingModel",
     "Trainer",
     "TrainerConfig",
-    "TrainerState",
     "agot",
     "build_epoch_batches",
     "energy_co2",

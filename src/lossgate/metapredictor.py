@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+import numbers
 
 import numpy as np
 
@@ -84,9 +84,10 @@ class NaiveBayesModel:
         return max(int(self._bucket_counts[label, bucket]) - 1, 0)
 
     def update(self, batch: MiniBatch, label: int) -> None:
-        """Count one batch of examples under ``label``. Pure accumulation."""
-        if label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
+        """Count one batch of examples under ``label``, the integer 0 or 1 (a bool
+        or float raises before any count changes). Pure accumulation."""
+        if isinstance(label, bool) or not isinstance(label, numbers.Integral) or label not in (0, 1):
+            raise ValueError("label must be the integer 0 or 1")
         if len(batch) == 0:
             return
         self.class_counts[label] += len(batch)
@@ -189,28 +190,6 @@ class NaiveBayesModel:
         # -log P(1 | x) = log(1 + e^-s) and -log P(0 | x) = log(1 + e^s);
         # .sum() / n is .mean(), bit for bit, without its overhead
         return float(np.logaddexp(0.0, np.where(np.asarray(labels) == 1, -s, s)).sum()) / len(batch)
-
-
-class PredictorLossWindow:
-    """Last ``window_size`` predictor losses; the mean gates the stage switch."""
-
-    def __init__(self, window_size: int):
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        self.window_size = int(window_size)
-        self._window: deque[float] = deque(maxlen=self.window_size)
-
-    def push(self, loss: float) -> None:
-        self._window.append(float(loss))
-
-    @property
-    def full(self) -> bool:
-        return len(self._window) == self.window_size
-
-    def mean(self) -> float | None:
-        if not self.full:
-            return None
-        return sum(self._window) / self.window_size
 
 
 def save_predictor(model: NaiveBayesModel, path: str) -> None:

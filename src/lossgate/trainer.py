@@ -3,14 +3,16 @@
 Every mode runs one per-batch sequence, ``Trainer._pass``, and only picks
 its three arguments: a forward screen that drops the batch before any pass,
 a gate (backward runs iff the loss is at or above it) and a learner fed each
-forward batch's loss and label.
+forward batch's loss and label. ``Trainer`` keeps a run's whole state as
+plain attributes and builds a ``StepTrace`` only when ``record_trace`` is set.
 
 - train-all: no screen, no gate, no learner.
 - fixed-threshold: gate ``config.fixed_threshold`` from the first batch.
 - random-skip: a seeded coin per batch screens.
 - three-stage and auto-threshold-only: stage 0 (warmup) has only a learner,
   the loss window. Stage 1 gates on the frozen window; under three-stage its
-  learner scores and updates the meta predictor. Stage 2 (three-stage only)
+  learner scores and updates the meta predictor until the last
+  ``predictor_window`` predictor losses average below ``alt``. Stage 2 then
   screens by the predictor, keeps the stage-1 gate and updates the predictor.
   Stages only ever move forward; a run is fully determined by (config, dataset).
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import metrics
 from .data import Example, MiniBatch, make_batches, pack_examples
-from .metapredictor import NaiveBayesModel, PredictorLossWindow
+from .metapredictor import NaiveBayesModel
 from .model import TargetModel
 from .threshold import ThresholdState, make_label
 
@@ -129,22 +132,6 @@ class TrainerConfig:
 
 
 @dataclass
-class TrainerState:
-    stage: Stage = Stage.WARMUP
-    batches_seen: int = 0
-    backward_skipped: int = 0
-    forward_skipped: int = 0
-    full_steps: int = 0
-    epoch_index: int = 0
-    threshold: ThresholdState | None = None
-    predictor: NaiveBayesModel | None = None
-    predictor_window: PredictorLossWindow | None = None
-    backward_filter_start: int | None = None
-    full_filter_start: int | None = None
-    threshold_stable_at: int | None = None
-
-
-@dataclass
 class RunReport:
     accuracy: float
     a_base: float
@@ -207,16 +194,26 @@ class Trainer:
         self.config = config
         self._eval_batch = pack_examples(train_examples if eval_examples is None else eval_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
-        self.state = TrainerState()
         self._epoch_batches = build_epoch_batches(train_examples, config)
         self._warmup_batches = math.ceil(config.n0_fraction * len(self._epoch_batches) - 1e-9)
-        self._staged = config.mode in ("three-stage", "auto-threshold-only")
-        self._predictor_enabled = config.mode == "three-stage"
-        if self._staged:
-            self.state.threshold = ThresholdState(config.threshold_window, config.skip_margin_gamma)
-        if self._predictor_enabled:
-            self.state.predictor = NaiveBayesModel(smoothing_alpha=config.smoothing_alpha)
-            self.state.predictor_window = PredictorLossWindow(config.predictor_window)
+        self.stage = Stage.WARMUP
+        self.epoch_index = 0
+        self.batches_seen = 0
+        self.backward_skipped = 0
+        self.forward_skipped = 0
+        self.full_steps = 0
+        self.backward_filter_start: int | None = None
+        self.full_filter_start: int | None = None
+        self.threshold_stable_at: int | None = None
+        # a run is staged iff it has a loss gate, and three-stage adds a predictor
+        self.threshold = None
+        if config.mode in ("three-stage", "auto-threshold-only"):
+            self.threshold = ThresholdState(config.threshold_window, config.skip_margin_gamma)
+        self.predictor = None
+        if config.mode == "three-stage":
+            self.predictor = NaiveBayesModel(smoothing_alpha=config.smoothing_alpha)
+        # the last ``predictor_window`` predictor losses; their mean gates stage 2
+        self.predictor_losses: deque[float] = deque(maxlen=config.predictor_window)
         if config.mode == "random-skip":
             # separate stream from the shuffle so the mask is its own contract
             self._skip_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -227,67 +224,67 @@ class Trainer:
 
     def _pass(
         self, batch: MiniBatch, gate: float | None = None, learn=None, skip: bool = False, predictor_p1=None
-    ) -> StepTrace:
-        """Count the batch and stop on ``skip``; else forward, label the loss
-        against ``gate`` (none trains every batch), time ``learn(batch, loss,
-        label)`` as overhead and run the backward iff the label is 1."""
-        st = self.state
-        ordinal = st.batches_seen
-        st.batches_seen += 1
-        stage = int(st.stage) if self._staged else None
+    ) -> None:
+        """Count the batch; unless ``skip``, forward it, label the loss against
+        ``gate`` (none trains every batch), time ``learn(batch, loss, label)``
+        as overhead and backward iff the label is 1. Trace it iff ``record_trace``."""
+        self.batches_seen += 1
+        loss = None
         if skip:
-            st.forward_skipped += 1
-            return StepTrace(st.epoch_index, ordinal, stage, DECISION_SKIPPED, predictor_p1=predictor_p1)
-        fr = self.model.forward(batch)
-        label = 1 if gate is None else make_label(fr.batch_loss, gate)
-        if learn is not None:
-            t0 = time.perf_counter()
-            learn(batch, fr.batch_loss, label)
-            self._overhead += time.perf_counter() - t0
-        if label == 1:
-            self.model.backward(fr)
-            st.full_steps += 1
-            decision = DECISION_FULL
+            self.forward_skipped += 1
+            decision = DECISION_SKIPPED
         else:
-            st.backward_skipped += 1
-            decision = DECISION_FORWARD_ONLY
-        return StepTrace(st.epoch_index, ordinal, stage, decision, fr.batch_loss, predictor_p1)
+            fr = self.model.forward(batch)
+            loss = fr.batch_loss
+            label = 1 if gate is None else make_label(loss, gate)
+            if learn is not None:
+                t0 = time.perf_counter()
+                learn(batch, loss, label)
+                self._overhead += time.perf_counter() - t0
+            if label == 1:
+                self.model.backward(fr)
+                self.full_steps += 1
+                decision = DECISION_FULL
+            else:
+                self.backward_skipped += 1
+                decision = DECISION_FORWARD_ONLY
+        if self.config.record_trace:
+            stage = None if self.threshold is None else int(self.stage)
+            self.traces.append(StepTrace(self.epoch_index, self.batches_seen - 1, stage, decision, loss, predictor_p1))
 
     def _observe_loss(self, batch: MiniBatch, loss: float, label: int) -> None:
-        st = self.state
-        st.threshold.observe(loss)
-        if st.threshold_stable_at is None and st.threshold.is_stable(self.config.variance_tolerance):
-            st.threshold_stable_at = st.batches_seen
+        self.threshold.observe(loss)
+        if self.threshold_stable_at is None and self.threshold.is_stable(self.config.variance_tolerance):
+            self.threshold_stable_at = self.batches_seen
 
     def _score_and_update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
-        st = self.state
         # a single-class predictor is degenerate (its smoothed posteriors
         # saturate), so its loss only counts once both classes are seen
-        if st.predictor.has_both_classes:
-            st.predictor_window.push(st.predictor.loss(batch, [label] * len(batch)))
-        st.predictor.update(batch, label)
+        if self.predictor.has_both_classes:
+            self.predictor_losses.append(self.predictor.loss(batch, [label] * len(batch)))
+        self.predictor.update(batch, label)
 
     def _update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
-        self.state.predictor.update(batch, label)
+        self.predictor.update(batch, label)
 
-    def step_warmup(self, batch: MiniBatch) -> StepTrace:
+    def step_warmup(self, batch: MiniBatch) -> None:
         """Stage 0: always forward + backward, feeding the loss window."""
-        return self._pass(batch, learn=self._observe_loss)
+        self._pass(batch, learn=self._observe_loss)
 
-    def step_backward_filter(self, batch: MiniBatch) -> StepTrace:
+    def step_backward_filter(self, batch: MiniBatch) -> None:
         """Stage 1: forward always; the gate decides backward and, when the
         predictor is on, labels it one training example (loss measured on the
         batch before the update)."""
-        learn = self._score_and_update_predictor if self._predictor_enabled else None
-        return self._pass(batch, self.state.threshold.skip_boundary, learn)
+        learn = None if self.predictor is None else self._score_and_update_predictor
+        self._pass(batch, self.threshold.skip_boundary, learn)
 
-    def step_full_filter(self, batch: MiniBatch) -> StepTrace:
+    def step_full_filter(self, batch: MiniBatch) -> None:
         """Stage 2: the predictor screens first; accepted batches run forward,
         gate the backward as in stage 1, and update the predictor."""
         t0 = time.perf_counter()
-        decision, mean_p1 = self.state.predictor.predict_batch(batch, self.config.batch_decision)
+        decision, mean_p1 = self.predictor.predict_batch(batch, self.config.batch_decision)
         self._overhead += time.perf_counter() - t0
-        return self._pass(batch, self.state.threshold.skip_boundary, self._update_predictor, decision == 0, mean_p1)
+        self._pass(batch, self.threshold.skip_boundary, self._update_predictor, decision == 0, mean_p1)
 
     # -- stage transitions ---------------------------------------------------
 
@@ -299,55 +296,51 @@ class Trainer:
         Stage 1 ends once the predictor-loss window is full with a mean
         below ``alt``.
         """
-        st = self.state
-        if st.stage == Stage.WARMUP:
-            if st.batches_seen >= self._warmup_batches and st.threshold.window_full:
-                st.threshold.freeze(override=self.config.force_l_low)
-                st.stage = Stage.BACKWARD_FILTER
-                st.backward_filter_start = st.batches_seen
-        elif st.stage == Stage.BACKWARD_FILTER and self._predictor_enabled and not self.config.disable_predictor:
-            mean = st.predictor_window.mean()
-            if mean is not None and mean < self.config.alt:
-                st.stage = Stage.FULL_FILTER
-                st.full_filter_start = st.batches_seen
+        if self.stage == Stage.WARMUP:
+            if self.batches_seen >= self._warmup_batches and self.threshold.window_full:
+                self.threshold.freeze(override=self.config.force_l_low)
+                self.stage = Stage.BACKWARD_FILTER
+                self.backward_filter_start = self.batches_seen
+        elif self.stage == Stage.BACKWARD_FILTER and self.predictor is not None and not self.config.disable_predictor:
+            window = self.predictor_losses
+            if len(window) == window.maxlen and sum(window) / window.maxlen < self.config.alt:
+                self.stage = Stage.FULL_FILTER
+                self.full_filter_start = self.batches_seen
 
-    def _step(self, batch: MiniBatch) -> StepTrace:
+    def _step(self, batch: MiniBatch) -> None:
         mode = self.config.mode
         if mode == "train-all":
-            return self._pass(batch)
-        if mode == "fixed-threshold":
-            return self._pass(batch, gate=self.config.fixed_threshold)
-        if mode == "random-skip":
-            return self._pass(batch, skip=self._skip_rng.random() < self.config.random_skip_ratio)
-        if self.state.stage == Stage.WARMUP:
-            trace = self.step_warmup(batch)
-        elif self.state.stage == Stage.BACKWARD_FILTER:
-            trace = self.step_backward_filter(batch)
+            self._pass(batch)
+        elif mode == "fixed-threshold":
+            self._pass(batch, gate=self.config.fixed_threshold)
+        elif mode == "random-skip":
+            self._pass(batch, skip=self._skip_rng.random() < self.config.random_skip_ratio)
         else:
-            trace = self.step_full_filter(batch)
-        self.maybe_transition()
-        return trace
+            if self.stage == Stage.WARMUP:
+                self.step_warmup(batch)
+            elif self.stage == Stage.BACKWARD_FILTER:
+                self.step_backward_filter(batch)
+            else:
+                self.step_full_filter(batch)
+            self.maybe_transition()
 
     # -- whole run -----------------------------------------------------------
 
     def run(self) -> RunReport:
         cfg = self.config
-        st = self.state
         a_base = self.model.evaluate(self._eval_batch)
         epoch_accuracies: list[float] | None = [] if cfg.eval_every_epoch else None
         for epoch in range(cfg.epochs):
-            st.epoch_index = epoch
+            self.epoch_index = epoch
             for batch in self._epoch_batches:
-                trace = self._step(batch)
-                if cfg.record_trace:
-                    self.traces.append(trace)
+                self._step(batch)
             if epoch_accuracies is not None:
                 epoch_accuracies.append(self.model.evaluate(self._eval_batch))
         accuracy = self.model.evaluate(self._eval_batch)
 
-        total = st.batches_seen
+        total = self.batches_seen
         fractions = metrics.SkipFractions(
-            alpha_b=st.backward_skipped / total, alpha_fb=st.forward_skipped / total
+            alpha_b=self.backward_skipped / total, alpha_fb=self.forward_skipped / total
         )
         timing = metrics.TimingModel(cfg.t_forward, cfg.t_backward)
         t_ours = metrics.total_time(fractions, timing, total)
@@ -373,10 +366,10 @@ class Trainer:
         kwh, co2 = metrics.energy_co2(energy)
 
         boundaries = {
-            "backward_filter_start": st.backward_filter_start,
-            "full_filter_start": st.full_filter_start,
-            "threshold_stable_at": st.threshold_stable_at,
-            "l_low": st.threshold.l_low if st.threshold is not None else None,
+            "backward_filter_start": self.backward_filter_start,
+            "full_filter_start": self.full_filter_start,
+            "threshold_stable_at": self.threshold_stable_at,
+            "l_low": None if self.threshold is None else self.threshold.l_low,
         }
         return RunReport(
             accuracy=accuracy,
@@ -389,9 +382,9 @@ class Trainer:
             energy_kwh=kwh,
             co2e_lb=co2,
             batches_total=total,
-            backward_skipped=st.backward_skipped,
-            forward_skipped=st.forward_skipped,
-            full_steps=st.full_steps,
+            backward_skipped=self.backward_skipped,
+            forward_skipped=self.forward_skipped,
+            full_steps=self.full_steps,
             stage_boundaries=boundaries,
             config=asdict(cfg),
             overhead_wall_seconds=self._overhead,
@@ -420,7 +413,8 @@ def run_random_skip(
     return run(cfg, train_examples, eval_examples)
 
 
-TRACE_HEADER = "epoch,batch,stage,decision,loss,predictor_p1"
+TRACE_FIELDS = tuple(f.name for f in fields(StepTrace))
+TRACE_HEADER = ",".join(TRACE_FIELDS)
 
 
 def csv_field(value) -> str:
@@ -435,5 +429,4 @@ def write_trace(traces: list[StepTrace], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for t in traces:
-            fields = (t.epoch, t.batch, t.stage, t.decision, t.loss, t.predictor_p1)
-            fh.write(",".join(map(csv_field, fields)) + "\n")
+            fh.write(",".join(csv_field(getattr(t, name)) for name in TRACE_FIELDS) + "\n")

@@ -9,7 +9,6 @@ from lossgate.data import HASH_BUCKETS, pack
 from lossgate.metapredictor import (
     _LOG_TABLE_SIZE,
     NaiveBayesModel,
-    PredictorLossWindow,
     load_predictor,
     save_predictor,
 )
@@ -101,6 +100,28 @@ def test_update_order_does_not_matter():
         b.update(feats, label)
     assert list(a.class_counts) == list(b.class_counts)
     assert np.array_equal(a._bucket_counts, b._bucket_counts)
+
+
+@pytest.mark.parametrize("label", [True, False, np.True_, 1.0, 0.0, np.float64(1.0), 2, -1, "1", None])
+def test_update_rejects_a_non_integer_label_before_counting(label):
+    model = NaiveBayesModel()
+    model.update(pack([bow(3, 7), bow(7)]), 0)
+    before = (model.class_counts.copy(), model._bucket_counts.copy(), model._hist.copy(), list(model._top))
+    with pytest.raises(ValueError, match="label"):
+        model.update(pack([bow(3, 9), bow(9)]), label)
+    assert np.array_equal(model.class_counts, before[0])
+    assert np.array_equal(model._bucket_counts, before[1])
+    assert np.array_equal(model._hist, before[2])
+    assert model._top == before[3]
+
+
+@pytest.mark.parametrize("label", [np.int64(0), np.int64(1), np.int8(1), np.uint8(0)])
+def test_update_accepts_a_numpy_integer_label(label):
+    model = NaiveBayesModel()
+    model.update(pack([bow(3, 7)]), label)
+    assert model.class_counts[int(label)] == 1
+    assert model.bucket_count(int(label), 3) == 1
+    assert model.bucket_count(1 - int(label), 3) == 0
 
 
 def test_counts_never_decrease():
@@ -308,30 +329,6 @@ def test_loss_length_mismatch():
     model = _biased_model(toward=1)
     with pytest.raises(ValueError, match="length"):
         model.loss(pack([bow(1)]), [1, 0])
-
-
-# -- window ----------------------------------------------------------------------------
-
-
-def test_window_mean_only_when_full():
-    window = PredictorLossWindow(3)
-    window.push(0.3)
-    window.push(0.6)
-    assert window.mean() is None
-    window.push(0.9)
-    assert window.mean() == pytest.approx(0.6, abs=1e-15)
-
-
-def test_window_slides():
-    window = PredictorLossWindow(2)
-    for v in (1.0, 2.0, 3.0):
-        window.push(v)
-    assert window.mean() == pytest.approx(2.5, abs=1e-15)
-
-
-def test_window_size_validation():
-    with pytest.raises(ValueError):
-        PredictorLossWindow(0)
 
 
 # -- incremental state -------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 from scipy import stats
 
 from lossgate.data import Example, generate_toy_corpus
+from lossgate.metapredictor import NaiveBayesModel
 from lossgate.model import TargetModel
+from lossgate.threshold import make_label
 from lossgate.trainer import (
     DECISION_FORWARD_ONLY,
     DECISION_FULL,
@@ -211,6 +213,53 @@ def test_batch_ordinals_strictly_increasing():
     assert ordinals == list(range(report.batches_total))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_stage_two_starts_at_the_first_full_predictor_loss_window_below_alt(seed):
+    """Replay stage 1 on a fresh predictor: each batch is labelled against the
+    frozen gate, its loss is measured before the update and counted once both
+    classes are seen, and stage 2 starts after the first batch whose last
+    ``predictor_window`` losses average below ``alt``."""
+    cfg = replace(BASE, mode="three-stage", seed=seed)
+    report = run(cfg, CORPUS, EVAL)
+    bounds = report.stage_boundaries
+    assert bounds["full_filter_start"] is not None
+    gate = cfg.skip_margin_gamma * bounds["l_low"]
+    epoch_batches = build_epoch_batches(CORPUS, cfg)
+    predictor = NaiveBayesModel(smoothing_alpha=cfg.smoothing_alpha)
+    losses = []
+    switch = None
+    for trace in report.traces:
+        if trace.stage != int(Stage.BACKWARD_FILTER):
+            continue
+        batch = epoch_batches[trace.batch % len(epoch_batches)]
+        label = make_label(trace.loss, gate)
+        if predictor.has_both_classes:
+            losses.append(predictor.loss(batch, [label] * len(batch)))
+        predictor.update(batch, label)
+        last = losses[-cfg.predictor_window:]
+        if len(last) == cfg.predictor_window and sum(last) / len(last) < cfg.alt:
+            switch = trace.batch + 1
+            break
+    assert switch == bounds["full_filter_start"]
+
+
+def test_stage_one_learning_never_touches_training():
+    """Three-stage that never leaves stage 1 trains exactly as
+    auto-threshold-only, although its predictor learns every stage-1 batch."""
+    learning = Trainer(replace(BASE, mode="three-stage", disable_predictor=True), CORPUS, EVAL)
+    plain = Trainer(replace(BASE, mode="auto-threshold-only"), CORPUS, EVAL)
+    r_learning, r_plain = learning.run(), plain.run()
+    assert learning.predictor.total_examples > 0
+    assert np.array_equal(learning.model.weights, plain.model.weights)
+    assert learning.model.bias == plain.model.bias
+    d_learning, d_plain = r_learning.to_json_dict(), r_plain.to_json_dict()
+    for d in (d_learning, d_plain):
+        d.pop("config")
+        d.pop("overhead_wall_seconds")
+    assert d_learning == d_plain
+    assert r_learning.traces == r_plain.traces
+
+
 def test_three_stage_with_gate_forced_open_matches_train_all():
     cfg = replace(BASE, mode="three-stage", force_l_low=float("-inf"), disable_predictor=True)
     t_forced = Trainer(cfg, CORPUS, EVAL)
@@ -281,6 +330,19 @@ def test_skip_fractions_recomputable_from_trace_file(tmp_path, mode):
         assert (r[2] == "") == (not staged)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_no_trace_is_built_without_record_trace(mode):
+    traced = run_mode(mode, **MODE_ARGS.get(mode, {}))
+    untraced = run_mode(mode, record_trace=False, **MODE_ARGS.get(mode, {}))
+    assert untraced.traces == []
+    assert len(traced.traces) == traced.batches_total
+    d_traced, d_untraced = traced.to_json_dict(), untraced.to_json_dict()
+    for d in (d_traced, d_untraced):
+        d.pop("config")
+        d.pop("overhead_wall_seconds")
+    assert d_traced == d_untraced
+
+
 def test_time_model_consistency():
     report = run_mode("three-stage")
     full = 1.0 - report.alpha_b - report.alpha_fb
@@ -346,3 +408,5 @@ def test_config_validation():
         run(replace(BASE, epochs=0), CORPUS)
     with pytest.raises(ValueError):
         run(replace(BASE, alt=0.0), CORPUS)
+    with pytest.raises(ValueError, match="predictor_window"):
+        run(replace(BASE, predictor_window=0), CORPUS)
