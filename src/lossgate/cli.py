@@ -137,11 +137,9 @@ def _config_from_args(args: argparse.Namespace) -> TrainerConfig:
     if getattr(args, "no_shuffle", None):
         values["shuffle"] = False
     try:
-        cfg = TrainerConfig(**values)
-        cfg.validate()
+        return TrainerConfig(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -168,11 +166,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(payload)
     if args.trace:
         write_trace(report.traces, args.trace)
+    # stdout carries only the JSON when the report goes there
     print(
         f"mode={cfg.mode} accuracy={report.accuracy:.4f} "
         f"alpha_b={report.alpha_b:.4f} alpha_fb={report.alpha_fb:.4f} "
         f"T_norm={report.t_norm:.4f}"
-        + (f" report={args.report}" if args.report else "")
+        + (f" report={args.report}" if args.report else ""),
+        file=sys.stdout if args.report else sys.stderr,
     )
     return 0
 
@@ -186,14 +186,14 @@ def _reject_repeats(name: str, values: list) -> None:
         raise UsageError(f"repeated value in {name}")
 
 
-def _check_configs(configs: list[TrainerConfig]) -> None:
-    """Validate every config a command built, so that a bad grid value exits
-    with status 2 before the first run."""
-    for cfg in configs:
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise UsageError(f"{_config_label(cfg)} seed={cfg.seed}: {exc}") from exc
+def _variant(base: TrainerConfig, **changes) -> TrainerConfig:
+    """``replace(base, **changes)``, with a bad value a usage error: commands
+    build every config before the first run, so a bad grid value exits 2."""
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        named = " ".join(f"{key}={value}" for key, value in changes.items())
+        raise UsageError(f"{named}: {exc}") from exc
 
 
 def _run_in_order(
@@ -228,13 +228,13 @@ def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[TrainerCo
     configs = []
     for epochs in args.epochs_grid:
         for seed in args.seeds:
-            common = replace(base, epochs=epochs, seed=seed)
-            configs.append(replace(common, mode="train-all"))
-            configs.extend(replace(common, mode="fixed-threshold", fixed_threshold=t) for t in args.fixed_thresholds)
+            common = _variant(base, epochs=epochs, seed=seed)
+            configs.append(_variant(common, mode="train-all"))
+            configs.extend(_variant(common, mode="fixed-threshold", fixed_threshold=t) for t in args.fixed_thresholds)
             for n0 in args.n0_grid:
                 for w in args.window_grid:
                     configs.extend(
-                        replace(common, mode="three-stage", n0_fraction=n0, predictor_window=w, alt=alt)
+                        _variant(common, mode="three-stage", n0_fraction=n0, predictor_window=w, alt=alt)
                         for alt in args.alt_grid
                     )
     return configs
@@ -267,7 +267,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = _sweep_grid(args, base)
     if len(configs) > args.max_runs:
         raise UsageError(f"grid has {len(configs)} runs, over the cap of {args.max_runs}")
-    _check_configs(configs)
     train_examples, eval_examples = _load_data(args)
     runs = list(_run_in_order(configs, train_examples, eval_examples))
 
@@ -312,15 +311,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.seeds:
         raise UsageError("need at least one seed")
     _reject_repeats("--seeds", args.seeds)
-    methods = [(mode, replace(base, mode=mode)) for mode in ("train-all", "three-stage", "auto-threshold-only")]
+    methods = [(mode, _variant(base, mode=mode)) for mode in ("train-all", "three-stage", "auto-threshold-only")]
     methods += [
-        (f"fixed-threshold-{t:g}", replace(base, mode="fixed-threshold", fixed_threshold=t))
+        (f"fixed-threshold-{t:g}", _variant(base, mode="fixed-threshold", fixed_threshold=t))
         for t in args.fixed_thresholds
     ]
     _reject_repeats("--fixed-thresholds", [label for label, _ in methods])
     labels = [label for label, _ in methods for _ in args.seeds]
-    configs = [replace(cfg, seed=seed) for _, cfg in methods for seed in args.seeds]
-    _check_configs(configs)
+    configs = [_variant(cfg, seed=seed) for _, cfg in methods for seed in args.seeds]
     train_examples, eval_examples = _load_data(args)
 
     per_label: dict[str, list[RunReport]] = {}

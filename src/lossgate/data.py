@@ -140,6 +140,19 @@ def is_finite(value) -> bool:
     return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
+def read_json_fields(path: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object stored at ``path``. Raises
+    ValueError if the file holds something other than an object or lacks a key."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"missing key(s): {', '.join(map(repr, missing))}")
+    return [payload[key] for key in keys]
+
+
 def _example_from_fields(text: str, label, line_no: int) -> Example:
     if not is_int(label):
         raise ValueError(f"line {line_no}: label must be an integer, got {label!r}")

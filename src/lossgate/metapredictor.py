@@ -40,7 +40,7 @@ import numbers
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack
+from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack, read_json_fields
 
 # entries a model's log table and count histogram start with; each is
 # rebuilt at twice the size once a class total or count reaches its end
@@ -211,15 +211,17 @@ def save_predictor(model: NaiveBayesModel, path: str) -> None:
 def load_predictor(path: str) -> NaiveBayesModel:
     """Read a ``save_predictor`` checkpoint.
 
-    Raises ValueError on a checkpoint no live model could have written: an
-    ``alpha`` that is not positive and finite, ``class_counts`` that are not
-    two non-negative integers, an entry that is not an integer pair, a bucket
+    Raises ValueError on a checkpoint no live model could have written: a
+    payload that is not an object or lacks a key, an ``alpha`` that is not
+    positive and finite, ``class_counts`` that are not two non-negative
+    integers, ``token_counts`` that are not an object of two lists keyed
+    ``"0"`` and ``"1"``, an entry that is not an integer pair, a bucket
     outside ``[0, dimension)``, or a bucket count that is negative or above
     its class total.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    alpha, dimension, class_counts = payload["alpha"], payload["dimension"], payload["class_counts"]
+    alpha, dimension, class_counts, token_counts = read_json_fields(
+        path, "alpha", "dimension", "class_counts", "token_counts"
+    )
     if not is_finite(alpha) or not alpha > 0:
         raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
     if not is_int(dimension) or dimension < 1:
@@ -227,10 +229,12 @@ def load_predictor(path: str) -> NaiveBayesModel:
     if not (isinstance(class_counts, list) and len(class_counts) == 2
             and all(is_int(c) and c >= 0 for c in class_counts)):
         raise ValueError(f"class_counts must be two non-negative integers, got {class_counts!r}")
+    if not (isinstance(token_counts, dict) and all(isinstance(token_counts.get(k), list) for k in ("0", "1"))):
+        raise ValueError("token_counts must be an object with a list under each of '0' and '1'")
     model = NaiveBayesModel(smoothing_alpha=alpha, dimension=dimension)
     model.class_counts = np.array(class_counts, dtype=np.int64)
     for label in (0, 1):
-        for entry in payload["token_counts"][str(label)]:
+        for entry in token_counts[str(label)]:
             if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_int, entry))):
                 raise ValueError(f"class {label} entry must be an integer [bucket, count] pair, got {entry!r}")
             bucket, count = entry

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int
+from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, read_json_fields
 
 
 @dataclass
@@ -127,15 +127,15 @@ def load_checkpoint(path: str) -> TargetModel:
     """Read a ``save_checkpoint`` file.
 
     Raises ValueError on a checkpoint no live model could have written: a
-    ``dimension`` that is not a positive integer, a ``step_count`` that is not
-    a non-negative integer, a learning rate that is not positive and finite, a
-    bias or weight that is not finite, or a bucket that is not an integer in
-    ``[0, dimension)``.
+    payload that is not an object or lacks a key, a ``dimension`` that is not
+    a positive integer, a ``step_count`` that is not a non-negative integer, a
+    learning rate that is not positive and finite, a bias or weight that is
+    not finite, ``weights`` that are not a list, or a bucket that is not an
+    integer in ``[0, dimension)``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    dimension, learning_rate = payload["dimension"], payload["learning_rate"]
-    step_count, bias = payload["step_count"], payload["bias"]
+    dimension, learning_rate, step_count, bias, weights = read_json_fields(
+        path, "dimension", "learning_rate", "step_count", "bias", "weights"
+    )
     if not is_int(dimension) or dimension < 1:
         raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
     if not is_finite(learning_rate):
@@ -144,10 +144,12 @@ def load_checkpoint(path: str) -> TargetModel:
         raise ValueError(f"step_count must be a non-negative integer, got {step_count!r}")
     if not is_finite(bias):
         raise ValueError(f"bias must be a finite number, got {bias!r}")
+    if not isinstance(weights, list):
+        raise ValueError(f"weights must be a list, got {type(weights).__name__}")
     model = TargetModel(learning_rate=learning_rate, dimension=dimension)
     model.bias = float(bias)
     model.step_count = step_count
-    for entry in payload["weights"]:
+    for entry in weights:
         if not (isinstance(entry, list) and len(entry) == 2 and is_int(entry[0]) and is_finite(entry[1])):
             raise ValueError(f"weight entry must be an [integer bucket, finite weight] pair, got {entry!r}")
         bucket, value = entry

@@ -15,6 +15,11 @@ plain attributes and builds a ``StepTrace`` only when ``record_trace`` is set.
   ``predictor_window`` predictor losses average below ``alt``. Stage 2 then
   screens by the predictor, keeps the stage-1 gate and updates the predictor.
   Stages only ever move forward; a run is fully determined by (config, dataset).
+
+A ``TrainerConfig`` checks every value when it is built and is frozen, so a
+variant is made, and checked again, with ``dataclasses.replace``. A ``Trainer``
+runs once. ``RunReport``'s fields, in order, are the report JSON's keys; four
+take the paper's names (``T``, ``T_norm``, ``p_t``, ``co2e``).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class StepTrace:
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     mode: str = "three-stage"
     epochs: int = 1
@@ -94,8 +99,8 @@ class TrainerConfig:
     force_l_low: float | None = None
     disable_predictor: bool = False
 
-    def validate(self) -> None:
-        """Reject every bad value before any training starts."""
+    def __post_init__(self) -> None:
+        """Reject every bad value, so a config that exists is a valid one."""
         for f in fields(self):
             value = getattr(self, f.name)
             kind, _, optional = f.type.partition(" | ")
@@ -131,10 +136,15 @@ class TrainerConfig:
                 raise ValueError("random-skip mode needs random_skip_ratio in [0, 1)")
 
 
+# the report JSON names these fields as in the paper; the rest keep their own
+_REPORT_KEYS = {"total_time": "T", "t_norm": "T_norm", "energy_kwh": "p_t", "co2e_lb": "co2e"}
+
+
 @dataclass
 class RunReport:
+    """A run's results, fields in report JSON order (``traces`` is not in it)."""
+
     accuracy: float
-    a_base: float
     alpha_b: float
     alpha_fb: float
     total_time: float
@@ -142,36 +152,19 @@ class RunReport:
     agot: float | None
     energy_kwh: float
     co2e_lb: float
+    a_base: float
     batches_total: int
     backward_skipped: int
     forward_skipped: int
     full_steps: int
     stage_boundaries: dict
-    config: dict
     overhead_wall_seconds: float
-    epoch_accuracies: list[float] | None = None
+    epoch_accuracies: list[float] | None
+    config: dict
     traces: list[StepTrace] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "alpha_b": self.alpha_b,
-            "alpha_fb": self.alpha_fb,
-            "T": self.total_time,
-            "T_norm": self.t_norm,
-            "agot": self.agot,
-            "p_t": self.energy_kwh,
-            "co2e": self.co2e_lb,
-            "a_base": self.a_base,
-            "batches_total": self.batches_total,
-            "backward_skipped": self.backward_skipped,
-            "forward_skipped": self.forward_skipped,
-            "full_steps": self.full_steps,
-            "stage_boundaries": self.stage_boundaries,
-            "overhead_wall_seconds": self.overhead_wall_seconds,
-            "epoch_accuracies": self.epoch_accuracies,
-            "config": self.config,
-        }
+        return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "traces"}
 
 
 def build_epoch_batches(examples: list[Example], config: TrainerConfig) -> list[MiniBatch]:
@@ -186,7 +179,6 @@ class Trainer:
         train_examples: list[Example],
         eval_examples: list[Example] | None = None,
     ):
-        config.validate()
         if not train_examples:
             raise ValueError("dataset is empty")
         if eval_examples is not None and not eval_examples:
@@ -327,6 +319,8 @@ class Trainer:
     # -- whole run -----------------------------------------------------------
 
     def run(self) -> RunReport:
+        if self.batches_seen:
+            raise RuntimeError("a Trainer runs once; build a new one for another run")
         cfg = self.config
         a_base = self.model.evaluate(self._eval_batch)
         epoch_accuracies: list[float] | None = [] if cfg.eval_every_epoch else None
@@ -418,9 +412,10 @@ TRACE_HEADER = ",".join(TRACE_FIELDS)
 
 
 def csv_field(value) -> str:
-    """One CSV field: empty for None, ``repr`` for a float (it reads back
-    exactly), ``str`` otherwise."""
-    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    """One CSV field: empty for None, the Python float's ``repr`` for a float
+    (it reads back exactly; a numpy float's own ``repr`` names its type),
+    ``str`` otherwise."""
+    return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def write_trace(traces: list[StepTrace], path: str) -> None:

@@ -98,6 +98,14 @@ def test_run_three_stage_writes_report(corpus_file, tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+def test_run_without_report_writes_only_json_to_stdout(corpus_file, capsys):
+    code = run_cli("run", "--data", corpus_file, "--mode", "train-all", "--batch-size", "16")
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["config"]["mode"] == "train-all"
+    assert "accuracy=" in err
+
+
 def test_run_huge_learning_rate_exits_3(corpus_file, tmp_path, capsys):
     # a finite but huge step size overflows the warmup loss window's variance
     report_path = tmp_path / "report.json"

@@ -500,6 +500,9 @@ def test_predictor_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
 
 
+MISSING = object()  # a field value that leaves the field out of the checkpoint
+
+
 def _checkpoint(tmp_path, **changes):
     """Path of a small valid checkpoint with ``changes`` applied to its fields."""
     payload = {
@@ -509,6 +512,7 @@ def _checkpoint(tmp_path, **changes):
         "token_counts": {"0": [[1, 2]], "1": [[1, 3], [7, 1]]},
     }
     payload.update(changes)
+    payload = {key: value for key, value in payload.items() if value is not MISSING}
     path = tmp_path / "predictor.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -558,7 +562,7 @@ def test_load_predictor_rejects_bad_class_counts(tmp_path, class_counts):
 def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
     with pytest.raises(ValueError, match="alpha"):
         load_predictor(_checkpoint(tmp_path, alpha=alpha))
-    if not isinstance(alpha, str):  # a string is TrainerConfig.validate's type error
+    if not isinstance(alpha, str):  # a string is rejected by TrainerConfig's type check
         with pytest.raises(ValueError, match="alpha"):
             NaiveBayesModel(smoothing_alpha=alpha)
 
@@ -567,6 +571,33 @@ def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
 def test_load_predictor_rejects_malformed_entry(tmp_path, entry):
     with pytest.raises(ValueError, match="pair"):
         load_predictor(_checkpoint(tmp_path, token_counts={"0": [entry], "1": []}))
+
+
+BAD_STRUCTURES = {
+    "missing-alpha": ({"alpha": MISSING}, "missing key.*'alpha'"),
+    "missing-dimension": ({"dimension": MISSING}, "missing key.*'dimension'"),
+    "missing-class_counts": ({"class_counts": MISSING}, "missing key.*'class_counts'"),
+    "missing-token_counts": ({"token_counts": MISSING}, "missing key.*'token_counts'"),
+    "list-token_counts": ({"token_counts": [[1, 2]]}, "token_counts"),
+    "token_counts-without-class-1": ({"token_counts": {"0": [[1, 2]]}}, "token_counts"),
+    "number-class-entries": ({"token_counts": {"0": 3, "1": []}}, "token_counts"),
+    "null-class-entries": ({"token_counts": {"0": [], "1": None}}, "token_counts"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STRUCTURES)
+def test_load_predictor_rejects_bad_structure(tmp_path, case):
+    changes, match = BAD_STRUCTURES[case]
+    with pytest.raises(ValueError, match=match):
+        load_predictor(_checkpoint(tmp_path, **changes))
+
+
+@pytest.mark.parametrize("payload", [[1, 2], None, "predictor", 3])
+def test_load_predictor_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
+    path = tmp_path / "predictor.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        load_predictor(str(path))
 
 
 @pytest.mark.parametrize("dimension", [0, 8.0, True])

@@ -295,13 +295,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.forward(b).batch_loss == model.forward(b).batch_loss
 
 
+MISSING = object()  # a field value that leaves the field out of the checkpoint
+
 VALID_CHECKPOINT = {"dimension": 8, "learning_rate": 0.5, "step_count": 2, "bias": -0.25, "weights": [[1, 0.5], [7, -1.5]]}
 
 
 def _checkpoint(tmp_path, **changes):
     """Path of ``VALID_CHECKPOINT`` with ``changes`` applied to its fields."""
+    payload = {key: value for key, value in {**VALID_CHECKPOINT, **changes}.items() if value is not MISSING}
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({**VALID_CHECKPOINT, **changes}), encoding="utf-8")
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -332,6 +335,11 @@ BAD_CHECKPOINTS = {
     "inf-learning_rate": ("learning_rate", float("inf"), "learning_rate"),
     "zero-learning_rate": ("learning_rate", 0.0, "learning_rate"),
     "string-learning_rate": ("learning_rate", "0.5", "learning_rate"),
+    "missing-bias": ("bias", MISSING, "missing key.*'bias'"),
+    "missing-weights": ("weights", MISSING, "missing key.*'weights'"),
+    "object-weights": ("weights", {"1": 0.5}, "weights must be a list"),
+    "number-weights": ("weights", 3, "weights must be a list"),
+    "null-weights": ("weights", None, "weights must be a list"),
 }
 
 
@@ -340,3 +348,11 @@ def test_load_checkpoint_rejects_invalid(tmp_path, case):
     field, value, match = BAD_CHECKPOINTS[case]
     with pytest.raises(ValueError, match=match):
         load_checkpoint(_checkpoint(tmp_path, **{field: value}))
+
+
+@pytest.mark.parametrize("payload", [[1, 2], None, "model", 3])
+def test_load_checkpoint_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        load_checkpoint(str(path))

@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lossgate.trainer import (
     Trainer,
     TrainerConfig,
     build_epoch_batches,
+    csv_field,
     run,
     run_random_skip,
     write_trace,
@@ -305,6 +307,28 @@ def test_report_json_fields():
     json.dumps(payload)  # must be serializable as-is
 
 
+# the report JSON's keys, in the order the README lists them
+REPORT_KEYS = [
+    "accuracy", "alpha_b", "alpha_fb", "T", "T_norm", "agot", "p_t", "co2e", "a_base",
+    "batches_total", "backward_skipped", "forward_skipped", "full_steps", "stage_boundaries",
+    "overhead_wall_seconds", "epoch_accuracies", "config",
+]
+
+
+def test_report_json_keys_come_in_the_readme_order():
+    assert list(run_mode("train-all", epochs=1).to_json_dict()) == REPORT_KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("**Report JSON**"):readme.index("**Trace CSV**")]
+    positions = [section.index(f"`{key}`") for key in REPORT_KEYS]
+    assert positions == sorted(positions)
+
+
+def test_csv_field_writes_a_numpy_float_as_a_python_float():
+    assert csv_field(np.float64(0.5)) == csv_field(0.5) == "0.5"
+    assert csv_field(np.float64(0.1)) == repr(0.1)
+    assert (csv_field(None), csv_field(3), csv_field("full")) == ("", "3", "full")
+
+
 MODE_ARGS = {"fixed-threshold": {"fixed_threshold": 0.5}, "random-skip": {"random_skip_ratio": 0.3}}
 
 
@@ -397,6 +421,35 @@ def test_bad_label_rejected_at_construction(where):
     bad = [*CORPUS[:20], Example("good movie", ["good", "movie"], 5)]
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         Trainer(BASE, *((bad, EVAL) if where == "train" else (CORPUS, bad)))
+
+
+def test_a_config_is_checked_when_built():
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        TrainerConfig(epochs=0)
+    with pytest.raises(ValueError, match="alt must be positive"):
+        replace(BASE, alt=0.0)
+
+
+def test_a_config_is_frozen():
+    with pytest.raises(FrozenInstanceError):
+        BASE.epochs = 5
+    assert BASE.epochs == 2
+
+
+@pytest.mark.parametrize("mode", ["train-all", "three-stage"])
+def test_a_trainer_runs_once(mode):
+    trainer = Trainer(replace(BASE, mode=mode), CORPUS, EVAL)
+    report = trainer.run()
+    weights, bias = trainer.model.weights.copy(), trainer.model.bias
+    with pytest.raises(RuntimeError, match="runs once"):
+        trainer.run()
+    assert trainer.batches_seen == report.batches_total
+    assert (trainer.backward_filter_start, trainer.full_filter_start) == (
+        report.stage_boundaries["backward_filter_start"], report.stage_boundaries["full_filter_start"]
+    )
+    assert len(trainer.traces) == report.batches_total
+    assert np.array_equal(trainer.model.weights, weights)
+    assert trainer.model.bias == bias
 
 
 def test_config_validation():
