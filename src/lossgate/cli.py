@@ -2,21 +2,29 @@
 toy-corpus generation.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error.
+
+TrainerConfig field field_name is flag --field-name, but for six spelled
+otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
+--no-shuffle) and three only a --config file sets (record_trace, which run's
+--trace also sets, force_l_low, disable_predictor). gen-toy's flags are
+generate_toy_corpus's parameters, with its defaults. sweep and compare ignore
+--a-full, and sweep checks --max-runs before it builds any config.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import re
 import sys
 from collections.abc import Iterator
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
-from . import trainer as trainer_mod
 from .data import Example, generate_toy_corpus, load_dataset, write_jsonl
 from .trainer import RunReport, TrainerConfig, csv_field, run, write_trace
 
@@ -44,12 +52,16 @@ class UsageError(Exception):
     pass
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
+def _parse_list(kind: type, raw: str) -> list:
+    """A comma-separated list of ``kind`` (int or float), as an argparse type."""
+    try:
+        return [kind(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {raw!r}") from None
 
 
-def _parse_ints(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part.strip()]
+_parse_floats, _parse_ints = partial(_parse_list, float), partial(_parse_list, int)
 
 
 def _load_examples(path: str, format: str | None, header: bool) -> list[Example]:
@@ -72,6 +84,16 @@ def _load_data(args: argparse.Namespace) -> tuple[list[Example], list[Example] |
 
 
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainerConfig)}
+
+# the flags not spelled --field-name, and the fields only a --config file sets
+_FLAG_SPELLINGS = {
+    "shuffle": "--no-shuffle", "n0_fraction": "--n0", "skip_margin_gamma": "--skip-gamma",
+    "power_cpu_watts": "--power-cpu", "power_dram_watts": "--power-dram", "power_gpu_watts": "--power-gpu",
+}
+_FILE_ONLY_FIELDS = ("record_trace", "force_l_low", "disable_predictor")
+
+# the argparse type of a flag, by the annotation of what it sets
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _read_config_file(path: str) -> dict:
@@ -97,45 +119,26 @@ def _read_config_file(path: str) -> dict:
 
 
 def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per TrainerConfig field, in field order; a flag left out
+    parses to None, so the config file or the field default stands."""
     g = parser.add_argument_group("trainer options")
     g.add_argument("--config", help="flat key=value config file; flags override it")
-    g.add_argument("--mode", choices=trainer_mod.MODES)
-    g.add_argument("--epochs", type=int)
-    g.add_argument("--batch-size", type=int, dest="batch_size")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--no-shuffle", action="store_true", default=None)
-    g.add_argument("--learning-rate", type=float, dest="learning_rate")
-    g.add_argument("--n0", type=float, dest="n0_fraction")
-    g.add_argument("--threshold-window", type=int, dest="threshold_window")
-    g.add_argument("--predictor-window", type=int, dest="predictor_window")
-    g.add_argument("--alt", type=float)
-    g.add_argument("--skip-gamma", type=float, dest="skip_margin_gamma")
-    g.add_argument("--variance-tolerance", type=float, dest="variance_tolerance")
-    g.add_argument("--smoothing-alpha", type=float, dest="smoothing_alpha")
-    g.add_argument("--batch-decision", choices=("mean", "vote"), dest="batch_decision")
-    g.add_argument("--fixed-threshold", type=float, dest="fixed_threshold")
-    g.add_argument("--random-skip-ratio", type=float, dest="random_skip_ratio")
-    g.add_argument("--t-forward", type=float, dest="t_forward")
-    g.add_argument("--t-backward", type=float, dest="t_backward")
-    g.add_argument("--agot-epsilon", type=float, dest="agot_epsilon")
-    g.add_argument("--a-full", type=float, dest="a_full")
-    g.add_argument("--power-cpu", type=float, dest="power_cpu_watts")
-    g.add_argument("--power-dram", type=float, dest="power_dram_watts")
-    g.add_argument("--power-gpu", type=float, dest="power_gpu_watts")
-    g.add_argument("--gpu-count", type=int, dest="gpu_count")
-    g.add_argument("--eval-every-epoch", action="store_true", default=None, dest="eval_every_epoch")
+    for f in fields(TrainerConfig):
+        if f.name in _FILE_ONLY_FIELDS:
+            continue
+        flag = _FLAG_SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
+        kind = f.type.partition(" | ")[0]
+        if kind == "bool":  # the flag sets the value the field does not default to
+            g.add_argument(flag, action="store_false" if f.default else "store_true", default=None, dest=f.name)
+        else:
+            g.add_argument(flag, type=_FLAG_TYPES[kind], choices=f.metadata.get("choices"), dest=f.name)
 
 
 def _config_from_args(args: argparse.Namespace) -> TrainerConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
+    values = _read_config_file(args.config) if args.config else {}
     for name in _CONFIG_FIELDS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    if getattr(args, "no_shuffle", None):
-        values["shuffle"] = False
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
     try:
         return TrainerConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -144,7 +147,7 @@ def _config_from_args(args: argparse.Namespace) -> TrainerConfig:
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="training set (.jsonl or .tsv)")
-    parser.add_argument("--eval-data", dest="eval_data", help="held-out set for accuracy")
+    parser.add_argument("--eval-data", help="held-out set for accuracy")
     parser.add_argument("--format", choices=("jsonl", "tsv"))
     parser.add_argument("--header", action="store_true", help="TSV only: skip the first line")
 
@@ -199,15 +202,15 @@ def _variant(base: TrainerConfig, **changes) -> TrainerConfig:
 def _run_in_order(
     configs: list[TrainerConfig], train_examples: list[Example], eval_examples: list[Example] | None
 ) -> Iterator[tuple[TrainerConfig, RunReport]]:
-    """Run ``configs`` in order, yielding each run's config and report. A run
-    other than train-all takes as its ``a_full`` the accuracy of the earlier
-    train-all run with the same (epochs, seed). Configs appended to the list
-    while it is being run are run too."""
+    """Run ``configs`` in order, yielding each run's config and report. Every
+    run's ``a_full`` comes from the run order, whatever the base config says:
+    a train-all run scores against its own accuracy, and any other run takes
+    the accuracy of the earlier train-all run with the same (epochs, seed).
+    Configs appended to the list while it is being run are run too."""
     a_full: dict[tuple[int, int], float] = {}
     for cfg in configs:
         key = (cfg.epochs, cfg.seed)
-        if cfg.mode != "train-all":
-            cfg = replace(cfg, a_full=a_full[key])
+        cfg = replace(cfg, a_full=None if cfg.mode == "train-all" else a_full[key])
         report = run(cfg, train_examples, eval_examples)
         if cfg.mode == "train-all":
             a_full[key] = report.accuracy
@@ -240,6 +243,12 @@ def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[TrainerCo
     return configs
 
 
+def _sweep_run_count(args: argparse.Namespace) -> int:
+    """``len(_sweep_grid(args, base))``, from the grid lengths alone."""
+    staged = len(args.n0_grid) * len(args.window_grid) * len(args.alt_grid)
+    return len(args.epochs_grid) * len(args.seeds) * (1 + len(args.fixed_thresholds) + staged)
+
+
 def _grid_values(cfg: TrainerConfig) -> tuple:
     """The config's GRID_COLUMNS values: None where its mode has no such
     parameter."""
@@ -258,15 +267,15 @@ def _config_label(cfg: TrainerConfig) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _config_from_args(args)
     for grid_name in ("n0_grid", "window_grid", "alt_grid", "fixed_thresholds", "epochs_grid", "seeds"):
         values, name = getattr(args, grid_name), grid_name.replace("_", "-")
         if not values and grid_name != "fixed_thresholds":
             raise UsageError(f"empty grid: {name}")
         _reject_repeats(f"grid: {name}", values)
-    configs = _sweep_grid(args, base)
-    if len(configs) > args.max_runs:
-        raise UsageError(f"grid has {len(configs)} runs, over the cap of {args.max_runs}")
+    n_runs = _sweep_run_count(args)
+    if n_runs > args.max_runs:
+        raise UsageError(f"grid has {n_runs} runs, over the cap of {args.max_runs}")
+    configs = _sweep_grid(args, _config_from_args(args))
     train_examples, eval_examples = _load_data(args)
     runs = list(_run_in_order(configs, train_examples, eval_examples))
 
@@ -355,9 +364,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # -- gen-toy -------------------------------------------------------------------
 
 
-# the gen-toy flag that sets each generate_toy_corpus parameter
+# the gen-toy flag that sets each generate_toy_corpus parameter, in signature order
 _GEN_TOY_FLAGS = {
-    "num_examples": "--num-examples", "duplication": "--dup-factor", "noise_rate": "--noise",
+    "num_examples": "--num-examples", "duplication": "--dup-factor", "noise_rate": "--noise", "seed": "--seed",
     "class_vocab": "--class-vocab", "shared_vocab": "--shared-vocab", "min_tokens": "--min-tokens",
     "max_tokens": "--max-tokens", "indicative_prob": "--indicative-prob",
 }
@@ -373,21 +382,14 @@ def _toy_corpus(flags: dict[str, str], **params) -> list[Example]:
 
 
 def cmd_gen_toy(args: argparse.Namespace) -> int:
-    shape = dict(
-        class_vocab=args.class_vocab, shared_vocab=args.shared_vocab, min_tokens=args.min_tokens,
-        max_tokens=args.max_tokens, indicative_prob=args.indicative_prob,
-    )
-    eval_seed = args.eval_seed if args.eval_seed is not None else args.seed + 1
-    corpus = _toy_corpus(
-        _GEN_TOY_FLAGS, num_examples=args.num_examples, duplication=args.dup_factor, noise_rate=args.noise,
-        seed=args.seed, **shape,
-    )
+    params = {name: getattr(args, name) for name in _GEN_TOY_FLAGS}
+    corpus = _toy_corpus(_GEN_TOY_FLAGS, **params)
     eval_corpus = None
     if args.eval_out:
-        eval_flags = {**_GEN_TOY_FLAGS, "num_examples": "--eval-size"}
-        eval_corpus = _toy_corpus(
-            eval_flags, num_examples=args.eval_size, duplication=1, noise_rate=0.0, seed=eval_seed, **shape
-        )
+        eval_flags = {**_GEN_TOY_FLAGS, "num_examples": "--eval-size", "seed": "--eval-seed"}
+        eval_seed = args.eval_seed if args.eval_seed is not None else args.seed + 1
+        eval_params = {"num_examples": args.eval_size, "duplication": 1, "noise_rate": 0.0, "seed": eval_seed}
+        eval_corpus = _toy_corpus(eval_flags, **{**params, **eval_params})
     write_jsonl(corpus, args.out)
     print(f"wrote {len(corpus)} examples to {args.out}")
     if eval_corpus is not None:
@@ -414,41 +416,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_sweep)
     _add_trainer_flags(p_sweep)
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--n0-grid", type=_parse_floats, default=DEFAULT_N0_GRID, dest="n0_grid")
-    p_sweep.add_argument("--window-grid", type=_parse_ints, default=DEFAULT_WINDOW_GRID, dest="window_grid")
-    p_sweep.add_argument("--alt-grid", type=_parse_floats, default=DEFAULT_ALT_GRID, dest="alt_grid")
-    p_sweep.add_argument(
-        "--fixed-thresholds", type=_parse_floats, default=DEFAULT_FIXED_THRESHOLDS, dest="fixed_thresholds"
-    )
-    p_sweep.add_argument("--epochs-grid", type=_parse_ints, default=[1], dest="epochs_grid")
+    p_sweep.add_argument("--n0-grid", type=_parse_floats, default=DEFAULT_N0_GRID)
+    p_sweep.add_argument("--window-grid", type=_parse_ints, default=DEFAULT_WINDOW_GRID)
+    p_sweep.add_argument("--alt-grid", type=_parse_floats, default=DEFAULT_ALT_GRID)
+    p_sweep.add_argument("--fixed-thresholds", type=_parse_floats, default=DEFAULT_FIXED_THRESHOLDS)
+    p_sweep.add_argument("--epochs-grid", type=_parse_ints, default=[1])
     p_sweep.add_argument("--seeds", type=_parse_ints, default=[0])
-    p_sweep.add_argument("--max-runs", type=int, default=1000, dest="max_runs")
+    p_sweep.add_argument("--max-runs", type=int, default=1000)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="all methods vs matched-ratio random skipping")
     _add_data_flags(p_cmp)
     _add_trainer_flags(p_cmp)
     p_cmp.add_argument("--seeds", type=_parse_ints, default=[0])
-    p_cmp.add_argument(
-        "--fixed-thresholds", type=_parse_floats, default=DEFAULT_FIXED_THRESHOLDS, dest="fixed_thresholds"
-    )
+    p_cmp.add_argument("--fixed-thresholds", type=_parse_floats, default=DEFAULT_FIXED_THRESHOLDS)
     p_cmp.add_argument("--out", help="CSV output path")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("gen-toy", help="generate the seeded redundant toy corpus")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--num-examples", type=int, default=20000, dest="num_examples")
-    p_gen.add_argument("--dup-factor", type=int, default=5, dest="dup_factor")
-    p_gen.add_argument("--noise", type=float, default=0.05)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--class-vocab", type=int, default=800, dest="class_vocab")
-    p_gen.add_argument("--shared-vocab", type=int, default=800, dest="shared_vocab")
-    p_gen.add_argument("--min-tokens", type=int, default=6, dest="min_tokens")
-    p_gen.add_argument("--max-tokens", type=int, default=14, dest="max_tokens")
-    p_gen.add_argument("--indicative-prob", type=float, default=0.2, dest="indicative_prob")
-    p_gen.add_argument("--eval-out", dest="eval_out")
-    p_gen.add_argument("--eval-size", type=int, default=2000, dest="eval_size")
-    p_gen.add_argument("--eval-seed", type=int, default=None, dest="eval_seed")
+    params = inspect.signature(generate_toy_corpus).parameters
+    for name, flag in _GEN_TOY_FLAGS.items():  # a corpus size has no default; the CLI's is 20000
+        default = 20000 if name == "num_examples" else params[name].default
+        p_gen.add_argument(
+            flag, type=_FLAG_TYPES[params[name].annotation], default=default, dest=name,
+            metavar=flag[2:].replace("-", "_").upper(),
+        )
+    p_gen.add_argument("--eval-out")
+    p_gen.add_argument("--eval-size", type=int, default=2000)
+    p_gen.add_argument("--eval-seed", type=int)
     p_gen.set_defaults(func=cmd_gen_toy)
 
     return parser

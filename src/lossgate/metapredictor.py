@@ -46,6 +46,9 @@ from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack, read_json_fi
 # rebuilt at twice the size once a class total or count reaches its end
 _LOG_TABLE_SIZE = 256
 
+# the batch-level decision policies ``predict_batch`` takes
+DECISION_POLICIES = ("mean", "vote")
+
 
 class NaiveBayesModel:
     def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
@@ -165,7 +168,7 @@ class NaiveBayesModel:
         "mean" (average posterior vs 0.5) or "vote" (majority of per-example
         decisions); ties go to 1.
         """
-        if policy not in ("mean", "vote"):
+        if policy not in DECISION_POLICIES:
             raise ValueError(f"unknown decision policy: {policy!r}")
         if not self.has_both_classes:
             return 1, None

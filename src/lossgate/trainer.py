@@ -17,9 +17,11 @@ plain attributes and builds a ``StepTrace`` only when ``record_trace`` is set.
   Stages only ever move forward; a run is fully determined by (config, dataset).
 
 A ``TrainerConfig`` checks every value when it is built and is frozen, so a
-variant is made, and checked again, with ``dataclasses.replace``. A ``Trainer``
-runs once. ``RunReport``'s fields, in order, are the report JSON's keys; four
-take the paper's names (``T``, ``T_norm``, ``p_t``, ``co2e``).
+variant is made, and checked again, with ``dataclasses.replace``. A field
+with a fixed set of values lists it in its ``choices`` metadata, which the
+CLI's flag for it shares. A ``Trainer`` runs once. ``RunReport``'s fields, in
+order, are the report JSON's keys; four take the paper's names (``T``,
+``T_norm``, ``p_t``, ``co2e``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import metrics
 from .data import Example, MiniBatch, make_batches, pack_examples
-from .metapredictor import NaiveBayesModel
+from .metapredictor import DECISION_POLICIES, NaiveBayesModel
 from .model import TargetModel
 from .threshold import ThresholdState, make_label
 
@@ -69,7 +71,7 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "s
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    mode: str = "three-stage"
+    mode: str = field(default="three-stage", metadata={"choices": MODES})
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
@@ -82,7 +84,7 @@ class TrainerConfig:
     skip_margin_gamma: float = 1.0
     variance_tolerance: float = 1e-4
     smoothing_alpha: float = 1.0
-    batch_decision: str = "mean"
+    batch_decision: str = field(default="mean", metadata={"choices": DECISION_POLICIES})
     fixed_threshold: float | None = None
     random_skip_ratio: float | None = None
     t_forward: float = 1.0
@@ -110,10 +112,9 @@ class TrainerConfig:
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
             if value != value:
                 raise ValueError(f"{f.name} must not be NaN")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.batch_decision not in ("mean", "vote"):
-            raise ValueError(f"unknown batch_decision: {self.batch_decision!r}")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"unknown {f.name}: {value!r}")
         for name in ("epochs", "batch_size", "threshold_window", "predictor_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -1,11 +1,15 @@
+import argparse
+import inspect
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from lossgate import cli
+from lossgate import cli, trainer
 from lossgate.cli import COMPARE_COLUMNS, SWEEP_COLUMNS, main
 from lossgate.data import generate_toy_corpus, load_dataset, write_jsonl
+from lossgate.trainer import TrainerConfig
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +26,114 @@ def corpus_file(tmp_path_factory):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# -- the flag surface --------------------------------------------------------------
+
+
+TRAINER_OPTIONS = [
+    "--config", "--mode", "--epochs", "--batch-size", "--seed", "--no-shuffle", "--learning-rate", "--n0",
+    "--threshold-window", "--predictor-window", "--alt", "--skip-gamma", "--variance-tolerance",
+    "--smoothing-alpha", "--batch-decision", "--fixed-threshold", "--random-skip-ratio", "--t-forward",
+    "--t-backward", "--agot-epsilon", "--a-full", "--power-cpu", "--power-dram", "--power-gpu", "--gpu-count",
+    "--eval-every-epoch",
+]
+DATA_OPTIONS = ["--data", "--eval-data", "--format", "--header"]
+
+# each subcommand's option strings in --help order, as the hand-written parser had them
+OPTION_STRINGS = {
+    "run": ["-h", "--help", *DATA_OPTIONS, *TRAINER_OPTIONS, "--report", "--trace"],
+    "sweep": [
+        "-h", "--help", *DATA_OPTIONS, *TRAINER_OPTIONS, "--out", "--n0-grid", "--window-grid", "--alt-grid",
+        "--fixed-thresholds", "--epochs-grid", "--seeds", "--max-runs",
+    ],
+    "compare": ["-h", "--help", *DATA_OPTIONS, *TRAINER_OPTIONS, "--seeds", "--fixed-thresholds", "--out"],
+    "gen-toy": [
+        "-h", "--help", "--out", "--num-examples", "--dup-factor", "--noise", "--seed", "--class-vocab",
+        "--shared-vocab", "--min-tokens", "--max-tokens", "--indicative-prob", "--eval-out", "--eval-size",
+        "--eval-seed",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTION_STRINGS))
+def test_option_strings_in_help_order(command):
+    parser = subparsers()[command]
+    assert [option for action in parser._actions for option in action.option_strings] == OPTION_STRINGS[command]
+
+
+def test_every_trainer_config_field_has_a_flag_or_is_file_only():
+    dests = {action.dest for action in subparsers()["run"]._actions}
+    for f in fields(TrainerConfig):
+        assert (f.name in dests) != (f.name in cli._FILE_ONLY_FIELDS), f.name
+
+
+def sample_value(f):
+    """A valid value for field ``f`` other than its default."""
+    if "choices" in f.metadata:
+        return next(choice for choice in f.metadata["choices"] if choice != f.default)
+    kind = f.type.partition(" | ")[0]
+    if kind == "bool":
+        return not f.default
+    if f.default is None:
+        return 0.5
+    return f.default + 1 if kind == "int" else f.default / 2
+
+
+FLAGGED_FIELDS = [f for f in fields(TrainerConfig) if f.name not in cli._FILE_ONLY_FIELDS]
+
+
+@pytest.mark.parametrize("f", FLAGGED_FIELDS, ids=[f.name for f in FLAGGED_FIELDS])
+def test_trainer_flag_builds_the_config_its_file_key_does(tmp_path, f):
+    parser = subparsers()["run"]
+    action = next(a for a in parser._actions if a.dest == f.name)
+    value = sample_value(f)
+    flag_args = [action.option_strings[0]] + ([] if isinstance(value, bool) else [str(value)])
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{f.name} = {json.dumps(value)}\n")
+    from_flag = cli._config_from_args(parser.parse_args(["--data", "x.jsonl", *flag_args]))
+    from_file = cli._config_from_args(parser.parse_args(["--data", "x.jsonl", "--config", str(cfg_path)]))
+    assert getattr(from_flag, f.name) == value != f.default
+    assert from_flag == from_file
+
+
+def test_gen_toy_flags_follow_generate_toy_corpus():
+    params = inspect.signature(generate_toy_corpus).parameters
+    assert list(cli._GEN_TOY_FLAGS) == list(params)
+    defaults = vars(subparsers()["gen-toy"].parse_args(["--out", "x.jsonl"]))
+    assert {name: defaults[name] for name in params} == {
+        name: 20000 if name == "num_examples" else p.default for name, p in params.items()
+    }
+
+
+def test_gen_toy_writes_what_generate_toy_corpus_returns(tmp_path):
+    out, expected = tmp_path / "toy.jsonl", tmp_path / "expected.jsonl"
+    values = dict(
+        num_examples=50, duplication=2, noise_rate=0.2, seed=9, class_vocab=30, shared_vocab=40,
+        min_tokens=2, max_tokens=4, indicative_prob=0.5,
+    )
+    argv = [arg for name, value in values.items() for arg in (cli._GEN_TOY_FLAGS[name], str(value))]
+    assert run_cli("gen-toy", "--out", str(out), *argv) == 0
+    write_jsonl(generate_toy_corpus(**values), str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("flag, raw, expected", [
+    ("--n0-grid", "0.1,abc", "expected comma-separated numbers, got '0.1,abc'"),
+    ("--window-grid", "4,8.5", "expected comma-separated integers, got '4,8.5'"),
+])
+def test_list_flag_error_says_what_was_expected(corpus_file, tmp_path, capsys, flag, raw, expected):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sweep", "--data", corpus_file, "--out", str(tmp_path / "x.csv"), flag, raw)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {expected}" in err
+    assert "_parse" not in err
 
 
 # -- gen-toy ---------------------------------------------------------------------
@@ -277,7 +389,7 @@ def record_runs(monkeypatch):
     runs = []
 
     def recording_run(cfg, *data):
-        report = cli.trainer_mod.run(cfg, *data)
+        report = trainer.run(cfg, *data)
         runs.append((cfg, report))
         return report
 
@@ -286,12 +398,14 @@ def record_runs(monkeypatch):
 
 
 def assert_a_full_from_train_all(runs):
-    """Each non-train-all run took as a_full the accuracy of an earlier
-    train-all run with its (epochs, seed)."""
+    """Each train-all run scored against its own accuracy, and each other run
+    took as a_full the accuracy of an earlier train-all run with its
+    (epochs, seed)."""
     reference = {}
     for cfg, report in runs:
         key = (cfg.epochs, cfg.seed)
         if cfg.mode == "train-all":
+            assert cfg.a_full is None
             reference[key] = report.accuracy
         else:
             assert cfg.a_full == reference[key]
@@ -308,6 +422,13 @@ def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkey
     assert_a_full_from_train_all(runs)
 
 
+def test_sweep_ignores_a_full(corpus_file, tmp_path):
+    plain, with_a_full = tmp_path / "plain.csv", tmp_path / "a_full.csv"
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(plain), *SWEEP_ARGS) == 0
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(with_a_full), *SWEEP_ARGS, "--a-full", "0.9") == 0
+    assert with_a_full.read_bytes() == plain.read_bytes()
+
+
 def test_sweep_over_cap_exits_2(corpus_file, tmp_path, capsys):
     code = run_cli(
         "sweep", "--data", corpus_file, "--out", str(tmp_path / "x.csv"),
@@ -315,6 +436,38 @@ def test_sweep_over_cap_exits_2(corpus_file, tmp_path, capsys):
     )
     assert code == 2
     assert "cap" in capsys.readouterr().err
+
+
+def comma_list(values) -> str:
+    return ",".join(map(str, values))
+
+
+def test_sweep_refuses_a_huge_grid_before_building_a_config(corpus_file, tmp_path, capsys, monkeypatch):
+    def no_variant(*args, **kwargs):
+        raise AssertionError("a config was built for an over-cap grid")
+
+    monkeypatch.setattr(cli, "_variant", no_variant)
+    # 100 seeds x 10 epoch counts x (1 train-all + 9 fixed + 10 x 9 x 11 three-stage) = 10**6 runs
+    code = run_cli(
+        "sweep", "--data", corpus_file, "--out", str(tmp_path / "x.csv"),
+        "--seeds", comma_list(range(100)), "--epochs-grid", comma_list(range(1, 11)),
+        "--fixed-thresholds", comma_list(t / 10 for t in range(1, 10)),
+        "--n0-grid", comma_list(n / 10 for n in range(1, 11)), "--window-grid", comma_list(range(1, 10)),
+        "--alt-grid", comma_list(a / 10 for a in range(1, 12)),
+    )
+    assert code == 2
+    assert "grid has 1000000 runs, over the cap of 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    [],
+    ["--fixed-thresholds", ""],
+    ["--seeds", "0,1,2", "--epochs-grid", "1,2", "--window-grid", "4"],
+    ["--n0-grid", "0.2", "--window-grid", "4", "--alt-grid", "0.5", "--fixed-thresholds", "0.1,0.9"],
+], ids=["defaults", "no-fixed", "seeds-epochs", "one-staged"])
+def test_sweep_run_count_is_the_grid_length(grid):
+    args = cli.build_parser().parse_args(["sweep", "--data", "x.jsonl", "--out", "x.csv", *grid])
+    assert cli._sweep_run_count(args) == len(cli._sweep_grid(args, TrainerConfig()))
 
 
 def test_sweep_empty_grid_exits_2(corpus_file, tmp_path):
