@@ -7,8 +7,11 @@ TrainerConfig field field_name is flag --field-name, but for six spelled
 otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
 --no-shuffle) and three only a --config file sets (record_trace, which run's
 --trace also sets, force_l_low, disable_predictor). gen-toy's flags are
-generate_toy_corpus's parameters, with its defaults. sweep and compare ignore
---a-full, and sweep checks --max-runs before it builds any config.
+generate_toy_corpus's parameters, with its defaults. sweep and compare exit 2
+on a flag of a field they set for each run (sweep: --mode, --epochs, --seed,
+--fixed-threshold, --n0, --predictor-window, --alt, --a-full; compare: --mode,
+--seed, --fixed-threshold, --random-skip-ratio, --a-full), and sweep checks
+--max-runs before it builds any config.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ COMPARE_COLUMNS = [
     "method", "n_seeds", "accuracy_mean", "accuracy_std",
     "t_norm_mean", "t_norm_std", "skip_ratio_mean", "matched_target_mean",
 ]
+
+# the TrainerConfig fields each command sets for every run it makes
+SWEEP_SETS = ("mode", "epochs", "seed", "fixed_threshold", "n0_fraction", "predictor_window", "alt", "a_full")
+COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full")
 
 
 class UsageError(Exception):
@@ -96,6 +103,11 @@ _FILE_ONLY_FIELDS = ("record_trace", "force_l_low", "disable_predictor")
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
+def _flag(name: str) -> str:
+    """The flag that sets TrainerConfig field ``name``."""
+    return _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+
+
 def _read_config_file(path: str) -> dict:
     """Flat ``key = value`` pairs; keys are TrainerConfig field names."""
     if not os.path.exists(path):
@@ -126,7 +138,7 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(TrainerConfig):
         if f.name in _FILE_ONLY_FIELDS:
             continue
-        flag = _FLAG_SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
+        flag = _flag(f.name)
         kind = f.type.partition(" | ")[0]
         if kind == "bool":  # the flag sets the value the field does not default to
             g.add_argument(flag, action="store_false" if f.default else "store_true", default=None, dest=f.name)
@@ -181,6 +193,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 # -- sweep and compare ---------------------------------------------------------
+
+
+def _reject_overridden(args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    """A flag of a field the command sets for each run would be ignored."""
+    given = [_flag(name) for name in names if getattr(args, name) is not None]
+    if given:
+        flags = ", ".join(given)
+        raise UsageError(f"{args.command} sets these fields for each run, so it refuses their flags: {flags}")
 
 
 def _reject_repeats(name: str, values: list) -> None:
@@ -267,6 +287,7 @@ def _config_label(cfg: TrainerConfig) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _reject_overridden(args, SWEEP_SETS)
     for grid_name in ("n0_grid", "window_grid", "alt_grid", "fixed_thresholds", "epochs_grid", "seeds"):
         values, name = getattr(args, grid_name), grid_name.replace("_", "-")
         if not values and grid_name != "fixed_thresholds":
@@ -316,6 +337,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _reject_overridden(args, COMPARE_SETS)
     base = _config_from_args(args)
     if not args.seeds:
         raise UsageError("need at least one seed")

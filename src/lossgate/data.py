@@ -3,11 +3,16 @@
 Text is reduced to presence bits over a fixed 2**18-bucket hash space so no
 vocabulary pass is needed; everything downstream stays single-pass.
 
-A loaded corpus is kept compact: tokens are interned, so a token repeated
-across examples is one string object, and ``Example`` and ``MiniBatch`` are
-slotted. Batching packs the examples once into three read-only arrays
-(buckets, in-batch rows, labels) and every ``MiniBatch`` is a slice of them.
-Packing rejects a label other than 0 or 1.
+A loaded corpus is featurized in bulk: ``load_dataset`` checks every record
+first, then hashes each distinct token once and sorts the whole corpus's
+``(example, bucket)`` keys in one array, whose read-only slices are the
+examples' buckets. ``generate_toy_corpus`` does the same; an ``Example``
+built directly runs ``vectorize``, the one-example definition. The corpus is
+kept compact: tokens are interned, so a token repeated across examples is
+one string object, and ``Example`` and ``MiniBatch`` are slotted. Batching
+packs the examples once into three read-only arrays (buckets, in-batch rows,
+labels) and every ``MiniBatch`` is a slice of them. Packing rejects a label
+other than 0 or 1.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -50,7 +56,8 @@ def vectorize(tokens: list[str]) -> np.ndarray:
     """Presence bits of a token list: its sorted, distinct hash buckets.
 
     Set semantics on purpose: duplicate tokens collapse to one bit, matching
-    a Bernoulli feature model.
+    a Bernoulli feature model. The one-example definition, which bulk
+    featurization (``_corpus_buckets``) reproduces for a whole corpus.
     """
     return np.array(sorted(set(map(hash_bucket, tokens))), dtype=np.int64)
 
@@ -70,6 +77,45 @@ class Example:
     def features(self) -> np.ndarray:
         """Sorted distinct hash buckets of the tokens, computed at construction."""
         return self._buckets
+
+
+def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every token list's ``vectorize``, in bulk: the lists' sorted, distinct
+    buckets concatenated into one read-only array, and the offset where each
+    list's buckets end. ``hash_bucket`` runs once per distinct token, and the
+    keys ``row * HASH_BUCKETS + bucket`` of all lists are sorted once."""
+    buckets = dict.fromkeys(chain.from_iterable(token_lists))
+    for token in buckets:
+        buckets[token] = hash_bucket(token)
+    n = len(token_lists)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=n)
+    row_starts = np.arange(n + 1, dtype=np.int64) * HASH_BUCKETS
+    keys = np.fromiter(
+        map(buckets.__getitem__, chain.from_iterable(token_lists)), dtype=np.int64, count=int(lengths.sum())
+    )
+    keys += np.repeat(row_starts[:-1], lengths)
+    keys.sort()
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    ends = np.searchsorted(keys, row_starts[1:])
+    keys %= HASH_BUCKETS
+    keys.flags.writeable = False
+    return keys, ends
+
+
+def _featurized(texts: list[str], labels: list[int]) -> list[Example]:
+    """``Example(text, tokenize(text), label)`` for each pair, featurized in
+    bulk: each example's buckets are a read-only slice of one array."""
+    token_lists = list(map(tokenize, texts))
+    buckets, ends = _corpus_buckets(token_lists)
+    examples = []
+    for text, tokens, label, start, end in zip(texts, token_lists, labels, chain((0,), ends), ends):
+        example = Example.__new__(Example)
+        example.text, example.tokens, example.label, example._buckets = text, tokens, label, buckets[start:end]
+        examples.append(example)
+    return examples
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,12 +199,28 @@ def read_json_fields(path: str, *keys: str) -> list:
     return [payload[key] for key in keys]
 
 
-def _example_from_fields(text: str, label, line_no: int) -> Example:
+def _checked_label(label, line_no: int) -> int:
     if not is_int(label):
         raise ValueError(f"line {line_no}: label must be an integer, got {label!r}")
     if label not in (0, 1):
         raise ValueError(f"line {line_no}: label out of range: {label}")
-    return Example(text=text, tokens=tokenize(text), label=label)
+    return label
+
+
+# the C scanner behind json.loads; a line it parses to the end needs no more
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_record(line: str):
+    """``json.loads(line)``: the scanner alone when the line is one bare JSON
+    value, else ``json.loads`` itself, so what is accepted and every error
+    message stay its own. (A line the scanner fails on from its first
+    character fails in ``json.loads`` at the same place.)"""
+    try:
+        record, end = _scan_json(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return record if end == len(line) else json.loads(line)
 
 
 def load_dataset(path: str, format: str | None = None, header: bool = False) -> list[Example]:
@@ -168,6 +230,7 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
     an optional ``text2`` string (absent or null means none) is appended to
     ``text`` with a space. TSV rows are ``text<TAB>label``; ``header=True``
     skips the first line. ``format`` defaults to the file extension.
+    Every record is checked before any is featurized, in bulk.
     """
     if format is None:
         suffix = str(path).rsplit(".", 1)[-1].lower()
@@ -178,7 +241,8 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format: {format!r}")
 
-    examples: list[Example] = []
+    texts: list[str] = []
+    labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if header and line_no == 1 and format == "tsv":
@@ -188,7 +252,7 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
                 continue
             if format == "jsonl":
                 try:
-                    record = json.loads(line)
+                    record = _json_record(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"line {line_no}: malformed JSON record: {exc}") from exc
                 if not isinstance(record, dict) or "text" not in record or "label" not in record:
@@ -201,7 +265,7 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
                     if not isinstance(text2, str):
                         raise ValueError(f"line {line_no}: 'text2' must be a string")
                     text = text + " " + text2
-                examples.append(_example_from_fields(text, record["label"], line_no))
+                label = record["label"]
             else:
                 if "\t" not in line:
                     raise ValueError(f"line {line_no}: expected 'text<TAB>label'")
@@ -210,8 +274,9 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
                     label = int(raw_label)
                 except ValueError as exc:
                     raise ValueError(f"line {line_no}: label not an integer: {raw_label!r}") from exc
-                examples.append(_example_from_fields(text, label, line_no))
-    return examples
+            texts.append(text)
+            labels.append(_checked_label(label, line_no))
+    return _featurized(texts, labels)
 
 
 def write_jsonl(examples: list[Example], path: str) -> None:
@@ -297,7 +362,4 @@ def generate_toy_corpus(
         texts_labels.append((text, label))
 
     order = rng.permutation(len(texts_labels))
-    return [
-        Example(text=texts_labels[i][0], tokens=tokenize(texts_labels[i][0]), label=texts_labels[i][1])
-        for i in order
-    ]
+    return _featurized([texts_labels[i][0] for i in order], [texts_labels[i][1] for i in order])

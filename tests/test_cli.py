@@ -422,11 +422,38 @@ def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkey
     assert_a_full_from_train_all(runs)
 
 
-def test_sweep_ignores_a_full(corpus_file, tmp_path):
-    plain, with_a_full = tmp_path / "plain.csv", tmp_path / "a_full.csv"
-    assert run_cli("sweep", "--data", corpus_file, "--out", str(plain), *SWEEP_ARGS) == 0
-    assert run_cli("sweep", "--data", corpus_file, "--out", str(with_a_full), *SWEEP_ARGS, "--a-full", "0.9") == 0
-    assert with_a_full.read_bytes() == plain.read_bytes()
+OVERRIDDEN_FLAGS = [
+    *(("sweep", flag, value) for flag, value in [
+        ("--mode", "random-skip"), ("--epochs", "2"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
+        ("--n0", "0.3"), ("--predictor-window", "6"), ("--alt", "0.2"), ("--a-full", "0.9"),
+    ]),
+    *(("compare", flag, value) for flag, value in [
+        ("--mode", "train-all"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
+        ("--random-skip-ratio", "0.5"), ("--a-full", "0.9"),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", OVERRIDDEN_FLAGS, ids=[f"{c}{f}" for c, f, _ in OVERRIDDEN_FLAGS]
+)
+def test_sweep_and_compare_refuse_the_flags_they_override(
+    corpus_file, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the data for a command line it refuses")
+
+    monkeypatch.setattr(cli, "load_dataset", no_loading)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), flag, value) == 2
+    assert f"{command} sets these fields for each run, so it refuses their flags: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overridden_flags_cover_every_field_each_command_sets():
+    sets = {"sweep": cli.SWEEP_SETS, "compare": cli.COMPARE_SETS}
+    expected = {(command, cli._flag(name)) for command, names in sets.items() for name in names}
+    assert {(command, flag) for command, flag, _ in OVERRIDDEN_FLAGS} == expected
 
 
 def test_sweep_over_cap_exits_2(corpus_file, tmp_path, capsys):
@@ -592,7 +619,7 @@ def test_compare_fills_a_full_and_survives_a_control_that_skips_everything(corpu
     # skips every backward and its matched control skips every batch
     code = run_cli(
         "compare", "--data", corpus_file, "--seeds", "0,1", "--fixed-thresholds", "0.3,0.7",
-        "--a-full", "0.9", "--out", str(out),
+        "--out", str(out),
     )
     assert code == 0
     assert_a_full_from_train_all(runs)

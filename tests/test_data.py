@@ -193,17 +193,129 @@ def test_equal_tokens_across_loaded_examples_are_one_object(tmp_path):
 
 
 def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
-    # measured 529 bytes per example (CPython 3.11, numpy buffers included)
+    # measured 529 bytes held and 562 at the peak of the load per example
+    # (CPython 3.11, numpy buffers included)
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_toy_corpus(2000, seed=3), str(path))
     load_dataset(str(path))  # fills the hash cache, which outlives any one corpus
     tracemalloc.start()
     try:
         examples = load_dataset(str(path))
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held / len(examples) < 640
+    assert peak / len(examples) < 640
+
+
+# -- bulk featurization -----------------------------------------------------------
+
+
+def assert_featurized_in_bulk(examples):
+    """Every example's buckets equal ``vectorize`` of its tokens, and all are
+    read-only views of one read-only array."""
+    base = examples[0].features().base
+    assert base is not None and not base.flags.writeable
+    for example in examples:
+        got, want = example.features(), vectorize(example.tokens)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got.base is base and not got.flags.writeable
+
+
+def _colliding_tokens():
+    """Two distinct tokens with the same bucket."""
+    seen = {}
+    for i in range(5000):
+        token = f"c{i}"
+        if hash_bucket(token) in seen:
+            return seen[hash_bucket(token)], token
+        seen[hash_bucket(token)] = token
+    raise AssertionError("no colliding pair among 5000 tokens")
+
+
+def _load_texts(tmp_path, texts):
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps({"text": t, "label": i % 2}) + "\n" for i, t in enumerate(texts)))
+    examples = load_dataset(str(path))
+    assert [ex.text for ex in examples] == texts
+    return examples
+
+
+BULK_CORPORA = {
+    "zero-token-first-middle-last": ["!!!", "good movie", "...", "bad plot", "!!!"],
+    "repeated-tokens": ["a a a b b", "b a b a", "a", "b b"],
+    "non-ascii": ["Ünïcödé STRASSE straße", "ΣΑΣ σας", "日本語 テキスト", "émoji 🙂 ok"],
+    "one-example": ["just one example"],
+    "one-zero-token-example": ["?!"],
+}
+
+
+@pytest.mark.parametrize("name", BULK_CORPORA)
+def test_loaded_features_equal_vectorize(tmp_path, name):
+    assert_featurized_in_bulk(_load_texts(tmp_path, BULK_CORPORA[name]))
+
+
+def test_loaded_colliding_tokens_share_one_bucket(tmp_path):
+    first, second = _colliding_tokens()
+    examples = _load_texts(tmp_path, [f"{first} {second}", first, f"x {second}", f"{second} y {first} {first}"])
+    assert_featurized_in_bulk(examples)
+    assert [ex.features().size for ex in examples] == [1, 1, 2, 2]
+
+
+def test_loaded_tsv_features_equal_vectorize(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_text("!!!\t0\ngood good movie\t1\nplot\t0\n")
+    assert_featurized_in_bulk(load_dataset(str(path)))
+
+
+def test_toy_corpus_features_equal_vectorize():
+    corpus = generate_toy_corpus(300, seed=4, min_tokens=0, max_tokens=3, shared_vocab=5)
+    assert any(not ex.tokens for ex in corpus)
+    assert_featurized_in_bulk(corpus)
+
+
+def test_loading_an_empty_file_gives_no_examples(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n  \n")
+    assert load_dataset(str(path)) == []
+
+
+# -- JSONL parsing matches json.loads ------------------------------------------------
+
+
+JSON_LINES = {
+    "leading-whitespace": ('  {"text": "a b", "label": 1}', True),
+    "trailing-whitespace": ('{"text": "a b", "label": 1} \t', True),
+    "crlf": ('{"text": "a b", "label": 1}\r', True),
+    "utf8-bom": ('\ufeff{"text": "a b", "label": 1}', False),
+    "trailing-text": ('{"text": "a b", "label": 1} tail', False),
+    "two-objects": ('{"text": "a b", "label": 1}{"text": "c", "label": 0}', False),
+    "non-object": ('["a b", 1]', False),
+    "malformed": ('{"text": "a b", "label": 1,}', False),
+}
+
+
+@pytest.mark.parametrize("name", JSON_LINES)
+def test_jsonl_lines_load_as_json_loads_reads_them(tmp_path, name):
+    line, accepted = JSON_LINES[name]
+    path = tmp_path / "data.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write('{"text": "ok", "label": 0}\n' + line + "\n")
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        expected = f"line 2: malformed JSON record: {exc}"
+    else:
+        expected = None if isinstance(record, dict) else "line 2: record must have 'text' and 'label' fields"
+    assert (expected is None) == accepted
+    if accepted:
+        examples = load_dataset(str(path))
+        assert [(ex.text, ex.label) for ex in examples] == [("ok", 0), (record["text"], record["label"])]
+    else:
+        with pytest.raises(ValueError) as error:
+            load_dataset(str(path))
+        assert str(error.value) == expected
 
 
 def test_load_unknown_extension_needs_format(tmp_path):
