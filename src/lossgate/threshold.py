@@ -73,22 +73,18 @@ class ThresholdState:
             raise RuntimeError("model diverged: non-finite loss window variance")
         return var
 
-    def is_stable(self, variance_tolerance: float) -> bool:
-        if variance_tolerance < 0:
-            raise ValueError("variance_tolerance must be >= 0")
-        var = self.variance()
-        return var is not None and var <= variance_tolerance
-
     def freeze(self, override: float | None = None) -> None:
         """Fix the threshold at its current value. Idempotent.
 
         ``override`` replaces the frozen value; it exists for diagnostics such
-        as forcing the gate permanently open.
+        as forcing the gate permanently open. The window's variance is checked
+        first, so a diverged window raises and leaves the state unfrozen.
         """
         if self.frozen:
             return
         if not self.window_full:
             raise ValueError("cannot freeze with a partial window")
+        self.variance()
         self._frozen_value = float(override) if override is not None else self.l_low
 
     @property
@@ -98,7 +94,3 @@ class ThresholdState:
         if value is None:
             raise ValueError("threshold undefined: window has never been full")
         return self.skip_margin_gamma * value
-
-    def should_skip_backward(self, batch_loss: float) -> bool:
-        """True when the loss falls strictly below the gate."""
-        return make_label(batch_loss, self.skip_boundary) == 0

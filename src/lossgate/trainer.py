@@ -82,7 +82,6 @@ class TrainerConfig:
     predictor_window: int = 8
     alt: float = 0.3
     skip_margin_gamma: float = 1.0
-    variance_tolerance: float = 1e-4
     smoothing_alpha: float = 1.0
     batch_decision: str = field(default="mean", metadata={"choices": DECISION_POLICIES})
     fixed_threshold: float | None = None
@@ -121,7 +120,7 @@ class TrainerConfig:
         for name in ("learning_rate", "alt", "skip_margin_gamma", "smoothing_alpha", "t_forward", "t_backward"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("seed", "variance_tolerance", "power_cpu_watts", "power_dram_watts", "power_gpu_watts", "gpu_count"):
+        for name in ("seed", "power_cpu_watts", "power_dram_watts", "power_gpu_watts", "gpu_count"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
         if not 0.0 < self.n0_fraction <= 1.0:
@@ -197,7 +196,6 @@ class Trainer:
         self.full_steps = 0
         self.backward_filter_start: int | None = None
         self.full_filter_start: int | None = None
-        self.threshold_stable_at: int | None = None
         # a run is staged iff it has a loss gate, and three-stage adds a predictor
         self.threshold = None
         if config.mode in ("three-stage", "auto-threshold-only"):
@@ -247,8 +245,6 @@ class Trainer:
 
     def _observe_loss(self, batch: MiniBatch, loss: float, label: int) -> None:
         self.threshold.observe(loss)
-        if self.threshold_stable_at is None and self.threshold.is_stable(self.config.variance_tolerance):
-            self.threshold_stable_at = self.batches_seen
 
     def _score_and_update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
         # a single-class predictor is degenerate (its smoothed posteriors
@@ -363,7 +359,6 @@ class Trainer:
         boundaries = {
             "backward_filter_start": self.backward_filter_start,
             "full_filter_start": self.full_filter_start,
-            "threshold_stable_at": self.threshold_stable_at,
             "l_low": None if self.threshold is None else self.threshold.l_low,
         }
         return RunReport(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lossgate.threshold import ThresholdState
+from lossgate.threshold import ThresholdState, make_label
 
 
 def filled(values, window_size, **kw):
@@ -70,33 +70,30 @@ def test_observe_rejects_bad_losses():
         state.observe(float("nan"))
 
 
-# -- stability --------------------------------------------------------------------
+# -- window variance ----------------------------------------------------------------
 
 
-def test_constant_window_is_stable_at_zero_tolerance():
+def test_constant_window_has_zero_variance():
     state = filled([0.5, 0.5, 0.5], window_size=3)
-    assert state.is_stable(0.0)
+    assert state.variance() == 0.0
 
 
 def test_two_point_window_variance():
     state = filled([0.0, 1.0], window_size=2)
     assert state.variance() == pytest.approx(0.5, abs=1e-15)
-    assert not state.is_stable(0.1)
 
 
-def test_stability_at_reference_variation():
+def test_reference_window_variance():
     # sample variance of {c - d, c + d} is 2 d^2; pick d for 4.3e-5
     d = math.sqrt(4.3e-5 / 2)
     state = filled([0.6 - d, 0.6 + d], window_size=2)
     assert state.variance() == pytest.approx(4.3e-5, rel=1e-9)
-    assert state.is_stable(1e-4)
-    assert not state.is_stable(1e-5)
 
 
-def test_partial_window_never_stable():
+def test_partial_window_has_no_variance():
     state = ThresholdState(5)
     state.observe(0.2)
-    assert not state.is_stable(1e6)
+    assert state.variance() is None
 
 
 def test_overflowing_window_variance_raises():
@@ -105,12 +102,13 @@ def test_overflowing_window_variance_raises():
     with pytest.raises(RuntimeError, match="non-finite loss window variance"):
         state.variance()
     with pytest.raises(RuntimeError, match="non-finite loss window variance"):
-        state.is_stable(1.0)
+        state.freeze()
+    assert not state.frozen
 
 
 def test_single_slot_window_has_zero_variance():
     state = filled([0.9], window_size=1)
-    assert state.is_stable(0.0)
+    assert state.variance() == 0.0
 
 
 # -- freeze -----------------------------------------------------------------------
@@ -144,31 +142,31 @@ def test_freeze_override_for_diagnostics():
     state = filled([0.2, 0.4], window_size=2)
     state.freeze(override=float("-inf"))
     assert state.l_low == float("-inf")
-    assert not state.should_skip_backward(0.0)
+    assert make_label(0.0, state.skip_boundary) == 1  # -inf trains everything
 
 
 # -- skip decisions -----------------------------------------------------------------
 
 
-def test_should_skip_strict_comparison():
+def test_gate_label_strict_comparison():
     state = filled([0.4, 0.4], window_size=2)
-    assert state.should_skip_backward(0.1) is True
-    assert state.should_skip_backward(0.4) is False  # boundary stays trainable
-    assert state.should_skip_backward(0.9) is False
+    assert make_label(0.1, state.skip_boundary) == 0
+    assert make_label(0.4, state.skip_boundary) == 1  # boundary stays trainable
+    assert make_label(0.9, state.skip_boundary) == 1
 
 
-def test_should_skip_before_window_full_raises():
+def test_gate_before_window_full_raises():
     state = ThresholdState(2)
     state.observe(0.3)
     with pytest.raises(ValueError, match="undefined"):
-        state.should_skip_backward(0.1)
+        make_label(0.1, state.skip_boundary)
 
 
 def test_skip_margin_gamma_scales_the_gate():
     state = filled([0.4, 0.4], window_size=2, skip_margin_gamma=0.5)
     assert state.skip_boundary == pytest.approx(0.2, abs=1e-15)
-    assert state.should_skip_backward(0.15) is True
-    assert state.should_skip_backward(0.3) is False
+    assert make_label(0.15, state.skip_boundary) == 0
+    assert make_label(0.3, state.skip_boundary) == 1
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -180,6 +178,6 @@ def test_skip_margin_gamma_must_be_positive_and_finite(gamma):
 
 def test_skip_decision_is_pure():
     state = filled([0.5, 0.7], window_size=2)
-    answers = [state.should_skip_backward(0.55) for _ in range(5)]
-    assert answers == [True] * 5
+    answers = [make_label(0.55, state.skip_boundary) for _ in range(5)]
+    assert answers == [0] * 5
     assert state.l_low == pytest.approx(0.6, abs=1e-15)
