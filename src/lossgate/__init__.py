@@ -18,7 +18,7 @@ from .data import (
 )
 from .metapredictor import NaiveBayesModel
 from .metrics import AgotParams, EnergyParams, SkipFractions, TimingModel, agot, energy_co2, t_norm, total_time
-from .model import ForwardResult, TargetModel
+from .model import ForwardResult, TargetModel, load_checkpoint, save_checkpoint
 from .threshold import ThresholdState, make_label
 from .trainer import (
     RunReport,
@@ -56,6 +56,7 @@ __all__ = [
     "energy_co2",
     "generate_toy_corpus",
     "hash_bucket",
+    "load_checkpoint",
     "load_dataset",
     "make_batches",
     "make_label",
@@ -63,6 +64,7 @@ __all__ = [
     "pack_examples",
     "run",
     "run_random_skip",
+    "save_checkpoint",
     "t_norm",
     "tokenize",
     "total_time",

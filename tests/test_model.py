@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.special import expit
 
 from lossgate.data import Example, pack, pack_examples, tokenize, vectorize
-from lossgate.model import ForwardResult, TargetModel
+from lossgate.model import ForwardResult, TargetModel, load_checkpoint, save_checkpoint
 
 
 def ex(tokens, label):
@@ -100,7 +101,7 @@ def test_forward_matches_per_example_sums():
     rng = np.random.default_rng(9)
     for _ in range(20):
         model = TargetModel()
-        model.weights[:] = rng.normal(scale=0.5, size=model.weights.size)
+        model.weights[:] = rng.normal(scale=0.5, size=model.dimension)
         model.bias = rng.normal()
         examples = [ex([f"w{rng.integers(40)}" for _ in range(rng.integers(0, 15))], 1) for _ in range(6)]
         scores = [model.bias + sum(model.weights[e.features()].tolist()) for e in examples]
@@ -275,3 +276,83 @@ def test_evaluate_rejects_empty():
 def test_model_rejects_bad_learning_rate(learning_rate):
     with pytest.raises(ValueError, match="learning_rate"):
         TargetModel(learning_rate=learning_rate)
+
+
+# -- checkpoint ------------------------------------------------------------------
+
+
+def test_checkpoint_roundtrip(tmp_path):
+    rng = np.random.default_rng(7)
+    model, b = random_case(rng)
+    model.backward(model.forward(b))
+    path = tmp_path / "model.json"
+    save_checkpoint(model, str(path))
+    loaded = load_checkpoint(str(path))
+    assert np.array_equal(loaded.weights, model.weights)
+    assert loaded.bias == model.bias
+    assert loaded.step_count == model.step_count
+    assert loaded.learning_rate == model.learning_rate
+    assert loaded.forward(b).batch_loss == model.forward(b).batch_loss
+
+
+MISSING = object()  # a field value that leaves the field out of the checkpoint
+
+VALID_CHECKPOINT = {"dimension": 8, "learning_rate": 0.5, "step_count": 2, "bias": -0.25, "weights": [[1, 0.5], [7, -1.5]]}
+
+
+def _checkpoint(tmp_path, **changes):
+    """Path of ``VALID_CHECKPOINT`` with ``changes`` applied to its fields."""
+    payload = {key: value for key, value in {**VALID_CHECKPOINT, **changes}.items() if value is not MISSING}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_load_checkpoint_accepts_valid_checkpoint(tmp_path):
+    model = load_checkpoint(_checkpoint(tmp_path))
+    assert model.weights.tolist() == [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -1.5]
+    assert (model.bias, model.step_count, model.learning_rate) == (-0.25, 2, 0.5)
+    path = tmp_path / "again.json"
+    save_checkpoint(model, str(path))
+    assert json.loads(path.read_text(encoding="utf-8")) == VALID_CHECKPOINT
+
+
+BAD_CHECKPOINTS = {
+    "negative-bucket": ("weights", [[-1, 0.5]], "bucket -1 outside"),
+    "bucket-at-dimension": ("weights", [[8, 0.5]], "bucket 8 outside"),
+    "float-bucket": ("weights", [[3.7, 0.5]], "pair"),
+    "bool-bucket": ("weights", [[True, 0.5]], "pair"),
+    "nan-weight": ("weights", [[1, float("nan")]], "pair"),
+    "inf-weight": ("weights", [[1, float("inf")]], "pair"),
+    "short-entry": ("weights", [[1]], "pair"),
+    "inf-bias": ("bias", float("inf"), "bias"),
+    "nan-bias": ("bias", float("nan"), "bias"),
+    "negative-step_count": ("step_count", -5, "step_count"),
+    "float-step_count": ("step_count", 2.0, "step_count"),
+    "zero-dimension": ("dimension", 0, "dimension"),
+    "float-dimension": ("dimension", 8.0, "dimension"),
+    "nan-learning_rate": ("learning_rate", float("nan"), "learning_rate"),
+    "inf-learning_rate": ("learning_rate", float("inf"), "learning_rate"),
+    "zero-learning_rate": ("learning_rate", 0.0, "learning_rate"),
+    "string-learning_rate": ("learning_rate", "0.5", "learning_rate"),
+    "missing-bias": ("bias", MISSING, "missing key.*'bias'"),
+    "missing-weights": ("weights", MISSING, "missing key.*'weights'"),
+    "object-weights": ("weights", {"1": 0.5}, "weights must be a list"),
+    "number-weights": ("weights", 3, "weights must be a list"),
+    "null-weights": ("weights", None, "weights must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_load_checkpoint_rejects_invalid(tmp_path, case):
+    field, value, match = BAD_CHECKPOINTS[case]
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(_checkpoint(tmp_path, **{field: value}))
+
+
+@pytest.mark.parametrize("payload", [[1, 2], None, "model", 3])
+def test_load_checkpoint_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        load_checkpoint(str(path))
