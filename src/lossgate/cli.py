@@ -1,7 +1,8 @@
 """Command-line surface: single runs, grid sweeps, baseline comparisons, and
 toy-corpus generation.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 runtime error.
+Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
+output path that resolves to an input or to another output exits 2.
 
 TrainerConfig field field_name is flag --field-name, but for six spelled
 otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
@@ -155,6 +156,20 @@ def _config_from_args(args: argparse.Namespace) -> TrainerConfig:
         return TrainerConfig(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _reject_clobbering(args: argparse.Namespace) -> None:
+    """An output path that resolves to an input or to another output would
+    overwrite that file."""
+    inputs, outputs = ("data", "eval_data", "config"), ("out", "eval_out", "report", "trace")
+    named: dict[str, str] = {}
+    for name in inputs + outputs:
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        other = named.setdefault(os.path.realpath(path), name)
+        if other != name and name in outputs:
+            raise UsageError(f"{_flag(name)} and {_flag(other)} name the same file: {path}")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -476,6 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_clobbering(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

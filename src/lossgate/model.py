@@ -16,14 +16,13 @@ sum of every coefficient, before its ``np.add.at`` scatter.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, read_json_fields
+from .data import HASH_BUCKETS, MiniBatch
 
 
 @dataclass
@@ -56,10 +55,6 @@ class TargetModel:
         self.bias = 0.0
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-
-    @property
-    def dimension(self) -> int:
-        return self.weights.shape[0]
 
     def _scores(self, batch: MiniBatch) -> np.ndarray:
         weights = self.weights[batch.indices]
@@ -108,52 +103,3 @@ class TargetModel:
         preds = (self._scores(batch) > 0.0).astype(np.int64)
         return float(np.mean(preds == batch.labels))
 
-
-def save_checkpoint(model: TargetModel, path: str) -> None:
-    """Write the model as JSON: non-zero (bucket, weight) pairs plus scalars."""
-    nonzero = np.flatnonzero(model.weights)
-    payload = {
-        "dimension": model.dimension,
-        "learning_rate": model.learning_rate,
-        "step_count": model.step_count,
-        "bias": model.bias,
-        "weights": [[int(b), float(model.weights[b])] for b in nonzero],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path: str) -> TargetModel:
-    """Read a ``save_checkpoint`` file.
-
-    Raises ValueError on a checkpoint no live model could have written: a
-    payload that is not an object or lacks a key, a ``dimension`` that is not
-    a positive integer, a ``step_count`` that is not a non-negative integer, a
-    learning rate that is not positive and finite, a bias or weight that is
-    not finite, ``weights`` that are not a list, or a bucket that is not an
-    integer in ``[0, dimension)``.
-    """
-    dimension, learning_rate, step_count, bias, weights = read_json_fields(
-        path, "dimension", "learning_rate", "step_count", "bias", "weights"
-    )
-    if not is_int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-    if not is_finite(learning_rate):
-        raise ValueError(f"learning_rate must be a finite number, got {learning_rate!r}")
-    if not is_int(step_count) or step_count < 0:
-        raise ValueError(f"step_count must be a non-negative integer, got {step_count!r}")
-    if not is_finite(bias):
-        raise ValueError(f"bias must be a finite number, got {bias!r}")
-    if not isinstance(weights, list):
-        raise ValueError(f"weights must be a list, got {type(weights).__name__}")
-    model = TargetModel(learning_rate=learning_rate, dimension=dimension)
-    model.bias = float(bias)
-    model.step_count = step_count
-    for entry in weights:
-        if not (isinstance(entry, list) and len(entry) == 2 and is_int(entry[0]) and is_finite(entry[1])):
-            raise ValueError(f"weight entry must be an [integer bucket, finite weight] pair, got {entry!r}")
-        bucket, value = entry
-        if not 0 <= bucket < dimension:
-            raise ValueError(f"bucket {bucket} outside [0, {dimension})")
-        model.weights[bucket] = float(value)
-    return model

@@ -131,9 +131,10 @@ class TrainerConfig:
             raise ValueError("a_full must lie in [0, 1]")
         if self.mode == "fixed-threshold" and self.fixed_threshold is None:
             raise ValueError("fixed-threshold mode needs fixed_threshold")
-        if self.mode == "random-skip":
-            if self.random_skip_ratio is None or not 0.0 <= self.random_skip_ratio < 1.0:
-                raise ValueError("random-skip mode needs random_skip_ratio in [0, 1)")
+        if self.random_skip_ratio is not None and not 0.0 <= self.random_skip_ratio < 1.0:
+            raise ValueError("random_skip_ratio must lie in [0, 1)")
+        if self.mode == "random-skip" and self.random_skip_ratio is None:
+            raise ValueError("random-skip mode needs random_skip_ratio")
 
 
 # the report JSON names these fields as in the paper; the rest keep their own

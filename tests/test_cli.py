@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,14 @@ def test_gen_toy_bad_argument_exits_2_and_writes_nothing(tmp_path, capsys, case,
     assert not eval_out.exists()
 
 
+def test_gen_toy_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    out = tmp_path / "same.jsonl"
+    code = run_cli("gen-toy", "--out", str(out), "--eval-out", str(out), "--num-examples", "50", "--eval-size", "5")
+    assert code == 2
+    assert f"--eval-out and --out name the same file: {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- run --------------------------------------------------------------------------
 
 
@@ -320,6 +329,8 @@ BAD_CONFIGS = [
     ("power_cpu_watts", ["--power-cpu", "inf"], None),
     ("a_full", ["--a-full", "7"], None),
     ("a_full-negative", ["--a-full", "-0.5"], None),
+    ("random_skip_ratio", ["--random-skip-ratio", "-3"], None),
+    ("random_skip_ratio-missing", ["--mode", "random-skip"], None),
 ]
 
 
@@ -337,6 +348,23 @@ def test_run_bad_config_exits_2_before_training(corpus_file, tmp_path, capsys, m
     assert run_cli(*argv) == 2
     field = case.partition("-")[0]
     assert field in capsys.readouterr().err
+
+
+def refuse_loading(monkeypatch):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the data for a command line it refuses")
+
+    monkeypatch.setattr(cli, "load_dataset", no_loading)
+
+
+@pytest.mark.parametrize("flag, other", [("--trace", "--report"), ("--trace", "--config")])
+def test_run_refuses_an_output_that_is_another_file_it_names(corpus_file, tmp_path, capsys, monkeypatch, flag, other):
+    refuse_loading(monkeypatch)
+    path = tmp_path / "same.txt"
+    path.write_text("mode = train-all\n")
+    assert run_cli("run", "--data", corpus_file, other, str(path), flag, str(path)) == 2
+    assert f"{flag} and {other} name the same file: {path}" in capsys.readouterr().err
+    assert path.read_text() == "mode = train-all\n"
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -440,10 +468,7 @@ OVERRIDDEN_FLAGS = [
 def test_sweep_and_compare_refuse_the_flags_they_override(
     corpus_file, tmp_path, capsys, monkeypatch, command, flag, value
 ):
-    def no_loading(*args, **kwargs):
-        raise AssertionError("loaded the data for a command line it refuses")
-
-    monkeypatch.setattr(cli, "load_dataset", no_loading)
+    refuse_loading(monkeypatch)
     out = tmp_path / "out.csv"
     assert run_cli(command, "--data", corpus_file, "--out", str(out), flag, value) == 2
     assert f"{command} sets these fields for each run, so it refuses their flags: {flag}" in capsys.readouterr().err
@@ -546,6 +571,17 @@ def test_sweep_bad_grid_value_exits_2_before_training(corpus_file, tmp_path, cap
     assert message in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
+
+
+def test_sweep_refuses_an_out_path_that_resolves_to_its_data(corpus_file, tmp_path, capsys, monkeypatch):
+    refuse_loading(monkeypatch)
+    data = tmp_path / "toy.jsonl"
+    data.write_bytes(Path(corpus_file).read_bytes())
+    link = tmp_path / "sweep.csv"
+    link.symlink_to(data)
+    assert run_cli("sweep", "--data", str(data), "--out", str(link), *SWEEP_ARGS) == 2
+    assert f"--out and --data name the same file: {link}" in capsys.readouterr().err
+    assert data.read_bytes() == Path(corpus_file).read_bytes()
 
 
 # -- compare -----------------------------------------------------------------------
