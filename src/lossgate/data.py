@@ -3,16 +3,18 @@
 Text is reduced to presence bits over a fixed 2**18-bucket hash space so no
 vocabulary pass is needed; everything downstream stays single-pass.
 
-A loaded corpus is featurized in bulk: ``load_dataset`` checks every record
-first, then hashes each distinct token once and sorts the whole corpus's
-``(example, bucket)`` keys in one array, whose read-only slices are the
-examples' buckets. ``generate_toy_corpus`` does the same; an ``Example``
-built directly runs ``vectorize``, the one-example definition. The corpus is
-kept compact: tokens are interned, so a token repeated across examples is
-one string object, and ``Example`` and ``MiniBatch`` are slotted. Batching
-packs the examples once into three read-only arrays (buckets, in-batch rows,
-labels) and every ``MiniBatch`` is a slice of them. Packing rejects a label
-other than 0 or 1.
+A loaded corpus is featurized in bulk, once per distinct text:
+``load_dataset`` checks every record first, then tokenizes each distinct
+text once, hashes each distinct token once and sorts the distinct texts'
+``(text, bucket)`` keys in one array, whose read-only slices are the
+buckets. Duplicate texts share the ``text`` string and the bucket view; each
+duplicate owns its copy of the token list. ``generate_toy_corpus`` does the
+same; an ``Example`` built directly runs ``vectorize``, the one-example
+definition. The corpus is kept compact: tokens are interned, so a token
+repeated across examples is one string object, and ``Example`` and
+``MiniBatch`` are slotted. Batching packs the examples once into three
+read-only arrays (buckets, in-batch rows, labels) and every ``MiniBatch`` is
+a slice of them. Packing rejects a label other than 0 or 1.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarra
     """Every token list's ``vectorize``, in bulk: the lists' sorted, distinct
     buckets concatenated into one read-only array, and the offset where each
     list's buckets end. ``hash_bucket`` runs once per distinct token, and the
-    keys ``row * HASH_BUCKETS + bucket`` of all lists are sorted once."""
+    keys ``row * HASH_BUCKETS + bucket`` of all lists are sorted once. A load
+    passes one list per distinct text, so duplicates add no keys."""
     buckets = dict.fromkeys(chain.from_iterable(token_lists))
     for token in buckets:
         buckets[token] = hash_bucket(token)
@@ -107,13 +110,22 @@ def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarra
 
 def _featurized(texts: list[str], labels: list[int]) -> list[Example]:
     """``Example(text, tokenize(text), label)`` for each pair, featurized in
-    bulk: each example's buckets are a read-only slice of one array."""
-    token_lists = list(map(tokenize, texts))
+    bulk once per distinct text: equal texts share one ``text`` object and
+    one read-only slice of one bucket array, and each example owns a copy of
+    its content's token list, so editing one leaves its duplicates alone."""
+    content_ids: dict[str, int] = {}
+    contents = [content_ids.setdefault(text, len(content_ids)) for text in texts]
+    distinct = list(content_ids)
+    token_lists = list(map(tokenize, distinct))
     buckets, ends = _corpus_buckets(token_lists)
+    ends = ends.tolist()
+    views = [buckets[start:end] for start, end in zip(chain((0,), ends), ends)]
     examples = []
-    for text, tokens, label, start, end in zip(texts, token_lists, labels, chain((0,), ends), ends):
+    for content, label in zip(contents, labels):
         example = Example.__new__(Example)
-        example.text, example.tokens, example.label, example._buckets = text, tokens, label, buckets[start:end]
+        example.text, example.tokens, example.label, example._buckets = (
+            distinct[content], token_lists[content].copy(), label, views[content]
+        )
         examples.append(example)
     return examples
 

@@ -193,8 +193,8 @@ def test_equal_tokens_across_loaded_examples_are_one_object(tmp_path):
 
 
 def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
-    # measured 529 bytes held and 562 at the peak of the load per example
-    # (CPython 3.11, numpy buffers included)
+    # measured 267 bytes held and 425 at the peak of the load per example
+    # (CPython 3.11, numpy buffers included; duplicates share text and buckets)
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_toy_corpus(2000, seed=3), str(path))
     load_dataset(str(path))  # fills the hash cache, which outlives any one corpus
@@ -204,8 +204,8 @@ def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held / len(examples) < 640
-    assert peak / len(examples) < 640
+    assert held / len(examples) < 320
+    assert peak / len(examples) < 480
 
 
 # -- bulk featurization -----------------------------------------------------------
@@ -273,6 +273,73 @@ def test_toy_corpus_features_equal_vectorize():
     corpus = generate_toy_corpus(300, seed=4, min_tokens=0, max_tokens=3, shared_vocab=5)
     assert any(not ex.tokens for ex in corpus)
     assert_featurized_in_bulk(corpus)
+
+
+# -- duplicate texts share their content -----------------------------------------
+
+
+def assert_duplicates_share_content(examples):
+    """Examples with equal texts share one ``text`` object and one bucket
+    array, and each owns its token list: appending to one leaves the rest."""
+    groups = {}
+    for example in examples:
+        groups.setdefault(example.text, []).append(example)
+    duplicated = [group for group in groups.values() if len(group) > 1]
+    assert duplicated
+    for first, *rest in duplicated:
+        for other in rest:
+            assert other.text is first.text
+            assert other.features() is first.features()
+            assert other.tokens == first.tokens and other.tokens is not first.tokens
+            other.tokens.append("edited")
+            assert first.tokens == tokenize(first.text)
+            other.tokens.pop()
+    assert_featurized_in_bulk(examples)
+
+
+def test_loaded_duplicate_texts_share_content(tmp_path):
+    path = tmp_path / "data.jsonl"
+    records = [
+        {"text": "Good movie, great plot", "label": 1},
+        {"text": "bad acting", "label": 0},
+        {"text": "Good movie, great plot", "label": 0},
+        {"text": "Good movie,", "text2": "great plot", "label": 1},
+        {"text": "good movie great plot", "label": 0},
+    ]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    examples = load_dataset(str(path))
+    assert_duplicates_share_content(examples)
+    assert examples[3].text is examples[0].text
+    # equal tokens from a different text are a different content
+    assert examples[4].tokens == examples[0].tokens
+    assert examples[4].features() is not examples[0].features()
+
+
+def test_loaded_tsv_duplicate_texts_share_content(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_text("a b b\t1\nc\t0\na b b\t0\n!!!\t1\n!!!\t0\n")
+    assert_duplicates_share_content(load_dataset(str(path)))
+
+
+def test_toy_corpus_duplicates_share_content():
+    assert_duplicates_share_content(generate_toy_corpus(200, duplication=4))
+
+
+def test_a_load_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    write_jsonl(generate_toy_corpus(200, duplication=4), str(path))
+    calls = Counter()
+
+    def counted_tokenize(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    monkeypatch.setattr("lossgate.data.tokenize", counted_tokenize)
+    for load in (lambda: load_dataset(str(path)), lambda: generate_toy_corpus(200, duplication=4)):
+        calls.clear()
+        examples = load()
+        assert len(calls) == 50
+        assert calls == Counter({example.text for example in examples})
 
 
 def test_loading_an_empty_file_gives_no_examples(tmp_path):
