@@ -33,7 +33,7 @@ print("fresh predictor decision:", predictor.predict_batch(pack_examples(corpus[
 for m, pick in enumerate(order[:150]):
     batch, label = batches[pick]
     if predictor.has_both_classes:
-        window.append(predictor.loss(batch, [label] * len(batch)))
+        window.append(predictor.loss(batch, label))
     predictor.update(batch, label)
     if m in (1, 5, 20, 60, 149):
         full = len(window) == window.maxlen
@@ -43,4 +43,4 @@ for m, pick in enumerate(order[:150]):
 held_batch, held_label = batches[order[150]]
 decision, p1 = predictor.predict_batch(held_batch)
 print(f"\nheld-out batch with true label {held_label}: decision={decision} mean posterior={p1:.3f}")
-print("examples seen per class:", predictor.class_counts.tolist())
+print("examples seen per class:", predictor.class_counts)

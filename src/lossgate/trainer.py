@@ -251,7 +251,7 @@ class Trainer:
         # a single-class predictor is degenerate (its smoothed posteriors
         # saturate), so its loss only counts once both classes are seen
         if self.predictor.has_both_classes:
-            self.predictor_losses.append(self.predictor.loss(batch, [label] * len(batch)))
+            self.predictor_losses.append(self.predictor.loss(batch, label))
         self.predictor.update(batch, label)
 
     def _update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:

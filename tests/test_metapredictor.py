@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import combinations
 
@@ -6,12 +5,7 @@ import numpy as np
 import pytest
 
 from lossgate.data import HASH_BUCKETS, pack
-from lossgate.metapredictor import (
-    _LOG_TABLE_SIZE,
-    NaiveBayesModel,
-    load_predictor,
-    save_predictor,
-)
+from lossgate.metapredictor import _LOG_TABLE_SIZE, NaiveBayesModel
 from lossgate.threshold import ThresholdState, make_label
 
 
@@ -84,7 +78,7 @@ def test_update_empty_feature_list_is_noop():
 def test_update_counts_one_example():
     model = NaiveBayesModel()
     model.update(pack([bow(3, 7)]), 1)
-    assert list(model.class_counts) == [0, 1]
+    assert model.class_counts == [0, 1]
     assert model.bucket_count(1, 3) == 1
     assert model.bucket_count(1, 7) == 1
     assert model.bucket_count(0, 3) == 0
@@ -98,7 +92,7 @@ def test_update_order_does_not_matter():
     b = NaiveBayesModel()
     for feats, label in reversed(batches):
         b.update(feats, label)
-    assert list(a.class_counts) == list(b.class_counts)
+    assert a.class_counts == b.class_counts
     assert np.array_equal(a._bucket_counts, b._bucket_counts)
 
 
@@ -106,10 +100,10 @@ def test_update_order_does_not_matter():
 def test_update_rejects_a_non_integer_label_before_counting(label):
     model = NaiveBayesModel()
     model.update(pack([bow(3, 7), bow(7)]), 0)
-    before = (model.class_counts.copy(), model._bucket_counts.copy(), model._hist.copy(), list(model._top))
+    before = (list(model.class_counts), model._bucket_counts.copy(), model._hist.copy(), list(model._top))
     with pytest.raises(ValueError, match="label"):
         model.update(pack([bow(3, 9), bow(9)]), label)
-    assert np.array_equal(model.class_counts, before[0])
+    assert model.class_counts == before[0]
     assert np.array_equal(model._bucket_counts, before[1])
     assert np.array_equal(model._hist, before[2])
     assert model._top == before[3]
@@ -127,14 +121,15 @@ def test_update_accepts_a_numpy_integer_label(label):
 def test_counts_never_decrease():
     rng = np.random.default_rng(0)
     model = NaiveBayesModel()
-    prev_class = model.class_counts.copy()
+    prev_class = list(model.class_counts)
     prev_buckets = model._bucket_counts[:, :100].copy()
     for _ in range(30):
         feats = pack([rng.choice(100, size=3, replace=False)])
         model.update(feats, int(rng.integers(0, 2)))
-        assert np.all(model.class_counts >= prev_class)
+        # element by element: ``list >= list`` compares lexicographically
+        assert all(now >= prev for now, prev in zip(model.class_counts, prev_class))
         assert np.all(model._bucket_counts[:, :100] >= prev_buckets)
-        prev_class = model.class_counts.copy()
+        prev_class = list(model.class_counts)
         prev_buckets = model._bucket_counts[:, :100].copy()
 
 
@@ -274,6 +269,16 @@ def test_predict_batch_fails_open_without_both_classes():
     assert NaiveBayesModel().predict_batch(pack([bow(1)])) == (1, None)
 
 
+@pytest.mark.parametrize("trained", [0, 1, 2], ids=["untrained", "one-class", "both-classes"])
+def test_predict_batch_empty_batch_raises_in_every_state(trained):
+    # an empty batch is refused whether or not the predictor would fail open
+    model = NaiveBayesModel()
+    for label in range(trained):
+        model.update(pack([bow(1)]), label)
+    with pytest.raises(ValueError, match="empty batch"):
+        model.predict_batch(pack([]))
+
+
 def test_predict_batch_vote_policy():
     model = _biased_model(toward=1)
     decision, _ = model.predict_batch(pack([bow(1), bow(1), bow(2)]), policy="vote")
@@ -291,9 +296,8 @@ def test_zero_bucket_example_last_in_batch():
     rows = [bow(1, 2), bow(3), bow()]
     batch = pack(rows)
     p1 = np.array([model.posterior(r) for r in rows])
-    labels = [1, 0, 1]
-    expected = -np.mean(np.log([p1[0], 1.0 - p1[1], p1[2]]))
-    assert model.loss(batch, labels) == pytest.approx(expected, abs=1e-12)
+    assert model.loss(batch, 1) == pytest.approx(-np.mean(np.log(p1)), abs=1e-12)
+    assert model.loss(batch, 0) == pytest.approx(-np.mean(np.log(1.0 - p1)), abs=1e-12)
     decision, mean_p1 = model.predict_batch(batch)
     assert mean_p1 == pytest.approx(p1.mean(), abs=1e-12)
     assert decision == int(p1.mean() >= 0.5)
@@ -308,7 +312,8 @@ def test_loss_uniform_predictor_is_ln2():
     model = NaiveBayesModel()
     model.update(pack([bow(5)]), 0)
     model.update(pack([bow(5)]), 1)
-    assert model.loss(pack([bow(5), bow(5)]), [1, 0]) == pytest.approx(math.log(2), abs=1e-12)
+    for label in (0, 1):
+        assert model.loss(pack([bow(5), bow(5)]), label) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_loss_matches_negative_log_oracle():
@@ -316,19 +321,52 @@ def test_loss_matches_negative_log_oracle():
     model.update(pack([bow()]), 0)
     model.update(pack([bow(9)]), 1)
     p1 = oracle_posterior([1, 1], [{}, {9: 1}], 1.0, {9})
-    assert model.loss(pack([bow(9)]), [1]) == pytest.approx(-math.log(p1), abs=1e-10)
-    assert model.loss(pack([bow(9)]), [0]) == pytest.approx(-math.log(1 - p1), abs=1e-10)
+    assert model.loss(pack([bow(9)]), 1) == pytest.approx(-math.log(p1), abs=1e-10)
+    assert model.loss(pack([bow(9)]), 0) == pytest.approx(-math.log(1 - p1), abs=1e-10)
 
 
 def test_loss_small_when_predictor_is_confident_and_right():
     model = _biased_model(toward=1)
-    assert model.loss(pack([bow(1)]), [1]) < 0.2
+    assert model.loss(pack([bow(1)]), 1) < 0.2
 
 
 def test_loss_length_mismatch():
+    # a batch has one label: a list of per-example labels is refused
     model = _biased_model(toward=1)
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match="label"):
         model.loss(pack([bow(1)]), [1, 0])
+
+
+@pytest.mark.parametrize(
+    "label", [True, False, np.True_, 1.0, 0.0, np.float64(1.0), 2, -1, "1", None, [5, 5], [0.5, 0.5]]
+)
+def test_loss_rejects_a_label_update_rejects(label):
+    # the label is checked before any scoring: on a trained model, on an
+    # untrained one (which cannot score) and on an empty batch
+    model = NaiveBayesModel()
+    model.update(pack([bow(1, 2)]), 0)
+    model.update(pack([bow(1)]), 1)
+    for m, batch in ((model, pack([bow(1), bow(2)])), (NaiveBayesModel(), pack([bow(1)])), (model, pack([]))):
+        with pytest.raises(ValueError, match="label"):
+            m.loss(batch, label)
+
+
+@pytest.mark.parametrize("label", [np.int64(0), np.int64(1), np.uint8(1)])
+def test_loss_accepts_a_numpy_integer_label(label):
+    model = _biased_model(toward=1)
+    batch = pack([bow(1), bow(2)])
+    assert model.loss(batch, label) == model.loss(batch, int(label))
+
+
+def test_loss_empty_batch_raises():
+    with pytest.raises(ValueError, match="empty batch"):
+        _biased_model(toward=1).loss(pack([]), 1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_constructor_rejects_an_alpha_that_is_not_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="smoothing_alpha"):
+        NaiveBayesModel(smoothing_alpha=alpha)
 
 
 # -- incremental state -------------------------------------------------------------------
@@ -356,14 +394,29 @@ def assert_counted_state(model, pool, recount):
         assert model._top[c] == counts.max(initial=0)
 
 
-def test_incremental_state_matches_reload(tmp_path):
+def rebuilt(alpha, class_counts, pool, recount):
+    """A fresh model built directly from counts kept outside any model:
+    ``class_counts`` and ``recount``, the per-class count of each bucket of
+    ``pool``, with histograms and largest counts from one ``bincount`` per class."""
+    fresh = NaiveBayesModel(smoothing_alpha=alpha)
+    fresh.class_counts = list(class_counts)
+    observed = recount.any(axis=0)
+    fresh._bucket_counts[:, pool[observed]] = recount[:, observed] + 1
+    stored = recount[:, observed] + 1
+    fresh._top = [int(row.max(initial=1)) - 1 for row in stored]
+    size = max(_LOG_TABLE_SIZE, max(fresh._top) + 2)
+    fresh._hist = np.stack([np.bincount(row, minlength=size) for row in stored])
+    return fresh
+
+
+def test_incremental_state_matches_reload():
     # buckets from both ends of the hash space, so a new bucket lands before,
     # between and after the ones already seen; batches large enough that both
     # class totals outgrow the log table the model starts with
     pool = np.concatenate([np.arange(40), HASH_BUCKETS - 1 - np.arange(40)])
     rng = np.random.default_rng(5)
     model = NaiveBayesModel(smoothing_alpha=0.5)
-    path = tmp_path / "predictor.json"
+    class_counts = [0, 0]
     recount = np.zeros((2, pool.size), dtype=np.int64)
     for _ in range(160):
         rows = [rng.choice(pool, size=rng.integers(0, 6), replace=False) for _ in range(rng.integers(1, 25))]
@@ -372,27 +425,28 @@ def test_incremental_state_matches_reload(tmp_path):
         if op == 0 or not model.queryable:
             label = int(rng.integers(0, 2))
             model.update(batch, label)
+            class_counts[label] += len(rows)
             for row in rows:
                 recount[label] += np.isin(pool, row)
         elif op == 1:
-            model.loss(batch, rng.integers(0, 2, size=len(batch)))
+            model.loss(batch, int(rng.integers(0, 2)))
         else:
             model.predict_batch(batch)
+        assert model.class_counts == class_counts
         assert_counted_state(model, pool, recount)
         if model.queryable:
-            save_predictor(model, str(path))
-            loaded = load_predictor(str(path))
-            # the histograms kept update by update equal the ones rebuilt on load
+            loaded = rebuilt(model.smoothing_alpha, class_counts, pool, recount)
+            # the histograms kept update by update equal the ones rebuilt from the counts
             for c in (0, 1):
                 assert loaded._top[c] == model._top[c]
                 assert np.array_equal(trimmed(loaded._hist[c]), trimmed(model._hist[c]))
             query = pack([rng.choice(pool, size=4, replace=False), [], [12345]])
             assert np.array_equal(model._batch_log_posteriors(query), loaded._batch_log_posteriors(query))
-            # the table grown update by update equals the one built for the loaded totals
+            # the table grown update by update equals the one built for the rebuilt totals
             size = min(model._log.size, loaded._log.size)
-            assert size > model.class_counts.max()
+            assert size > max(class_counts)
             assert np.array_equal(model._log[:size], loaded._log[:size])
-    assert model.class_counts.min() > _LOG_TABLE_SIZE
+    assert min(class_counts) > _LOG_TABLE_SIZE
 
 
 def reference_log_posteriors(class_counts, bucket_counts, alpha, query):
@@ -480,127 +534,96 @@ def test_log_posteriors_match_reference_with_repeats_within_a_batch():
     assert model._log.size > max(class_counts)
 
 
-# -- checkpoint --------------------------------------------------------------------------
+# -- bit-exact floats ---------------------------------------------------------------------
 
 
-def test_predictor_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    model, _, _, vocab = random_instance(rng, max_examples=15)
-    path = tmp_path / "predictor.json"
-    save_predictor(model, str(path))
-    loaded = load_predictor(str(path))
-    assert list(loaded.class_counts) == list(model.class_counts)
-    assert loaded.posterior(vocab) == model.posterior(vocab)
-    batch = pack([vocab, vocab[:1], [], [12345]])
-    assert loaded.predict_batch(batch) == model.predict_batch(batch)
-    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
-    for m in (model, loaded):
-        m.update(pack([vocab[:1], [77]]), 1)
-    assert loaded.posterior(vocab + [77]) == model.posterior(vocab + [77])
-    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+def plain_scores(alpha, log_table, totals, counts, rows):
+    """The model's log-odds of each row, one bucket and one term at a time,
+    in the model's order of operations. ``log_table[k]`` is ``log(k + alpha)``
+    and ``counts[c]`` maps each vocabulary bucket to its count under class c."""
+    vocab = set(counts[0]) | set(counts[1])
+    absent = []
+    for c in (0, 1):
+        n = totals[c]
+        top = max((counts[c].get(j, 0) for j in vocab), default=0)
+        hist = [0] * (top + 1)  # hist[k] = vocabulary buckets counted k times
+        for j in vocab:
+            hist[counts[c].get(j, 0)] += 1
+        norm = math.log(n + 2.0 * alpha)
+        terms = [(log_table[n - k] - norm) * hist[k] for k in range(top + 1)]
+        absent.append(float(np.add.reduce(np.array(terms))))  # numpy's pairwise sum
+    bias = float(log_table[totals[1]] - log_table[totals[0]] + absent[1] - absent[0])
+    scores = []
+    for row in rows:
+        acc = 0.0
+        for j in sorted(set(row)):
+            if j in vocab:
+                n1, n0 = counts[1].get(j, 0), counts[0].get(j, 0)
+                acc += (log_table[n1] - log_table[totals[1] - n1]) - (log_table[n0] - log_table[totals[0] - n0])
+            else:
+                acc += 0.0  # an unseen bucket's weight
+        scores.append(bias + acc)
+    return scores
 
 
-MISSING = object()  # a field value that leaves the field out of the checkpoint
-
-
-def _checkpoint(tmp_path, **changes):
-    """Path of a small valid checkpoint with ``changes`` applied to its fields."""
-    payload = {
-        "alpha": 1.0,
-        "dimension": 8,
-        "class_counts": [3, 3],
-        "token_counts": {"0": [[1, 2]], "1": [[1, 3], [7, 1]]},
-    }
-    payload.update(changes)
-    payload = {key: value for key, value in payload.items() if value is not MISSING}
-    path = tmp_path / "predictor.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return str(path)
-
-
-def test_load_predictor_accepts_valid_checkpoint(tmp_path):
-    model = load_predictor(_checkpoint(tmp_path))
-    assert model.bucket_count(1, 7) == 1
-    assert model.bucket_count(0, 7) == 0
-    # buckets 1 and 7 are observed: stored as count + 1 in both classes
-    assert np.flatnonzero(model._bucket_counts[0]).tolist() == [1, 7]
-    assert np.flatnonzero(model._bucket_counts[1]).tolist() == [1, 7]
-    assert model._bucket_counts[:, [1, 7]].tolist() == [[3, 1], [4, 2]]
-    assert trimmed(model._hist[0]).tolist() == [0, 1, 0, 1]
-    assert trimmed(model._hist[1]).tolist() == [0, 0, 1, 0, 1]
-    assert model._top == [2, 3]
-
-
-def test_load_predictor_rejects_negative_bucket(tmp_path):
-    # negative indexing would otherwise write bucket -1 into the last bucket
-    with pytest.raises(ValueError, match="bucket -1 outside"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[-1, 1]]}))
-
-
-def test_load_predictor_rejects_bucket_at_dimension(tmp_path):
-    with pytest.raises(ValueError, match="bucket 8 outside"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[8, 1]], "1": []}))
-
-
-def test_load_predictor_rejects_negative_count(tmp_path):
-    with pytest.raises(ValueError, match="count -1"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[1, -1]], "1": []}))
-
-
-def test_load_predictor_rejects_count_above_class_total(tmp_path):
-    with pytest.raises(ValueError, match="count 9"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[1, 9]]}))
-
-
-@pytest.mark.parametrize("class_counts", [[3], [3, 3, 3], [3, -1], [3.0, 3], [True, 3], "33"])
-def test_load_predictor_rejects_bad_class_counts(tmp_path, class_counts):
-    with pytest.raises(ValueError, match="class_counts"):
-        load_predictor(_checkpoint(tmp_path, class_counts=class_counts))
-
-
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1.0"])
-def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        load_predictor(_checkpoint(tmp_path, alpha=alpha))
-    if not isinstance(alpha, str):  # a string is rejected by TrainerConfig's type check
-        with pytest.raises(ValueError, match="alpha"):
-            NaiveBayesModel(smoothing_alpha=alpha)
-
-
-@pytest.mark.parametrize("entry", [[1], [1, 1, 1], [1.0, 1], ["1", 1], [1, True]])
-def test_load_predictor_rejects_malformed_entry(tmp_path, entry):
-    with pytest.raises(ValueError, match="pair"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [entry], "1": []}))
-
-
-BAD_STRUCTURES = {
-    "missing-alpha": ({"alpha": MISSING}, "missing key.*'alpha'"),
-    "missing-dimension": ({"dimension": MISSING}, "missing key.*'dimension'"),
-    "missing-class_counts": ({"class_counts": MISSING}, "missing key.*'class_counts'"),
-    "missing-token_counts": ({"token_counts": MISSING}, "missing key.*'token_counts'"),
-    "list-token_counts": ({"token_counts": [[1, 2]]}, "token_counts"),
-    "token_counts-without-class-1": ({"token_counts": {"0": [[1, 2]]}}, "token_counts"),
-    "number-class-entries": ({"token_counts": {"0": 3, "1": []}}, "token_counts"),
-    "null-class-entries": ({"token_counts": {"0": [], "1": None}}, "token_counts"),
-}
-
-
-@pytest.mark.parametrize("case", BAD_STRUCTURES)
-def test_load_predictor_rejects_bad_structure(tmp_path, case):
-    changes, match = BAD_STRUCTURES[case]
-    with pytest.raises(ValueError, match=match):
-        load_predictor(_checkpoint(tmp_path, **changes))
-
-
-@pytest.mark.parametrize("payload", [[1, 2], None, "predictor", 3])
-def test_load_predictor_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
-    path = tmp_path / "predictor.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match="expected a JSON object"):
-        load_predictor(str(path))
-
-
-@pytest.mark.parametrize("dimension", [0, 8.0, True])
-def test_load_predictor_rejects_bad_dimension(tmp_path, dimension):
-    with pytest.raises(ValueError, match="dimension"):
-        load_predictor(_checkpoint(tmp_path, dimension=dimension))
+def test_seeded_sequence_matches_plain_formulas_bit_for_bit():
+    # updates, losses and batch decisions in a seeded order, over batches of
+    # 1 to 40 rows with empty rows and buckets new to the vocabulary; bucket 0
+    # is in most rows, so its count and both class totals outgrow the
+    # 256-entry tables the model starts with. Every returned float must be
+    # equal to the plain formulas, not merely close.
+    rng = np.random.default_rng(19)
+    alpha = 0.5
+    model = NaiveBayesModel(smoothing_alpha=alpha)
+    log_table = np.log(np.arange(4096) + alpha)
+    totals = [0, 0]
+    counts = [{}, {}]
+    checked = {"update": 0, "loss": 0, "predict_batch": 0}
+    for step in range(150):
+        # the pool grows, so new buckets keep arriving; bucket j is drawn with
+        # weight 1 / (j + 1), so counts spread over many values
+        pool = np.arange(10 + 8 * step)
+        weights = 1.0 / (pool + 1.0)
+        rows = []
+        for _ in range(int(rng.integers(1, 41))):
+            size = min(int(rng.integers(0, 12)), pool.size)
+            rows.append(rng.choice(pool, size=size, replace=False, p=weights / weights.sum()).tolist())
+        batch = pack(rows)
+        op = ("update", "loss", "predict_batch")[int(rng.integers(0, 3))]
+        if op == "update" or totals == [0, 0]:
+            label = int(rng.integers(0, 2))
+            model.update(batch, label)
+            totals[label] += len(rows)
+            for row in rows:
+                for j in set(row):
+                    counts[label][j] = counts[label].get(j, 0) + 1
+            for j in {j for row in rows for j in row}:
+                counts[1 - label].setdefault(j, 0)
+            checked["update"] += 1
+            assert model.class_counts == totals
+            continue
+        scores = plain_scores(alpha, log_table, totals, counts, rows)
+        if model.queryable:
+            assert model._scores(batch).tolist() == scores
+        if op == "loss":
+            label = int(rng.integers(0, 2))
+            terms = [np.logaddexp(0.0, -s if label == 1 else s) for s in scores]
+            assert model.loss(batch, label) == float(np.add.reduce(np.array(terms))) / len(rows)
+        else:
+            policy = ("mean", "vote")[step % 2]
+            if 0 in totals:
+                expected = (1, None)
+            else:
+                p1 = [np.exp(-np.logaddexp(0.0, -s)) for s in scores]
+                mean_p1 = float(np.add.reduce(np.array(p1))) / len(rows)
+                votes = sum(p >= 0.5 for p in p1)
+                decision = (mean_p1 >= 0.5) if policy == "mean" else (2 * votes >= len(rows))
+                expected = (int(decision), mean_p1)
+            assert model.predict_batch(batch, policy) == expected
+        checked[op] += 1
+    # rows that hold no bucket at all score the bias alone
+    assert model._scores(pack([[], []])).tolist() == plain_scores(alpha, log_table, totals, counts, [[], []])
+    assert min(checked.values()) >= 40
+    assert min(totals) > _LOG_TABLE_SIZE
+    assert max(counts[1][0], counts[0][0]) > _LOG_TABLE_SIZE
+    assert max(totals) < log_table.size

@@ -236,7 +236,7 @@ def test_stage_two_starts_at_the_first_full_predictor_loss_window_below_alt(seed
         batch = epoch_batches[trace.batch % len(epoch_batches)]
         label = make_label(trace.loss, gate)
         if predictor.has_both_classes:
-            losses.append(predictor.loss(batch, [label] * len(batch)))
+            losses.append(predictor.loss(batch, label))
         predictor.update(batch, label)
         last = losses[-cfg.predictor_window:]
         if len(last) == cfg.predictor_window and sum(last) / len(last) < cfg.alt:
