@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -190,6 +191,24 @@ def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
 def is_int(value) -> bool:
     """A JSON integer: an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite JSON number: an ``is_int`` or a finite ``float``."""
+    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def read_json_fields(path: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object stored at ``path``. Raises
+    ValueError if the file holds something other than an object or lacks a key."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"missing key(s): {', '.join(map(repr, missing))}")
+    return [payload[key] for key in keys]
 
 
 def _checked_label(label, line_no: int) -> int:

@@ -47,12 +47,13 @@ order as the formulas above spell out, which the tests check bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, pack
+from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack, read_json_fields
 
 # entries a model's log table and count histogram start with; each is
 # rebuilt at twice the size once a class total or count reaches its end
@@ -228,3 +229,66 @@ class NaiveBayesModel:
             np.negative(s, out=s)
         np.logaddexp(0.0, s, out=s)
         return float(np.add.reduce(s)) / len(batch)
+
+
+def save_predictor(model: NaiveBayesModel, path: str) -> None:
+    """JSON checkpoint: class counts plus sparse per-class bucket counts."""
+    counts = {}
+    for label in (0, 1):
+        stored = model._bucket_counts[label]
+        counts[str(label)] = [[int(b), int(stored[b]) - 1] for b in np.flatnonzero(stored > 1)]
+    payload = {
+        "alpha": model.smoothing_alpha,
+        "dimension": model.dimension,
+        "class_counts": list(model.class_counts),
+        "token_counts": counts,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def load_predictor(path: str) -> NaiveBayesModel:
+    """Read a ``save_predictor`` checkpoint.
+
+    Raises ValueError on a checkpoint no live model could have written: a
+    payload that is not an object or lacks a key, an ``alpha`` that is not
+    positive and finite, ``class_counts`` that are not two non-negative
+    integers, ``token_counts`` that are not an object of two lists keyed
+    ``"0"`` and ``"1"``, an entry that is not an integer pair, a bucket
+    outside ``[0, dimension)``, or a bucket count that is negative or above
+    its class total.
+    """
+    alpha, dimension, class_counts, token_counts = read_json_fields(
+        path, "alpha", "dimension", "class_counts", "token_counts"
+    )
+    if not is_finite(alpha) or not alpha > 0:
+        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
+    if not is_int(dimension) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+    if not (isinstance(class_counts, list) and len(class_counts) == 2
+            and all(is_int(c) and c >= 0 for c in class_counts)):
+        raise ValueError(f"class_counts must be two non-negative integers, got {class_counts!r}")
+    if not (isinstance(token_counts, dict) and all(isinstance(token_counts.get(k), list) for k in ("0", "1"))):
+        raise ValueError("token_counts must be an object with a list under each of '0' and '1'")
+    model = NaiveBayesModel(smoothing_alpha=alpha, dimension=dimension)
+    # the totals stay Python ints, as ``update`` keeps them
+    model.class_counts = list(class_counts)
+    for label in (0, 1):
+        for entry in token_counts[str(label)]:
+            if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_int, entry))):
+                raise ValueError(f"class {label} entry must be an integer [bucket, count] pair, got {entry!r}")
+            bucket, count = entry
+            if not 0 <= bucket < dimension:
+                raise ValueError(f"class {label} bucket {bucket} outside [0, {dimension})")
+            if not 0 <= count <= class_counts[label]:
+                raise ValueError(
+                    f"class {label} bucket {bucket} count {count} outside [0, {class_counts[label]}]"
+                )
+            model._bucket_counts[label, bucket] = count
+    vocab = np.flatnonzero(model._bucket_counts.any(axis=0))
+    model._bucket_counts[:, vocab] += 1
+    stored = model._bucket_counts[:, vocab]
+    model._top = [int(row.max(initial=1)) - 1 for row in stored]
+    size = max(_LOG_TABLE_SIZE, max(model._top) + 2)
+    model._hist = np.stack([np.bincount(row, minlength=size) for row in stored])
+    return model

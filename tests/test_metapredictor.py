@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -5,7 +6,12 @@ import numpy as np
 import pytest
 
 from lossgate.data import HASH_BUCKETS, pack
-from lossgate.metapredictor import _LOG_TABLE_SIZE, NaiveBayesModel
+from lossgate.metapredictor import (
+    _LOG_TABLE_SIZE,
+    NaiveBayesModel,
+    load_predictor,
+    save_predictor,
+)
 from lossgate.threshold import ThresholdState, make_label
 
 
@@ -363,12 +369,6 @@ def test_loss_empty_batch_raises():
         _biased_model(toward=1).loss(pack([]), 1)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
-def test_constructor_rejects_an_alpha_that_is_not_positive_and_finite(alpha):
-    with pytest.raises(ValueError, match="smoothing_alpha"):
-        NaiveBayesModel(smoothing_alpha=alpha)
-
-
 # -- incremental state -------------------------------------------------------------------
 
 
@@ -394,28 +394,14 @@ def assert_counted_state(model, pool, recount):
         assert model._top[c] == counts.max(initial=0)
 
 
-def rebuilt(alpha, class_counts, pool, recount):
-    """A fresh model built directly from counts kept outside any model:
-    ``class_counts`` and ``recount``, the per-class count of each bucket of
-    ``pool``, with histograms and largest counts from one ``bincount`` per class."""
-    fresh = NaiveBayesModel(smoothing_alpha=alpha)
-    fresh.class_counts = list(class_counts)
-    observed = recount.any(axis=0)
-    fresh._bucket_counts[:, pool[observed]] = recount[:, observed] + 1
-    stored = recount[:, observed] + 1
-    fresh._top = [int(row.max(initial=1)) - 1 for row in stored]
-    size = max(_LOG_TABLE_SIZE, max(fresh._top) + 2)
-    fresh._hist = np.stack([np.bincount(row, minlength=size) for row in stored])
-    return fresh
-
-
-def test_incremental_state_matches_reload():
+def test_incremental_state_matches_reload(tmp_path):
     # buckets from both ends of the hash space, so a new bucket lands before,
     # between and after the ones already seen; batches large enough that both
     # class totals outgrow the log table the model starts with
     pool = np.concatenate([np.arange(40), HASH_BUCKETS - 1 - np.arange(40)])
     rng = np.random.default_rng(5)
     model = NaiveBayesModel(smoothing_alpha=0.5)
+    path = tmp_path / "predictor.json"
     class_counts = [0, 0]
     recount = np.zeros((2, pool.size), dtype=np.int64)
     for _ in range(160):
@@ -435,14 +421,16 @@ def test_incremental_state_matches_reload():
         assert model.class_counts == class_counts
         assert_counted_state(model, pool, recount)
         if model.queryable:
-            loaded = rebuilt(model.smoothing_alpha, class_counts, pool, recount)
-            # the histograms kept update by update equal the ones rebuilt from the counts
+            save_predictor(model, str(path))
+            loaded = load_predictor(str(path))
+            assert loaded.class_counts == class_counts
+            # the histograms kept update by update equal the ones rebuilt on load
             for c in (0, 1):
                 assert loaded._top[c] == model._top[c]
                 assert np.array_equal(trimmed(loaded._hist[c]), trimmed(model._hist[c]))
             query = pack([rng.choice(pool, size=4, replace=False), [], [12345]])
             assert np.array_equal(model._batch_log_posteriors(query), loaded._batch_log_posteriors(query))
-            # the table grown update by update equals the one built for the rebuilt totals
+            # the table grown update by update equals the one built for the loaded totals
             size = min(model._log.size, loaded._log.size)
             assert size > max(class_counts)
             assert np.array_equal(model._log[:size], loaded._log[:size])
@@ -532,6 +520,133 @@ def test_log_posteriors_match_reference_with_repeats_within_a_batch():
     assert model._top[1] > _LOG_TABLE_SIZE
     assert model._hist.shape[1] > _LOG_TABLE_SIZE
     assert model._log.size > max(class_counts)
+
+
+# -- checkpoint --------------------------------------------------------------------------
+
+
+def test_predictor_checkpoint_roundtrip(tmp_path):
+    rng = np.random.default_rng(4)
+    model, _, _, vocab = random_instance(rng, max_examples=15)
+    path = tmp_path / "predictor.json"
+    save_predictor(model, str(path))
+    loaded = load_predictor(str(path))
+    assert loaded.class_counts == model.class_counts
+    assert all(type(c) is int for c in loaded.class_counts)
+    assert loaded.posterior(vocab) == model.posterior(vocab)
+    batch = pack([vocab, vocab[:1], [], [12345]])
+    assert loaded.predict_batch(batch) == model.predict_batch(batch)
+    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+    for m in (model, loaded):
+        m.update(pack([vocab[:1], [77]]), 1)
+    assert loaded.posterior(vocab + [77]) == model.posterior(vocab + [77])
+    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+
+
+MISSING = object()  # a field value that leaves the field out of the checkpoint
+
+
+def _checkpoint(tmp_path, **changes):
+    """Path of a small valid checkpoint with ``changes`` applied to its fields."""
+    payload = {
+        "alpha": 1.0,
+        "dimension": 8,
+        "class_counts": [3, 3],
+        "token_counts": {"0": [[1, 2]], "1": [[1, 3], [7, 1]]},
+    }
+    payload.update(changes)
+    payload = {key: value for key, value in payload.items() if value is not MISSING}
+    path = tmp_path / "predictor.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_load_predictor_accepts_valid_checkpoint(tmp_path):
+    model = load_predictor(_checkpoint(tmp_path))
+    assert model.bucket_count(1, 7) == 1
+    assert model.bucket_count(0, 7) == 0
+    # buckets 1 and 7 are observed: stored as count + 1 in both classes
+    assert np.flatnonzero(model._bucket_counts[0]).tolist() == [1, 7]
+    assert np.flatnonzero(model._bucket_counts[1]).tolist() == [1, 7]
+    assert model._bucket_counts[:, [1, 7]].tolist() == [[3, 1], [4, 2]]
+    assert trimmed(model._hist[0]).tolist() == [0, 1, 0, 1]
+    assert trimmed(model._hist[1]).tolist() == [0, 0, 1, 0, 1]
+    assert model._top == [2, 3]
+
+
+def test_load_predictor_rejects_negative_bucket(tmp_path):
+    # negative indexing would otherwise write bucket -1 into the last bucket
+    with pytest.raises(ValueError, match="bucket -1 outside"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[-1, 1]]}))
+
+
+def test_load_predictor_rejects_bucket_at_dimension(tmp_path):
+    with pytest.raises(ValueError, match="bucket 8 outside"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[8, 1]], "1": []}))
+
+
+def test_load_predictor_rejects_negative_count(tmp_path):
+    with pytest.raises(ValueError, match="count -1"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[1, -1]], "1": []}))
+
+
+def test_load_predictor_rejects_count_above_class_total(tmp_path):
+    with pytest.raises(ValueError, match="count 9"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[1, 9]]}))
+
+
+@pytest.mark.parametrize("class_counts", [[3], [3, 3, 3], [3, -1], [3.0, 3], [True, 3], "33"])
+def test_load_predictor_rejects_bad_class_counts(tmp_path, class_counts):
+    with pytest.raises(ValueError, match="class_counts"):
+        load_predictor(_checkpoint(tmp_path, class_counts=class_counts))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1.0"])
+def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        load_predictor(_checkpoint(tmp_path, alpha=alpha))
+    if not isinstance(alpha, str):  # a string is rejected by TrainerConfig's type check
+        with pytest.raises(ValueError, match="alpha"):
+            NaiveBayesModel(smoothing_alpha=alpha)
+
+
+@pytest.mark.parametrize("entry", [[1], [1, 1, 1], [1.0, 1], ["1", 1], [1, True]])
+def test_load_predictor_rejects_malformed_entry(tmp_path, entry):
+    with pytest.raises(ValueError, match="pair"):
+        load_predictor(_checkpoint(tmp_path, token_counts={"0": [entry], "1": []}))
+
+
+BAD_STRUCTURES = {
+    "missing-alpha": ({"alpha": MISSING}, "missing key.*'alpha'"),
+    "missing-dimension": ({"dimension": MISSING}, "missing key.*'dimension'"),
+    "missing-class_counts": ({"class_counts": MISSING}, "missing key.*'class_counts'"),
+    "missing-token_counts": ({"token_counts": MISSING}, "missing key.*'token_counts'"),
+    "list-token_counts": ({"token_counts": [[1, 2]]}, "token_counts"),
+    "token_counts-without-class-1": ({"token_counts": {"0": [[1, 2]]}}, "token_counts"),
+    "number-class-entries": ({"token_counts": {"0": 3, "1": []}}, "token_counts"),
+    "null-class-entries": ({"token_counts": {"0": [], "1": None}}, "token_counts"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STRUCTURES)
+def test_load_predictor_rejects_bad_structure(tmp_path, case):
+    changes, match = BAD_STRUCTURES[case]
+    with pytest.raises(ValueError, match=match):
+        load_predictor(_checkpoint(tmp_path, **changes))
+
+
+@pytest.mark.parametrize("payload", [[1, 2], None, "predictor", 3])
+def test_load_predictor_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
+    path = tmp_path / "predictor.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="expected a JSON object"):
+        load_predictor(str(path))
+
+
+@pytest.mark.parametrize("dimension", [0, 8.0, True])
+def test_load_predictor_rejects_bad_dimension(tmp_path, dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        load_predictor(_checkpoint(tmp_path, dimension=dimension))
 
 
 # -- bit-exact floats ---------------------------------------------------------------------
