@@ -4,6 +4,7 @@ too via an online Naive Bayes predictor over bag-of-words features."""
 
 from .data import (
     HASH_BUCKETS,
+    Corpus,
     Example,
     MiniBatch,
     generate_toy_corpus,
@@ -37,6 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HASH_BUCKETS",
     "AgotParams",
+    "Corpus",
     "EnergyParams",
     "Example",
     "ForwardResult",

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import Example, generate_toy_corpus, load_dataset, write_jsonl
+from .data import Corpus, generate_toy_corpus, load_dataset, write_jsonl
 from .trainer import RunReport, TrainerConfig, csv_field, run, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
@@ -72,11 +72,13 @@ def _parse_list(kind: type, raw: str) -> list:
 _parse_floats, _parse_ints = partial(_parse_list, float), partial(_parse_list, int)
 
 
-def _load_examples(path: str, format: str | None, header: bool) -> list[Example]:
+def _load_examples(path: str, format: str | None, header: bool) -> Corpus:
     if not os.path.exists(path):
         raise UsageError(f"dataset not found: {path}")
     try:
         examples = load_dataset(path, format=format, header=header)
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise UsageError(f"cannot read dataset {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     if not examples:
@@ -84,7 +86,7 @@ def _load_examples(path: str, format: str | None, header: bool) -> list[Example]
     return examples
 
 
-def _load_data(args: argparse.Namespace) -> tuple[list[Example], list[Example] | None]:
+def _load_data(args: argparse.Namespace) -> tuple[Corpus, Corpus | None]:
     """The training set and the optional held-out set named by the data flags."""
     train = _load_examples(args.data, args.format, args.header)
     held_out = _load_examples(args.eval_data, args.format, args.header) if args.eval_data else None
@@ -235,7 +237,7 @@ def _variant(base: TrainerConfig, **changes) -> TrainerConfig:
 
 
 def _run_in_order(
-    configs: list[TrainerConfig], train_examples: list[Example], eval_examples: list[Example] | None
+    configs: list[TrainerConfig], train_examples: Corpus, eval_examples: Corpus | None
 ) -> Iterator[tuple[TrainerConfig, RunReport]]:
     """Run ``configs`` in order, yielding each run's config and report. Every
     run's ``a_full`` comes from the run order, whatever the base config says:
@@ -409,7 +411,7 @@ _GEN_TOY_FLAGS = {
 }
 
 
-def _toy_corpus(flags: dict[str, str], **params) -> list[Example]:
+def _toy_corpus(flags: dict[str, str], **params) -> Corpus:
     """``generate_toy_corpus``, with a bad argument reported by its ``flags`` name."""
     try:
         return generate_toy_corpus(**params)

@@ -3,18 +3,24 @@
 Text is reduced to presence bits over a fixed 2**18-bucket hash space so no
 vocabulary pass is needed; everything downstream stays single-pass.
 
-A loaded corpus is featurized in bulk, once per distinct text:
-``load_dataset`` checks every record first, then tokenizes each distinct
-text once, hashes each distinct token once and sorts the distinct texts'
-``(text, bucket)`` keys in one array, whose read-only slices are the
-buckets. Duplicate texts share the ``text`` string and the bucket view; each
-duplicate owns its copy of the token list. ``generate_toy_corpus`` does the
-same; an ``Example`` built directly runs ``vectorize``, the one-example
-definition. The corpus is kept compact: tokens are interned, so a token
-repeated across examples is one string object, and ``Example`` and
-``MiniBatch`` are slotted. Batching packs the examples once into three
-read-only arrays (buckets, in-batch rows, labels) and every ``MiniBatch`` is
-a slice of them. Packing rejects a label other than 0 or 1.
+A loaded or generated corpus is a ``Corpus``: arrays, not examples. It holds
+the distinct texts in first-seen order, a content id and a label per example,
+and a read-only CSR block (``ptr``, ``buckets``) of each distinct text's
+sorted, distinct buckets. ``load_dataset`` parses and checks each distinct
+line once; then each distinct text is tokenized once, each distinct token is
+hashed once and the distinct texts' ``(text, bucket)`` keys are sorted in one
+array. No token list is kept. Indexing or iterating a corpus builds an
+``Example`` on demand: it shares its content's ``text`` string and bucket
+view and tokenizes its text only when ``tokens`` is first read. An
+``Example`` built directly runs ``vectorize``, the one-example definition,
+and ``Corpus.from_examples`` turns a list of them into a corpus. Tokens are
+interned, so a token repeated across examples is one string object, and
+``Example`` and ``MiniBatch`` are slotted.
+
+Batching is one gather: the examples' CSR rows, in the seeded permutation's
+order, are taken from ``buckets`` into three read-only arrays (buckets,
+in-batch rows, labels), and every ``MiniBatch`` is a slice of them. A corpus
+rejects a label other than 0 or 1.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -64,29 +71,135 @@ def vectorize(tokens: list[str]) -> np.ndarray:
     return np.array(sorted(set(map(hash_bucket, tokens))), dtype=np.int64)
 
 
-@dataclass(slots=True)
 class Example:
-    """One labelled text: the unit every filtering decision is made over."""
+    """One labelled text: the unit every filtering decision is made over.
 
-    text: str
-    tokens: list[str]
-    label: int
-    _buckets: np.ndarray = field(init=False, repr=False, compare=False)
+    ``Example(text, tokens, label)`` hashes its tokens at once. An example
+    taken from a ``Corpus`` has no token list until ``tokens`` is first read;
+    it then tokenizes its text and keeps that list as its own.
+    """
 
-    def __post_init__(self):
-        self._buckets = vectorize(self.tokens)
+    __slots__ = ("text", "_tokens", "label", "_buckets")
+
+    def __init__(self, text: str, tokens: list[str], label: int):
+        self.text, self._tokens, self.label = text, tokens, label
+        self._buckets = vectorize(tokens)
+
+    @property
+    def tokens(self) -> list[str]:
+        try:
+            return self._tokens
+        except AttributeError:  # a corpus example's first read
+            self._tokens = tokens = tokenize(self.text)
+            return tokens
 
     def features(self) -> np.ndarray:
         """Sorted distinct hash buckets of the tokens, computed at construction."""
         return self._buckets
 
+    def __eq__(self, other):
+        if other.__class__ is not Example:
+            return NotImplemented
+        return (self.text, self.tokens, self.label) == (other.text, other.tokens, other.label)
+
+    def __repr__(self) -> str:
+        return f"Example(text={self.text!r}, tokens={self.tokens!r}, label={self.label!r})"
+
+
+def _example(text: str, label: int, buckets: np.ndarray) -> Example:
+    """A corpus example, which tokenizes its text only when asked."""
+    example = Example.__new__(Example)
+    example.text, example.label, example._buckets = text, label, buckets
+    return example
+
+
+def _labels(labels, n: int) -> np.ndarray:
+    """``labels`` as ``n`` int64 values; raises unless each is 0 or 1."""
+    labels = np.asarray(labels)
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return labels.reshape(n).astype(np.int64)
+
+
+def _csr(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, buckets)``: the bucket arrays concatenated, with the offset
+    where each begins and, last, where the final one ends."""
+    ptr = np.zeros(len(features) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, features), dtype=np.int64, count=len(features)), out=ptr[1:])
+    return ptr, np.concatenate(features) if features else np.empty(0, dtype=np.int64)
+
+
+class Corpus(Sequence):
+    """An immutable sequence of examples, held as arrays:
+
+    - ``texts``, a tuple: each content's text. A loaded or generated corpus
+      has one content per distinct text, in first-seen order;
+    - ``content`` and ``labels``: each example's content id and 0/1 label;
+    - ``ptr`` and ``buckets``: a CSR block, so content ``c``'s sorted,
+      distinct buckets are ``buckets[ptr[c]:ptr[c + 1]]``.
+
+    The arrays are read-only int64. Indexing or iterating builds an
+    ``Example`` on demand, which shares its content's ``text`` string and one
+    read-only bucket view with the other examples of that content. A slice
+    is a corpus over the same texts and CSR block. A corpus equals a list,
+    tuple or corpus of equal examples.
+    """
+
+    __slots__ = ("texts", "content", "labels", "ptr", "buckets", "_views")
+
+    def __init__(self, texts, content: np.ndarray, labels, ptr: np.ndarray, buckets: np.ndarray):
+        self.texts = tuple(texts)
+        self.content, self.labels = content, _labels(labels, content.size)
+        self.ptr, self.buckets = ptr, buckets
+        for array in (content, self.labels, ptr, buckets):
+            array.flags.writeable = False
+        self._views: list[np.ndarray] | None = None
+
+    @classmethod
+    def from_examples(cls, examples: Sequence[Example]) -> Corpus:
+        """The examples as a corpus with one content per example, holding
+        each example's text, label and buckets; a corpus is returned as it
+        is. Its examples' tokens are ``tokenize`` of their text."""
+        if isinstance(examples, Corpus):
+            return examples
+        ptr, buckets = _csr([ex.features() for ex in examples])
+        n = len(examples)
+        return cls([ex.text for ex in examples], np.arange(n), [ex.label for ex in examples], ptr, buckets)
+
+    def _bucket_views(self) -> list[np.ndarray]:
+        """Each content's slice of ``buckets``, made once for all contents."""
+        if self._views is None:
+            ptr, buckets = self.ptr.tolist(), self.buckets
+            self._views = [buckets[start:end] for start, end in zip(ptr, ptr[1:])]
+        return self._views
+
+    def __len__(self) -> int:
+        return self.content.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Corpus(self.texts, self.content[index], self.labels[index], self.ptr, self.buckets)
+        content = int(self.content[index])
+        return _example(self.texts[content], int(self.labels[index]), self._bucket_views()[content])
+
+    def __iter__(self) -> Iterator[Example]:
+        content = self.content.tolist()
+        views = map(self._bucket_views().__getitem__, content)
+        return map(_example, map(self.texts.__getitem__, content), self.labels.tolist(), views)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Corpus, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
 
 def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """Every token list's ``vectorize``, in bulk: the lists' sorted, distinct
-    buckets concatenated into one read-only array, and the offset where each
-    list's buckets end. ``hash_bucket`` runs once per distinct token, and the
-    keys ``row * HASH_BUCKETS + bucket`` of all lists are sorted once. A load
-    passes one list per distinct text, so duplicates add no keys."""
+    """Every token list's ``vectorize``, in bulk, as a CSR block ``(ptr,
+    buckets)``: the lists' sorted, distinct buckets concatenated into one
+    array, and the offset where each list's buckets begin and the last end.
+    ``hash_bucket`` runs once per distinct token, and the keys ``row *
+    HASH_BUCKETS + bucket`` of all lists are sorted once. A corpus passes one
+    list per distinct text, so duplicates add no keys."""
     buckets = dict.fromkeys(chain.from_iterable(token_lists))
     for token in buckets:
         buckets[token] = hash_bucket(token)
@@ -102,32 +215,16 @@ def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarra
     distinct[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
     keys = keys[distinct]
-    ends = np.searchsorted(keys, row_starts[1:])
+    ptr = np.searchsorted(keys, row_starts)
     keys %= HASH_BUCKETS
-    keys.flags.writeable = False
-    return keys, ends
+    return ptr, keys
 
 
-def _featurized(texts: list[str], labels: list[int]) -> list[Example]:
-    """``Example(text, tokenize(text), label)`` for each pair, featurized in
-    bulk once per distinct text: equal texts share one ``text`` object and
-    one read-only slice of one bucket array, and each example owns a copy of
-    its content's token list, so editing one leaves its duplicates alone."""
-    content_ids: dict[str, int] = {}
-    contents = [content_ids.setdefault(text, len(content_ids)) for text in texts]
-    distinct = list(content_ids)
-    token_lists = list(map(tokenize, distinct))
-    buckets, ends = _corpus_buckets(token_lists)
-    ends = ends.tolist()
-    views = [buckets[start:end] for start, end in zip(chain((0,), ends), ends)]
-    examples = []
-    for content, label in zip(contents, labels):
-        example = Example.__new__(Example)
-        example.text, example.tokens, example.label, example._buckets = (
-            distinct[content], token_lists[content].copy(), label, views[content]
-        )
-        examples.append(example)
-    return examples
+def _featurized(texts: list[str], content, labels) -> Corpus:
+    """The corpus of distinct ``texts`` with these content ids and labels,
+    featurized in bulk: each text is tokenized once."""
+    ptr, buckets = _corpus_buckets(list(map(tokenize, texts)))
+    return Corpus(texts, np.asarray(content, dtype=np.int64), labels, ptr, buckets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,31 +245,34 @@ class MiniBatch:
         return self.labels.size
 
 
-def _packed(features: list[np.ndarray], labels, batch_size: int) -> list[MiniBatch]:
-    """Cut ``features`` and their 0/1 ``labels``, in order, into batches of
-    ``batch_size`` (the last may be short; no examples give one empty batch),
-    each a slice of the same three read-only arrays."""
-    labels = np.asarray(labels)
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    n = len(features)
-    labels = labels.reshape(n).astype(np.int64)
-    lengths = np.fromiter(map(len, features), dtype=np.int64, count=n)
-    indices = np.concatenate(features) if features else np.empty(0, dtype=np.int64)
+def _gathered(ptr: np.ndarray, buckets: np.ndarray, content: np.ndarray, labels: np.ndarray, batch_size: int):
+    """Cut the examples ``content`` names, with their ``labels``, in order,
+    into batches of ``batch_size`` (the last may be short; no examples give
+    one empty batch), each a slice of the same three read-only arrays. The
+    examples' buckets are one ``take`` from the CSR block ``(ptr, buckets)``."""
+    starts = ptr[content]
+    lengths = ptr[content + 1] - starts
+    ends = np.cumsum(lengths)
+    # bucket k of an example that packs from offset o sits at its start + k - o
+    positions = np.repeat(starts - ends + lengths, lengths)
+    positions += np.arange(positions.size)
+    indices = buckets.take(positions)
+    n = content.size
     rows = np.repeat(np.arange(n) % batch_size, lengths)
     for array in (indices, rows, labels):
         array.flags.writeable = False
-    offsets = [0, *np.cumsum(lengths).tolist()]
     edges = [*range(0, max(n, 1), batch_size), n]
+    offsets = np.concatenate(([0], ends))[edges].tolist()
     return [
-        MiniBatch(indices[offsets[a] : offsets[b]], rows[offsets[a] : offsets[b]], labels[a:b])
-        for a, b in zip(edges, edges[1:])
+        MiniBatch(indices[start:end], rows[start:end], labels[a:b])
+        for a, b, start, end in zip(edges, edges[1:], offsets, offsets[1:])
     ]
 
 
-def pack_examples(examples: list[Example]) -> MiniBatch:
+def pack_examples(examples: Sequence[Example]) -> MiniBatch:
     """Pack examples, in order, with their class labels."""
-    return _packed([ex.features() for ex in examples], [ex.label for ex in examples], len(examples) or 1)[0]
+    corpus = Corpus.from_examples(examples)
+    return _gathered(corpus.ptr, corpus.buckets, corpus.content, corpus.labels, len(corpus) or 1)[0]
 
 
 def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
@@ -185,7 +285,9 @@ def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
     features = [np.unique(np.asarray(list(b), dtype=np.int64)) for b in buckets]
     if any(f.size and (f[0] < 0 or f[-1] >= dimension) for f in features):
         raise ValueError("bucket index out of range")
-    return _packed(features, np.zeros(len(features)) if labels is None else labels, len(features) or 1)[0]
+    n = len(features)
+    labels = np.zeros(n, dtype=np.int64) if labels is None else _labels(labels, n)
+    return _gathered(*_csr(features), np.arange(n), labels, n or 1)[0]
 
 
 def is_int(value) -> bool:
@@ -235,14 +337,49 @@ def _json_record(line: str):
     return record if end == len(line) else json.loads(line)
 
 
-def load_dataset(path: str, format: str | None = None, header: bool = False) -> list[Example]:
-    """Read a JSONL or TSV dataset into examples, preserving file order.
+def _parsed(line: str, format: str, line_no: int) -> tuple[str, int] | None:
+    """The ``(text, label)`` of one dataset line, or None for a blank line.
+    Raises ValueError naming ``line_no`` on a bad record."""
+    line = line.rstrip("\n")
+    if not line.strip():
+        return None
+    if format == "jsonl":
+        try:
+            record = _json_record(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {line_no}: malformed JSON record: {exc}") from exc
+        if not isinstance(record, dict) or "text" not in record or "label" not in record:
+            raise ValueError(f"line {line_no}: record must have 'text' and 'label' fields")
+        text = record["text"]
+        if not isinstance(text, str):
+            raise ValueError(f"line {line_no}: 'text' must be a string")
+        text2 = record.get("text2")
+        if text2 is not None:
+            if not isinstance(text2, str):
+                raise ValueError(f"line {line_no}: 'text2' must be a string")
+            text = text + " " + text2
+        label = record["label"]
+    else:
+        if "\t" not in line:
+            raise ValueError(f"line {line_no}: expected 'text<TAB>label'")
+        text, raw_label = line.rsplit("\t", 1)
+        try:
+            label = int(raw_label)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: label not an integer: {raw_label!r}") from exc
+    return text, _checked_label(label, line_no)
+
+
+def load_dataset(path: str, format: str | None = None, header: bool = False) -> Corpus:
+    """Read a JSONL or TSV dataset into a corpus, preserving file order.
 
     JSONL records need a string ``text`` and an integer ``label`` in {0, 1};
     an optional ``text2`` string (absent or null means none) is appended to
     ``text`` with a space. TSV rows are ``text<TAB>label``; ``header=True``
-    skips the first line. ``format`` defaults to the file extension.
-    Every record is checked before any is featurized, in bulk.
+    skips the first line. ``format`` defaults to the file extension. A UTF-8
+    byte-order mark at the start of the file is dropped. Each distinct line
+    is parsed and checked once, and every line is checked before any text is
+    featurized, in bulk.
     """
     if format is None:
         suffix = str(path).rsplit(".", 1)[-1].lower()
@@ -253,52 +390,40 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format: {format!r}")
 
-    texts: list[str] = []
-    labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if header and line_no == 1 and format == "tsv":
-                continue
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if format == "jsonl":
-                try:
-                    record = _json_record(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"line {line_no}: malformed JSON record: {exc}") from exc
-                if not isinstance(record, dict) or "text" not in record or "label" not in record:
-                    raise ValueError(f"line {line_no}: record must have 'text' and 'label' fields")
-                text = record["text"]
-                if not isinstance(text, str):
-                    raise ValueError(f"line {line_no}: 'text' must be a string")
-                text2 = record.get("text2")
-                if text2 is not None:
-                    if not isinstance(text2, str):
-                        raise ValueError(f"line {line_no}: 'text2' must be a string")
-                    text = text + " " + text2
-                label = record["label"]
-            else:
-                if "\t" not in line:
-                    raise ValueError(f"line {line_no}: expected 'text<TAB>label'")
-                text, raw_label = line.rsplit("\t", 1)
-                try:
-                    label = int(raw_label)
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: label not an integer: {raw_label!r}") from exc
-            texts.append(text)
-            labels.append(_checked_label(label, line_no))
-    return _featurized(texts, labels)
+    # each distinct line is a row of (line_content, line_label), and each
+    # example names its line's row; equal texts share one content id
+    row_of: dict[str, int] = {}
+    content_of: dict[str, int] = {}
+    line_content: list[int] = []
+    line_label: list[int] = []
+    rows: list[int] = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        numbered = enumerate(fh, start=1)
+        if header and format == "tsv":
+            next(numbered, None)
+        for line_no, line in numbered:
+            row = row_of.get(line)
+            if row is None:
+                parsed = _parsed(line, format, line_no)
+                if parsed is None:
+                    continue
+                text, label = parsed
+                row = row_of[line] = len(line_label)
+                line_content.append(content_of.setdefault(text, len(content_of)))
+                line_label.append(label)
+            rows.append(row)
+    rows = np.array(rows, dtype=np.int64)
+    return _featurized(list(content_of), np.array(line_content, dtype=np.int64)[rows], np.array(line_label)[rows])
 
 
-def write_jsonl(examples: list[Example], path: str) -> None:
+def write_jsonl(examples: Sequence[Example], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
 
 
 def make_batches(
-    examples: list[Example],
+    examples: Sequence[Example],
     batch_size: int,
     seed: int = 0,
     shuffle: bool = True,
@@ -306,15 +431,19 @@ def make_batches(
     """Partition examples into ordered minibatches; the final one may be short.
 
     The permutation is fully determined by ``seed`` when ``shuffle`` is on.
-    The corpus is packed once; every batch is a view of the same arrays.
+    Every batch is a view of the same three arrays, gathered from the
+    corpus's CSR block through the permutation in one ``take``.
     """
-    if not examples:
+    corpus = Corpus.from_examples(examples)
+    if not corpus:
         raise ValueError("no examples to batch")
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    order = np.random.default_rng(seed).permutation(len(examples)) if shuffle else range(len(examples))
-    ordered = [examples[i] for i in order]
-    return _packed([ex.features() for ex in ordered], [ex.label for ex in ordered], batch_size)
+    content, labels = corpus.content, corpus.labels
+    if shuffle:
+        order = np.random.default_rng(seed).permutation(len(corpus))
+        content, labels = content[order], labels[order]
+    return _gathered(corpus.ptr, corpus.buckets, content, labels, batch_size)
 
 
 def generate_toy_corpus(
@@ -327,7 +456,7 @@ def generate_toy_corpus(
     min_tokens: int = 6,
     max_tokens: int = 14,
     indicative_prob: float = 0.2,
-) -> list[Example]:
+) -> Corpus:
     """Synthesize a redundant binary-classification corpus.
 
     About ``num_examples / duplication`` unique texts are drawn, each token
@@ -374,4 +503,6 @@ def generate_toy_corpus(
         texts_labels.append((text, label))
 
     order = rng.permutation(len(texts_labels))
-    return _featurized([texts_labels[i][0] for i in order], [texts_labels[i][1] for i in order])
+    content_of: dict[str, int] = {}
+    content = [content_of.setdefault(texts_labels[i][0], len(content_of)) for i in order]
+    return _featurized(list(content_of), content, [texts_labels[i][1] for i in order])

@@ -30,13 +30,14 @@ import math
 import numbers
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
 
 import numpy as np
 
 from . import metrics
-from .data import Example, MiniBatch, make_batches, pack_examples
+from .data import Corpus, Example, MiniBatch, make_batches, pack_examples
 from .metapredictor import DECISION_POLICIES, NaiveBayesModel
 from .model import TargetModel
 from .threshold import ThresholdState, make_label
@@ -168,7 +169,7 @@ class RunReport:
         return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "traces"}
 
 
-def build_epoch_batches(examples: list[Example], config: TrainerConfig) -> list[MiniBatch]:
+def build_epoch_batches(examples: Sequence[Example], config: TrainerConfig) -> list[MiniBatch]:
     """The exact batch partition a run with this config iterates each epoch."""
     return make_batches(examples, config.batch_size, seed=config.seed, shuffle=config.shuffle)
 
@@ -177,17 +178,18 @@ class Trainer:
     def __init__(
         self,
         config: TrainerConfig,
-        train_examples: list[Example],
-        eval_examples: list[Example] | None = None,
+        train_examples: Sequence[Example],
+        eval_examples: Sequence[Example] | None = None,
     ):
         if not train_examples:
             raise ValueError("dataset is empty")
         if eval_examples is not None and not eval_examples:
             raise ValueError("eval set is empty; pass None to evaluate on the training set")
         self.config = config
-        self._eval_batch = pack_examples(train_examples if eval_examples is None else eval_examples)
+        train = Corpus.from_examples(train_examples)  # a list is converted once; batches come from arrays
+        self._eval_batch = pack_examples(train if eval_examples is None else eval_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
-        self._epoch_batches = build_epoch_batches(train_examples, config)
+        self._epoch_batches = build_epoch_batches(train, config)
         self._warmup_batches = math.ceil(config.n0_fraction * len(self._epoch_batches) - 1e-9)
         self.stage = Stage.WARMUP
         self.epoch_index = 0
@@ -386,8 +388,8 @@ class Trainer:
 
 def run(
     config: TrainerConfig,
-    train_examples: list[Example],
-    eval_examples: list[Example] | None = None,
+    train_examples: Sequence[Example],
+    eval_examples: Sequence[Example] | None = None,
 ) -> RunReport:
     """Execute one experiment and report accuracy, skip fractions, and costs."""
     return Trainer(config, train_examples, eval_examples).run()
@@ -395,9 +397,9 @@ def run(
 
 def run_random_skip(
     config: TrainerConfig,
-    train_examples: list[Example],
+    train_examples: Sequence[Example],
     target_ratio: float,
-    eval_examples: list[Example] | None = None,
+    eval_examples: Sequence[Example] | None = None,
 ) -> RunReport:
     """The matched-ratio control: skip both passes on a seeded coin flip."""
     cfg = replace(config, mode="random-skip", random_skip_ratio=target_ratio)

@@ -257,6 +257,22 @@ def test_run_missing_dataset_exits_2(capsys, tmp_path):
     assert "dataset not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--data", "--eval-data"])
+def test_run_dataset_that_is_not_a_readable_file_exits_2_before_training(
+    corpus_file, tmp_path, capsys, monkeypatch, flag
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started without a readable dataset")
+
+    monkeypatch.setattr(cli, "run", no_training)
+    directory = tmp_path / "data.jsonl"
+    directory.mkdir()
+    paths = {"--data": corpus_file, "--eval-data": corpus_file, flag: str(directory)}
+    assert run_cli("run", *(item for pair in paths.items() for item in pair), "--mode", "train-all") == 2
+    err = capsys.readouterr().err
+    assert f"cannot read dataset {directory}" in err and "runtime error" not in err
+
+
 @pytest.mark.parametrize("record, message", [
     ('{"text": 5, "label": 1}', "line 2: 'text' must be a string"),
     ('{"text": "a b", "text2": 123, "label": 1}', "line 2: 'text2' must be a string"),

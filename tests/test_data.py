@@ -161,6 +161,25 @@ def test_load_malformed_json_names_line(tmp_path):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("name, ok, bad, message", [
+    ("data.jsonl", '{"text": "good movie", "label": 1}', '{"text": "so so", "label": 7}', "label out of range: 7"),
+    ("data.jsonl", '{"text": "good movie", "label": 1}', "{oops", "malformed JSON record"),
+    ("data.tsv", "good movie\t1", "no tab here", "expected 'text<TAB>label'"),
+])
+def test_a_bad_line_is_named_though_a_valid_line_repeats_after_it(tmp_path, name, ok, bad, message):
+    path = tmp_path / name
+    path.write_text("\n".join([ok, ok, bad, ok, bad, ok]) + "\n")
+    with pytest.raises(ValueError, match=f"^line 3: {message}"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("name, line", [("data.jsonl", '{"text": "good movie", "label": 1}'), ("data.tsv", "good movie\t1")])
+def test_a_byte_order_mark_is_dropped(tmp_path, name, line):
+    path = tmp_path / name
+    path.write_text("\ufeff" + line + "\n" + line + "\n", encoding="utf-8")
+    assert [(ex.text, ex.label) for ex in load_dataset(str(path))] == [("good movie", 1)] * 2
+
+
 def test_load_tsv_missing_tab(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text("no tab here\n")
@@ -193,8 +212,9 @@ def test_equal_tokens_across_loaded_examples_are_one_object(tmp_path):
 
 
 def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
-    # measured 267 bytes held and 425 at the peak of the load per example
-    # (CPython 3.11, numpy buffers included; duplicates share text and buckets)
+    # measured 56 bytes held and 198 at the peak of the load per example
+    # (CPython 3.11, numpy buffers included; the corpus is arrays, its texts
+    # distinct); the bounds are those figures plus a third
     path = tmp_path / "corpus.jsonl"
     write_jsonl(generate_toy_corpus(2000, seed=3), str(path))
     load_dataset(str(path))  # fills the hash cache, which outlives any one corpus
@@ -204,8 +224,8 @@ def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held / len(examples) < 320
-    assert peak / len(examples) < 480
+    assert held / len(examples) < 75
+    assert peak / len(examples) < 265
 
 
 # -- bulk featurization -----------------------------------------------------------
@@ -453,6 +473,15 @@ def _random_corpus(rng):
     return [Example(text, tokenize(text), int(rng.integers(2))) for text in texts]
 
 
+def assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("indices", "rows", "labels"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("shuffle", [True, False])
 def test_make_batches_equal_per_batch_packing(shuffle):
     rng = np.random.default_rng(12)
@@ -461,13 +490,28 @@ def test_make_batches_equal_per_batch_packing(shuffle):
         n = len(examples)
         for batch_size in (1, 7, int(rng.integers(2, 9)), n, n + 3):
             got = make_batches(examples, batch_size, seed=trial, shuffle=shuffle)
-            want = _reference_batches(examples, batch_size, trial, shuffle)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                for name in ("indices", "rows", "labels"):
-                    a, b = getattr(g, name), getattr(w, name)
-                    assert a.dtype == b.dtype == np.int64
-                    assert np.array_equal(a, b)
+            assert_same_batches(got, _reference_batches(examples, batch_size, trial, shuffle))
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path, shuffle):
+    # zero-token texts, and equal texts under both labels
+    records = [
+        ("good movie", 1), ("!!!", 0), ("good movie", 0), ("bad plot", 0), ("...", 1), ("good movie", 1),
+        ("bad plot", 1), ("so so", 0), ("!!!", 1), ("fine", 1), ("good movie", 0),
+    ]
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps({"text": text, "label": label}) + "\n" for text, label in records))
+    loaded = load_dataset(str(path))
+    assert [(ex.text, ex.label) for ex in loaded] == records
+    assert len(loaded.texts) == 6
+    generated = generate_toy_corpus(300, duplication=4, noise_rate=0.3, seed=5, min_tokens=0, max_tokens=3)
+    for corpus in (loaded, generated):
+        assert any(not ex.features().size for ex in corpus)
+        for batch_size in (1, 4, 7, len(corpus), len(corpus) + 3):
+            got = make_batches(corpus, batch_size, seed=3, shuffle=shuffle)
+            assert len(got[-1]) == (len(corpus) % batch_size or batch_size)
+            assert_same_batches(got, _reference_batches(list(corpus), batch_size, 3, shuffle))
 
 
 def test_batch_arrays_are_read_only_views_of_one_array_per_field():

@@ -416,6 +416,24 @@ def test_empty_eval_set_rejected_and_none_means_the_training_set():
     assert run(cfg, CORPUS).accuracy == run(cfg, CORPUS, CORPUS).accuracy
 
 
+@pytest.mark.parametrize("mode", ["train-all", "three-stage"])
+def test_a_list_of_examples_runs_as_its_corpus(tmp_path, mode):
+    """A list of examples is made a corpus once and batched from the same
+    int64 values, so its report JSON and trace are byte-identical."""
+
+    def outputs(train, evalset, trace_path):
+        report = run(replace(BASE, mode=mode), train, evalset)
+        payload = report.to_json_dict()
+        del payload["overhead_wall_seconds"]  # measured wall time
+        write_trace(report.traces, str(trace_path))
+        return json.dumps(payload, indent=2), trace_path.read_bytes()
+
+    from_corpus = outputs(CORPUS, EVAL, tmp_path / "corpus.csv")
+    assert outputs(list(CORPUS), list(EVAL), tmp_path / "list.csv") == from_corpus
+    if mode == "three-stage":
+        assert json.loads(from_corpus[0])["stage_boundaries"]["full_filter_start"] is not None
+
+
 @pytest.mark.parametrize("where", ["train", "eval"])
 def test_bad_label_rejected_at_construction(where):
     bad = [*CORPUS[:20], Example("good movie", ["good", "movie"], 5)]
