@@ -7,14 +7,14 @@ A loaded or generated corpus is a ``Corpus``: arrays, not examples. It holds
 the distinct texts in first-seen order, a content id and a label per example,
 and a read-only CSR block (``ptr``, ``buckets``) of each distinct text's
 sorted, distinct buckets. ``load_dataset`` parses and checks each distinct
-line once; then each distinct text is tokenized once, each distinct token is
-hashed once and the distinct texts' ``(text, bucket)`` keys are sorted in one
-array. No token list is kept. Indexing or iterating a corpus builds an
-``Example`` on demand: it shares its content's ``text`` string and bucket
-view and tokenizes its text only when ``tokens`` is first read. An
-``Example`` built directly runs ``vectorize``, the one-example definition,
-and ``Corpus.from_examples`` turns a list of them into a corpus. Tokens are
-interned, so a token repeated across examples is one string object, and
+line once; then the distinct texts are featurized in one pass: each is
+tokenized once, its tokens' buckets are streamed into one array of ``(text,
+bucket)`` keys as they are read, each distinct token is hashed once and the
+keys are sorted once. No token list outlives its text. Indexing or iterating
+a corpus builds an ``Example`` on demand: it shares its content's ``text``
+string and bucket view and tokenizes its text only when ``tokens`` is first
+read. An ``Example`` built directly runs ``vectorize``, the one-example
+definition, and ``Corpus.from_examples`` turns a list of them into a corpus.
 ``Example`` and ``MiniBatch`` are slotted.
 
 Batching is one gather: the examples' CSR rows, in the seeded permutation's
@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 import re
-import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -43,11 +42,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace/punctuation, dropping the punctuation.
-
-    Tokens are interned, so equal tokens across a corpus are one object.
-    """
-    return list(map(sys.intern, _TOKEN_RE.findall(text.lower())))
+    """Lowercase and split on whitespace/punctuation, dropping the punctuation."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -65,8 +61,8 @@ def vectorize(tokens: list[str]) -> np.ndarray:
     """Presence bits of a token list: its sorted, distinct hash buckets.
 
     Set semantics on purpose: duplicate tokens collapse to one bit, matching
-    a Bernoulli feature model. The one-example definition, which bulk
-    featurization (``_corpus_buckets``) reproduces for a whole corpus.
+    a Bernoulli feature model. The one-example definition, which one-pass
+    featurization (``_featurized``) reproduces for a whole corpus.
     """
     return np.array(sorted(set(map(hash_bucket, tokens))), dtype=np.int64)
 
@@ -114,11 +110,16 @@ def _example(text: str, label: int, buckets: np.ndarray) -> Example:
 
 
 def _labels(labels, n: int) -> np.ndarray:
-    """``labels`` as ``n`` int64 values; raises unless each is 0 or 1."""
-    labels = np.asarray(labels)
-    if not ((labels == 0) | (labels == 1)).all():
+    """``labels`` as ``n`` int64 values; raises unless each is the integer 0
+    or 1. A numpy integer passes and a bool or a float does not, as in
+    ``load_dataset``; an empty array of any dtype is no labels."""
+    array = np.asarray(labels)
+    integers = array.dtype.kind in "iu" and (
+        isinstance(labels, np.ndarray) or not any(isinstance(label, (bool, np.bool_)) for label in labels)
+    )
+    if array.size and not (integers and ((array == 0) | (array == 1)).all()):
         raise ValueError("labels must be 0 or 1")
-    return labels.reshape(n).astype(np.int64)
+    return array.reshape(n).astype(np.int64)
 
 
 def _csr(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -193,23 +194,24 @@ class Corpus(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """Every token list's ``vectorize``, in bulk, as a CSR block ``(ptr,
-    buckets)``: the lists' sorted, distinct buckets concatenated into one
-    array, and the offset where each list's buckets begin and the last end.
-    ``hash_bucket`` runs once per distinct token, and the keys ``row *
-    HASH_BUCKETS + bucket`` of all lists are sorted once. A corpus passes one
-    list per distinct text, so duplicates add no keys."""
-    buckets = dict.fromkeys(chain.from_iterable(token_lists))
-    for token in buckets:
-        buckets[token] = hash_bucket(token)
-    n = len(token_lists)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=n)
-    row_starts = np.arange(n + 1, dtype=np.int64) * HASH_BUCKETS
-    keys = np.fromiter(
-        map(buckets.__getitem__, chain.from_iterable(token_lists)), dtype=np.int64, count=int(lengths.sum())
-    )
-    keys += np.repeat(row_starts[:-1], lengths)
+def _featurized(texts: list[str], content, labels) -> Corpus:
+    """The corpus of distinct ``texts`` with these content ids and labels,
+    featurized in one pass: each text is tokenized once, and its tokens'
+    buckets, read through a memo of this call, are streamed as keys ``row *
+    HASH_BUCKETS + bucket`` into one array, sorted once. ``hash_bucket`` runs
+    once per distinct token, and no token list outlives its text. The CSR
+    block is each text's ``vectorize``: its sorted, distinct buckets."""
+    bucket = functools.cache(hash_bucket)
+    lengths: list[int] = []
+
+    def buckets_of(text: str):
+        tokens = tokenize(text)
+        lengths.append(len(tokens))
+        return map(bucket, tokens)
+
+    keys = np.fromiter(chain.from_iterable(map(buckets_of, texts)), dtype=np.int64)
+    row_starts = np.arange(len(texts) + 1, dtype=np.int64) * HASH_BUCKETS
+    keys += np.repeat(row_starts[:-1], np.array(lengths, dtype=np.int64))
     keys.sort()
     distinct = np.empty(keys.size, dtype=bool)
     distinct[:1] = True
@@ -217,24 +219,18 @@ def _corpus_buckets(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarra
     keys = keys[distinct]
     ptr = np.searchsorted(keys, row_starts)
     keys %= HASH_BUCKETS
-    return ptr, keys
+    return Corpus(texts, np.asarray(content, dtype=np.int64), labels, ptr, keys)
 
 
-def _featurized(texts: list[str], content, labels) -> Corpus:
-    """The corpus of distinct ``texts`` with these content ids and labels,
-    featurized in bulk: each text is tokenized once."""
-    ptr, buckets = _corpus_buckets(list(map(tokenize, texts)))
-    return Corpus(texts, np.asarray(content, dtype=np.int64), labels, ptr, buckets)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MiniBatch:
     """Examples packed for the model and the predictor alike.
 
     ``indices`` concatenates every example's sorted, distinct buckets and
     ``rows`` names the example each index belongs to, so per-example sums are
     one ``np.bincount(rows, weights, minlength=len(batch))``. The arrays are
-    read-only views, shared with the other batches packed alongside.
+    read-only views, shared with the other batches packed alongside. A batch
+    compares and hashes by identity.
     """
 
     indices: np.ndarray
@@ -378,8 +374,8 @@ def load_dataset(path: str, format: str | None = None, header: bool = False) -> 
     ``text`` with a space. TSV rows are ``text<TAB>label``; ``header=True``
     skips the first line. ``format`` defaults to the file extension. A UTF-8
     byte-order mark at the start of the file is dropped. Each distinct line
-    is parsed and checked once, and every line is checked before any text is
-    featurized, in bulk.
+    is parsed and checked once, and every line is checked before the distinct
+    texts are featurized, in one pass.
     """
     if format is None:
         suffix = str(path).rsplit(".", 1)[-1].lower()

@@ -203,16 +203,8 @@ def test_load_jsonl_text2_must_be_a_string_when_present(tmp_path):
         load_dataset(str(path))
 
 
-def test_equal_tokens_across_loaded_examples_are_one_object(tmp_path):
-    path = tmp_path / "data.jsonl"
-    path.write_text('{"text": "good movie", "label": 1}\n{"text": "movie good", "label": 0}\n')
-    first, second = load_dataset(str(path))
-    assert first.tokens[0] is second.tokens[1]
-    assert first.tokens[1] is second.tokens[0]
-
-
 def test_loaded_corpus_bytes_per_example_stay_bounded(tmp_path):
-    # measured 56 bytes held and 198 at the peak of the load per example
+    # measured 56 bytes held and 202 at the peak of the load per example
     # (CPython 3.11, numpy buffers included; the corpus is arrays, its texts
     # distinct); the bounds are those figures plus a third
     path = tmp_path / "corpus.jsonl"
@@ -346,20 +338,31 @@ def test_toy_corpus_duplicates_share_content():
 
 
 def test_a_load_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
+    """And hashes each distinct token once per load, whatever the shared
+    ``hash_bucket`` cache already holds."""
     path = tmp_path / "data.jsonl"
     write_jsonl(generate_toy_corpus(200, duplication=4), str(path))
-    calls = Counter()
+    calls, hashed = Counter(), Counter()
 
     def counted_tokenize(text):
         calls[text] += 1
         return tokenize(text)
 
+    def counted_hash_bucket(token):
+        hashed[token] += 1
+        return hash_bucket(token)
+
     monkeypatch.setattr("lossgate.data.tokenize", counted_tokenize)
+    monkeypatch.setattr("lossgate.data.hash_bucket", counted_hash_bucket)
     for load in (lambda: load_dataset(str(path)), lambda: generate_toy_corpus(200, duplication=4)):
-        calls.clear()
-        examples = load()
-        assert len(calls) == 50
-        assert calls == Counter({example.text for example in examples})
+        for _ in range(2):
+            calls.clear()
+            hashed.clear()
+            examples = load()
+            texts = {example.text for example in examples}
+            assert len(calls) == 50
+            assert calls == Counter(texts)
+            assert hashed == Counter({token for text in texts for token in tokenize(text)})
 
 
 def test_loading_an_empty_file_gives_no_examples(tmp_path):
@@ -523,13 +526,30 @@ def test_batch_arrays_are_read_only_views_of_one_array_per_field():
         assert all(array.base is base and not array.flags.writeable for array in arrays)
         with pytest.raises(ValueError):
             arrays[0][:1] = 0
+    # a batch is equal to itself alone and hashes by identity
+    first, second = batches[:2]
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second, first}) == 2
 
 
 def test_packing_rejects_labels_other_than_0_or_1():
-    bad = [Example("a b", tokenize("a b"), 1), Example("c", tokenize("c"), 5)]
-    for packed in (lambda: make_batches(bad, 1), lambda: pack_examples(bad), lambda: pack([[1], [2]], labels=[0, -1])):
+    for label in (5, -1, True, 1.0):
+        bad = [Example("a b", tokenize("a b"), 1), Example("c", tokenize("c"), label)]
+        for packed in (
+            lambda: make_batches(bad, 1),
+            lambda: pack_examples(bad),
+            lambda: pack([[1], [2]], labels=[0, label]),
+        ):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                packed()
+    for labels in (np.array([True, False]), np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            packed()
+            pack([[1], [2]], labels=labels)
+
+
+def test_packing_accepts_numpy_integer_labels():
+    for labels in ([np.int64(1), np.uint8(0)], np.array([1, 0], dtype=np.uint8)):
+        assert pack([[1], [2]], labels=labels).labels.tolist() == [1, 0]
 
 
 def test_make_batches_rejects_bad_input():

@@ -436,9 +436,10 @@ def test_a_list_of_examples_runs_as_its_corpus(tmp_path, mode):
 
 @pytest.mark.parametrize("where", ["train", "eval"])
 def test_bad_label_rejected_at_construction(where):
-    bad = [*CORPUS[:20], Example("good movie", ["good", "movie"], 5)]
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        Trainer(BASE, *((bad, EVAL) if where == "train" else (CORPUS, bad)))
+    for label in (5, True, 1.0):
+        bad = [*CORPUS[:20], Example("good movie", ["good", "movie"], label)]
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            Trainer(BASE, *((bad, EVAL) if where == "train" else (CORPUS, bad)))
 
 
 def test_a_config_is_checked_when_built():
