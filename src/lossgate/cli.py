@@ -2,7 +2,9 @@
 toy-corpus generation.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
-output path that resolves to an input or to another output exits 2.
+output path that resolves to an input or to another output, that is a
+directory or that lies in a directory that does not exist exits 2 before any
+work, as does a --config file that cannot be read.
 
 TrainerConfig field field_name is flag --field-name, but for six spelled
 otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
@@ -115,8 +117,12 @@ def _read_config_file(path: str) -> dict:
     """Flat ``key = value`` pairs; keys are TrainerConfig field names."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -162,13 +168,18 @@ def _config_from_args(args: argparse.Namespace) -> TrainerConfig:
 
 def _reject_clobbering(args: argparse.Namespace) -> None:
     """An output path that resolves to an input or to another output would
-    overwrite that file."""
+    overwrite that file; one that is a directory, or lies in a directory that
+    does not exist, could not be written after all the work."""
     inputs, outputs = ("data", "eval_data", "config"), ("out", "eval_out", "report", "trace")
     named: dict[str, str] = {}
     for name in inputs + outputs:
         path = getattr(args, name, None)
         if not path:
             continue
+        if name in outputs and os.path.isdir(path):
+            raise UsageError(f"{_flag(name)} names a directory: {path}")
+        if name in outputs and not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{_flag(name)} lies in a directory that does not exist: {path}")
         other = named.setdefault(os.path.realpath(path), name)
         if other != name and name in outputs:
             raise UsageError(f"{_flag(name)} and {_flag(other)} name the same file: {path}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
+import numbers
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -139,7 +139,10 @@ class Corpus(Sequence):
     - ``ptr`` and ``buckets``: a CSR block, so content ``c``'s sorted,
       distinct buckets are ``buckets[ptr[c]:ptr[c + 1]]``.
 
-    The arrays are read-only int64. Indexing or iterating builds an
+    The arrays are read-only int64 views; the arrays a caller passes keep
+    their flags. The constructor raises ValueError unless every content id
+    names a text and ``ptr`` holds ``len(texts) + 1`` non-decreasing offsets
+    from 0 to ``len(buckets)``. Indexing or iterating builds an
     ``Example`` on demand, which shares its content's ``text`` string and one
     read-only bucket view with the other examples of that content. A slice
     is a corpus over the same texts and CSR block. A corpus equals a list,
@@ -150,9 +153,14 @@ class Corpus(Sequence):
 
     def __init__(self, texts, content: np.ndarray, labels, ptr: np.ndarray, buckets: np.ndarray):
         self.texts = tuple(texts)
-        self.content, self.labels = content, _labels(labels, content.size)
-        self.ptr, self.buckets = ptr, buckets
-        for array in (content, self.labels, ptr, buckets):
+        n = len(self.texts)
+        if content.size and not 0 <= content.min() <= content.max() < n:
+            raise ValueError(f"content ids must lie in [0, {n})")
+        if not (ptr.shape == (n + 1,) and ptr[0] == 0 and ptr[-1] == buckets.size and (ptr[1:] >= ptr[:-1]).all()):
+            raise ValueError("ptr must hold len(texts) + 1 non-decreasing offsets from 0 to len(buckets)")
+        self.content, self.labels = content.view(), _labels(labels, content.size)
+        self.ptr, self.buckets = ptr.view(), buckets.view()
+        for array in (self.content, self.labels, self.ptr, self.buckets):
             array.flags.writeable = False
         self._views: list[np.ndarray] | None = None
 
@@ -219,6 +227,8 @@ def _featurized(texts: list[str], content, labels) -> Corpus:
     keys = keys[distinct]
     ptr = np.searchsorted(keys, row_starts)
     keys %= HASH_BUCKETS
+    # the corpus holds read-only views, and nothing else holds these arrays
+    ptr.flags.writeable = keys.flags.writeable = False
     return Corpus(texts, np.asarray(content, dtype=np.int64), labels, ptr, keys)
 
 
@@ -287,26 +297,8 @@ def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
 
 
 def is_int(value) -> bool:
-    """A JSON integer: an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_finite(value) -> bool:
-    """A finite JSON number: an ``is_int`` or a finite ``float``."""
-    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def read_json_fields(path: str, *keys: str) -> list:
-    """The values of ``keys`` in the JSON object stored at ``path``. Raises
-    ValueError if the file holds something other than an object or lacks a key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValueError(f"missing key(s): {', '.join(map(repr, missing))}")
-    return [payload[key] for key in keys]
+    """An integer that is not a ``bool``: an ``int`` or a numpy integer."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _checked_label(label, line_no: int) -> int:

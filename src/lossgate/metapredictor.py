@@ -53,7 +53,7 @@ import numbers
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, is_finite, is_int, pack, read_json_fields
+from .data import HASH_BUCKETS, MiniBatch, is_int, pack
 
 # entries a model's log table and count histogram start with; each is
 # rebuilt at twice the size once a class total or count reaches its end
@@ -73,8 +73,12 @@ def _check_label(label) -> None:
 
 class NaiveBayesModel:
     def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
-        if not 0 < smoothing_alpha < math.inf:
-            raise ValueError("smoothing_alpha must be positive and finite")
+        # the one check of both parameters, a checkpoint's too; numpy numbers pass, bools do not
+        real = isinstance(smoothing_alpha, numbers.Real) and not isinstance(smoothing_alpha, bool)
+        if not (real and 0 < smoothing_alpha < math.inf):
+            raise ValueError(f"smoothing_alpha must be a positive finite number, got {smoothing_alpha!r}")
+        if not is_int(dimension) or dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.smoothing_alpha = float(smoothing_alpha)
         self.dimension = int(dimension)
         # examples counted under class 0 and class 1
@@ -251,26 +255,27 @@ def load_predictor(path: str) -> NaiveBayesModel:
     """Read a ``save_predictor`` checkpoint.
 
     Raises ValueError on a checkpoint no live model could have written: a
-    payload that is not an object or lacks a key, an ``alpha`` that is not
-    positive and finite, ``class_counts`` that are not two non-negative
-    integers, ``token_counts`` that are not an object of two lists keyed
-    ``"0"`` and ``"1"``, an entry that is not an integer pair, a bucket
-    outside ``[0, dimension)``, or a bucket count that is negative or above
-    its class total.
+    payload that is not an object or lacks a key, an ``alpha`` or
+    ``dimension`` that ``NaiveBayesModel`` refuses, ``class_counts`` that are
+    not two non-negative integers, ``token_counts`` that are not an object of
+    two lists keyed ``"0"`` and ``"1"``, an entry that is not an integer
+    pair, a bucket outside ``[0, dimension)``, or a bucket count that is
+    negative or above its class total.
     """
-    alpha, dimension, class_counts, token_counts = read_json_fields(
-        path, "alpha", "dimension", "class_counts", "token_counts"
-    )
-    if not is_finite(alpha) or not alpha > 0:
-        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
-    if not is_int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    missing = [key for key in ("alpha", "dimension", "class_counts", "token_counts") if key not in payload]
+    if missing:
+        raise ValueError(f"missing key(s): {', '.join(map(repr, missing))}")
+    model = NaiveBayesModel(smoothing_alpha=payload["alpha"], dimension=payload["dimension"])
+    class_counts, token_counts, dimension = payload["class_counts"], payload["token_counts"], model.dimension
     if not (isinstance(class_counts, list) and len(class_counts) == 2
             and all(is_int(c) and c >= 0 for c in class_counts)):
         raise ValueError(f"class_counts must be two non-negative integers, got {class_counts!r}")
     if not (isinstance(token_counts, dict) and all(isinstance(token_counts.get(k), list) for k in ("0", "1"))):
         raise ValueError("token_counts must be an object with a list under each of '0' and '1'")
-    model = NaiveBayesModel(smoothing_alpha=alpha, dimension=dimension)
     # the totals stay Python ints, as ``update`` keeps them
     model.class_counts = list(class_counts)
     for label in (0, 1):

@@ -11,6 +11,8 @@ from collections import deque
 
 import numpy as np
 
+from .data import is_int
+
 
 def make_label(batch_loss: float, gate: float) -> int:
     """Train-worthiness label: 1 iff the loss is at or above the gate.
@@ -23,8 +25,8 @@ def make_label(batch_loss: float, gate: float) -> int:
 
 class ThresholdState:
     def __init__(self, window_size: int, skip_margin_gamma: float = 1.0):
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
+        if not is_int(window_size) or window_size < 1:
+            raise ValueError(f"window_size must be an integer >= 1, got {window_size!r}")
         if not 0 < skip_margin_gamma < math.inf:
             raise ValueError("skip_margin_gamma must be positive and finite")
         self.window_size = int(window_size)

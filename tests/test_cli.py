@@ -1,4 +1,5 @@
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -381,6 +382,52 @@ def test_run_refuses_an_output_that_is_another_file_it_names(corpus_file, tmp_pa
     assert run_cli("run", "--data", corpus_file, other, str(path), flag, str(path)) == 2
     assert f"{flag} and {other} name the same file: {path}" in capsys.readouterr().err
     assert path.read_text() == "mode = train-all\n"
+
+
+def refuse_work(monkeypatch):
+    for name in ("run", "load_dataset", "generate_toy_corpus"):
+        @functools.wraps(getattr(cli, name))  # the signature gen-toy builds its flags from
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work on a command line it refuses")
+
+        monkeypatch.setattr(cli, name, no_work)
+
+
+# each command's output flags
+OUTPUT_FLAGS = {
+    "run": ["--report", "--trace"], "sweep": ["--out"], "compare": ["--out"], "gen-toy": ["--out", "--eval-out"],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "in-missing-directory"])
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in OUTPUT_FLAGS.items() for f in flags])
+def test_an_output_path_that_cannot_be_written_exits_2_before_any_work(
+    corpus_file, tmp_path, capsys, monkeypatch, command, flag, kind
+):
+    # else the write fails after all the work, and run --trace's after the report is written
+    refuse_work(monkeypatch)
+    (tmp_path / "dir").mkdir()
+    if kind == "directory":
+        bad, message = tmp_path / "dir", "names a directory"
+    else:
+        bad, message = tmp_path / "absent" / "out.txt", "lies in a directory that does not exist"
+    argv = [command] + ([] if command == "gen-toy" else ["--data", corpus_file])
+    for name in OUTPUT_FLAGS[command]:  # every other output a writable path
+        argv += [name, str(bad if name == flag else tmp_path / name.lstrip("-"))]
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*argv) == 2
+    assert f"error: {flag} {message}: {bad}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_a_config_file_that_cannot_be_read_exits_2_before_any_work(corpus_file, tmp_path, capsys, monkeypatch, command):
+    refuse_work(monkeypatch)
+    out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
+    assert run_cli(command, "--data", corpus_file, "--config", str(tmp_path), *out) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read config file {tmp_path}: Is a directory" in err and "runtime error" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from lossgate.data import (
     HASH_BUCKETS,
+    Corpus,
     Example,
     generate_toy_corpus,
     hash_bucket,
@@ -550,6 +551,40 @@ def test_packing_rejects_labels_other_than_0_or_1():
 def test_packing_accepts_numpy_integer_labels():
     for labels in ([np.int64(1), np.uint8(0)], np.array([1, 0], dtype=np.uint8)):
         assert pack([[1], [2]], labels=labels).labels.tolist() == [1, 0]
+
+
+def _corpus(content=(0, 1, 0), ptr=(0, 2, 3), buckets=(5, 9, 7)):
+    """A corpus over the texts "a b" and "c" with these arrays."""
+    return Corpus(["a b", "c"], np.array(content), [1, 0, 1], np.array(ptr), np.array(buckets))
+
+
+@pytest.mark.parametrize("content", [(0, -1, 1), (0, 2, 1), (-3,)])
+def test_corpus_rejects_content_ids_outside_its_texts(content):
+    # a negative id would wrap to the last text
+    with pytest.raises(ValueError, match="content ids"):
+        _corpus(content=content)
+
+
+@pytest.mark.parametrize(
+    "ptr", [(0, 2), (0, 2, 3, 3), (1, 2, 3), (0, 2, 2), (0, 2, 4), (0, 4, 3), ((0, 2, 3),)],
+    ids=["short", "long", "not-from-0", "short-of-buckets", "past-buckets", "decreasing", "2-d"],
+)
+def test_corpus_rejects_ptr_that_does_not_span_buckets(ptr):
+    with pytest.raises(ValueError, match="ptr"):
+        _corpus(ptr=ptr)
+
+
+def test_corpus_keeps_read_only_views_and_leaves_the_callers_arrays_writeable():
+    content, ptr, buckets = np.array([0, 1, 0]), np.array([0, 2, 3]), np.array([5, 9, 7])
+    corpus = Corpus(["a b", "c"], content, [1, 0, 1], ptr, buckets)
+    for given, held in ((content, corpus.content), (ptr, corpus.ptr), (buckets, corpus.buckets)):
+        assert given.flags.writeable and not held.flags.writeable
+        assert held.base is given  # a view, not a copy
+    assert [(ex.text, ex.label, ex.features().tolist()) for ex in corpus] == [
+        ("a b", 1, [5, 9]), ("c", 0, [7]), ("a b", 1, [5, 9])
+    ]
+    empty = Corpus([], np.empty(0, dtype=np.int64), [], np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert len(empty) == 0
 
 
 def test_make_batches_rejects_bad_input():

@@ -649,6 +649,35 @@ def test_load_predictor_rejects_bad_dimension(tmp_path, dimension):
         load_predictor(_checkpoint(tmp_path, dimension=dimension))
 
 
+@pytest.mark.parametrize("alpha", [True, "1", 0.0, -1.0, float("nan"), float("inf")])
+def test_constructor_rejects_smoothing_alpha_that_is_not_a_positive_finite_number(alpha):
+    with pytest.raises(ValueError, match="smoothing_alpha"):
+        NaiveBayesModel(smoothing_alpha=alpha)
+
+
+@pytest.mark.parametrize("dimension", [8.9, 8.0, True, 0, np.int64(0)])
+def test_constructor_rejects_dimension_that_is_not_an_integer_of_at_least_1(dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        NaiveBayesModel(dimension=dimension)
+
+
+def test_constructor_accepts_numpy_numbers_and_keeps_python_ones():
+    model = NaiveBayesModel(smoothing_alpha=np.float64(0.5), dimension=np.int64(8))
+    assert type(model.smoothing_alpha) is float and model.smoothing_alpha == 0.5
+    assert type(model.dimension) is int and model.dimension == 8
+    assert model._bucket_counts.shape == (2, 8)
+    assert NaiveBayesModel(dimension=1).dimension == 1
+
+
+@pytest.mark.parametrize("field, value", [("alpha", True), ("alpha", 0.0), ("dimension", 8.0), ("dimension", 0)])
+def test_load_predictor_refuses_alpha_and_dimension_by_the_constructors_rule(tmp_path, field, value):
+    with pytest.raises(ValueError) as from_checkpoint:
+        load_predictor(_checkpoint(tmp_path, **{field: value}))
+    with pytest.raises(ValueError) as from_constructor:
+        NaiveBayesModel(**{"smoothing_alpha" if field == "alpha" else field: value})
+    assert str(from_checkpoint.value) == str(from_constructor.value)
+
+
 # -- bit-exact floats ---------------------------------------------------------------------
 
 

@@ -276,3 +276,15 @@ def test_model_rejects_bad_learning_rate(learning_rate):
     with pytest.raises(ValueError, match="learning_rate"):
         TargetModel(learning_rate=learning_rate)
 
+
+@pytest.mark.parametrize("dimension", [0, -1, 8.9, 8.0, True, np.int64(0)])
+def test_model_rejects_dimension_that_is_not_an_integer_of_at_least_1(dimension):
+    # 0 would build a model with no weights
+    with pytest.raises(ValueError, match="dimension"):
+        TargetModel(dimension=dimension)
+
+
+def test_model_accepts_a_numpy_integer_dimension():
+    model = TargetModel(dimension=np.int64(8))
+    assert model.weights.shape == (8,)
+    assert model.forward(pack([[1, 7]], labels=[1], dimension=8)).batch_loss == math.log(2.0)

@@ -181,3 +181,16 @@ def test_skip_decision_is_pure():
     answers = [make_label(0.55, state.skip_boundary) for _ in range(5)]
     assert answers == [0] * 5
     assert state.l_low == pytest.approx(0.6, abs=1e-15)
+
+
+@pytest.mark.parametrize("window_size", [2.7, 2.0, True, 0, -1, np.int64(0), "2"])
+def test_window_size_must_be_an_integer_of_at_least_1(window_size):
+    # int() would truncate 2.7 to a window of 2 and True to one of 1
+    with pytest.raises(ValueError, match="window_size"):
+        ThresholdState(window_size)
+
+
+def test_window_size_accepts_a_numpy_integer():
+    state = ThresholdState(np.int64(2))
+    assert type(state.window_size) is int
+    assert filled([0.2, 0.4], window_size=np.int64(2)).l_low == pytest.approx(0.3, abs=1e-15)
