@@ -4,7 +4,7 @@ toy-corpus generation.
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
 output path that resolves to an input or to another output, that is a
 directory or that lies in a directory that does not exist exits 2 before any
-work, as does a --config file that cannot be read.
+work, as does a --config file that cannot be read or is not UTF-8.
 
 TrainerConfig field field_name is flag --field-name, but for six spelled
 otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
@@ -118,24 +118,26 @@ def _read_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:  # a directory, or a file this process may not read
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{line_no}: expected 'key = value'")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _CONFIG_FIELDS:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            try:
-                values[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                values[key] = raw
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{line_no}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in _CONFIG_FIELDS:
+            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        try:
+            values[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            values[key] = raw
     return values
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import numbers
 import re
 from collections.abc import Iterator, Sequence
@@ -301,6 +302,29 @@ def is_int(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
+def is_real(value) -> bool:
+    """A real number that is not a ``bool``: an ``int``, a ``float`` or a numpy number of either kind."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def checked_size(name: str, value) -> int:
+    """``value`` as an int if it is an integer (``is_int``) of at least 1, else ValueError naming ``name``."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
+
+
+def checked_positive(name: str, value) -> float:
+    """``value`` as a float if it is a real number, not a bool, in ``(0, inf)``, else ValueError naming ``name``."""
+    if not is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
 def _checked_label(label, line_no: int) -> int:
     if not is_int(label):
         raise ValueError(f"line {line_no}: label must be an integer, got {label!r}")
@@ -425,8 +449,7 @@ def make_batches(
     corpus = Corpus.from_examples(examples)
     if not corpus:
         raise ValueError("no examples to batch")
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
+    batch_size = checked_size("batch_size", batch_size)
     content, labels = corpus.content, corpus.labels
     if shuffle:
         order = np.random.default_rng(seed).permutation(len(corpus))
@@ -454,14 +477,15 @@ def generate_toy_corpus(
     redundancy to exploit), each copy's label is flipped independently with
     probability ``noise_rate``, and the result is shuffled. Fully seeded.
     """
-    if num_examples <= 0:
-        raise ValueError("num_examples must be positive")
-    if duplication < 1:
-        raise ValueError("duplication must be >= 1")
+    num_examples = checked_size("num_examples", num_examples)
+    duplication = checked_size("duplication", duplication)
     if not 0.0 <= noise_rate < 1.0:
         raise ValueError("noise_rate must be in [0, 1)")
-    if class_vocab < 1 or shared_vocab < 1:
-        raise ValueError("class_vocab and shared_vocab must be >= 1")
+    class_vocab = checked_size("class_vocab", class_vocab)
+    shared_vocab = checked_size("shared_vocab", shared_vocab)
+    for name, value in (("min_tokens", min_tokens), ("max_tokens", max_tokens)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= min_tokens <= max_tokens:
         raise ValueError("token counts must satisfy 0 <= min_tokens <= max_tokens")
     if not 0.0 <= indicative_prob <= 1.0:

@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, is_int, pack
+from .data import HASH_BUCKETS, MiniBatch, checked_positive, checked_size, is_int, pack
 
 # entries a model's log table and count histogram start with; each is
 # rebuilt at twice the size once a class total or count reaches its end
@@ -65,22 +64,16 @@ DECISION_POLICIES = ("mean", "vote")
 
 def _check_label(label) -> None:
     """Raise unless ``label`` is the integer 0 or 1; a numpy integer passes,
-    a bool or a float does not. A plain int skips the slower ABC check."""
-    if (type(label) is not int and (isinstance(label, bool) or not isinstance(label, numbers.Integral))
-            or label not in (0, 1)):
+    a bool or a float does not."""
+    if not (is_int(label) and label in (0, 1)):
         raise ValueError("label must be the integer 0 or 1")
 
 
 class NaiveBayesModel:
     def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
-        # the one check of both parameters, a checkpoint's too; numpy numbers pass, bools do not
-        real = isinstance(smoothing_alpha, numbers.Real) and not isinstance(smoothing_alpha, bool)
-        if not (real and 0 < smoothing_alpha < math.inf):
-            raise ValueError(f"smoothing_alpha must be a positive finite number, got {smoothing_alpha!r}")
-        if not is_int(dimension) or dimension < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
-        self.smoothing_alpha = float(smoothing_alpha)
-        self.dimension = int(dimension)
+        # the one check of both parameters, a checkpoint's too
+        self.smoothing_alpha = checked_positive("smoothing_alpha", smoothing_alpha)
+        self.dimension = checked_size("dimension", dimension)
         # examples counted under class 0 and class 1
         self.class_counts = [0, 0]
         # count + 1 of a bucket either class has counted (the vocabulary), 0 elsewhere

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .data import checked_size, is_int, is_real
+
 
 @dataclass(frozen=True)
 class TimingModel:
@@ -19,8 +21,8 @@ class TimingModel:
     t_backward: float = 2.0
 
     def __post_init__(self):
-        if not (0 < self.t_forward < math.inf and 0 < self.t_backward < math.inf):
-            raise ValueError("pass times must be positive and finite")
+        if not all(is_real(t) and 0 < t < math.inf for t in (self.t_forward, self.t_backward)):
+            raise ValueError("pass times must be positive finite numbers")
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,8 @@ class SkipFractions:
     alpha_fb: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha_b <= 1.0 or not 0.0 <= self.alpha_fb <= 1.0:
-            raise ValueError("skip fractions must lie in [0, 1]")
+        if not all(is_real(a) and 0.0 <= a <= 1.0 for a in (self.alpha_b, self.alpha_fb)):
+            raise ValueError("skip fractions must be numbers in [0, 1]")
         if self.alpha_b + self.alpha_fb > 1.0 + 1e-12:
             raise ValueError("alpha_b + alpha_fb must not exceed 1")
 
@@ -46,10 +48,10 @@ class AgotParams:
     a_full: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if not (math.isfinite(self.a_base) and math.isfinite(self.a_full)):
-            raise ValueError("a_base and a_full must be finite")
+        if not (is_real(self.epsilon) and 0.0 <= self.epsilon <= 1.0):
+            raise ValueError("epsilon must be a number in [0, 1]")
+        if not all(is_real(a) and math.isfinite(a) for a in (self.a_base, self.a_full)):
+            raise ValueError("a_base and a_full must be finite numbers")
         if self.a_full == self.a_base:
             raise ValueError("a_full must differ from a_base")
 
@@ -68,15 +70,14 @@ class EnergyParams:
 
     def __post_init__(self):
         values = (self.p_cpu, self.p_dram, self.p_gpu, self.gpu_count, self.hours, self.pue, self.co2_lb_per_kwh)
-        if not all(0 <= v < math.inf for v in values):
-            raise ValueError("energy parameters must be non-negative and finite")
+        if not (is_int(self.gpu_count) and all(is_real(v) and 0 <= v < math.inf for v in values)):
+            raise ValueError("energy parameters must be non-negative finite numbers and gpu_count an integer")
 
 
 def total_time(fractions: SkipFractions, timing: TimingModel, num_batches: int) -> float:
     """Modelled run time: skipped backwards pay only the forward, fully
     skipped batches pay nothing."""
-    if num_batches <= 0:
-        raise ValueError("num_batches must be positive")
+    num_batches = checked_size("num_batches", num_batches)
     full = 1.0 - fractions.alpha_b - fractions.alpha_fb
     per_batch = fractions.alpha_b * timing.t_forward + full * (timing.t_forward + timing.t_backward)
     return num_batches * per_batch

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import HASH_BUCKETS, MiniBatch, is_int
+from .data import HASH_BUCKETS, MiniBatch, checked_positive, checked_size
 
 
 @dataclass
@@ -49,13 +49,9 @@ class TargetModel:
     """Binary logistic regression with a dense weight per hash bucket."""
 
     def __init__(self, learning_rate: float = 0.5, dimension: int = HASH_BUCKETS):
-        if not 0 < learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if not is_int(dimension) or dimension < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
-        self.weights = np.zeros(dimension, dtype=np.float64)
+        self.learning_rate = checked_positive("learning_rate", learning_rate)
+        self.weights = np.zeros(checked_size("dimension", dimension), dtype=np.float64)
         self.bias = 0.0
-        self.learning_rate = float(learning_rate)
         self.step_count = 0
 
     def _scores(self, batch: MiniBatch) -> np.ndarray:

@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from .data import is_int
+from .data import checked_positive, checked_size, is_real
 
 
 def make_label(batch_loss: float, gate: float) -> int:
@@ -25,12 +25,8 @@ def make_label(batch_loss: float, gate: float) -> int:
 
 class ThresholdState:
     def __init__(self, window_size: int, skip_margin_gamma: float = 1.0):
-        if not is_int(window_size) or window_size < 1:
-            raise ValueError(f"window_size must be an integer >= 1, got {window_size!r}")
-        if not 0 < skip_margin_gamma < math.inf:
-            raise ValueError("skip_margin_gamma must be positive and finite")
-        self.window_size = int(window_size)
-        self.skip_margin_gamma = float(skip_margin_gamma)
+        self.window_size = checked_size("window_size", window_size)
+        self.skip_margin_gamma = checked_positive("skip_margin_gamma", skip_margin_gamma)
         self._window: deque[float] = deque(maxlen=self.window_size)
         self._frozen_value: float | None = None
 
@@ -79,9 +75,13 @@ class ThresholdState:
         """Fix the threshold at its current value. Idempotent.
 
         ``override`` replaces the frozen value; it exists for diagnostics such
-        as forcing the gate permanently open. The window's variance is checked
-        first, so a diverged window raises and leaves the state unfrozen.
+        as forcing the gate permanently open with ``-inf``. An override that
+        is NaN or not a real number (a bool included) raises in every state.
+        The window's variance is checked first, so a diverged window raises
+        and leaves the state unfrozen.
         """
+        if override is not None and not (is_real(override) and not math.isnan(override)):
+            raise ValueError(f"override must be a real number other than NaN, got {override!r}")
         if self.frozen:
             return
         if not self.window_full:

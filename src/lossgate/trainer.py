@@ -37,7 +37,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import metrics
-from .data import Corpus, Example, MiniBatch, make_batches, pack_examples
+from .data import Corpus, Example, MiniBatch, checked_positive, checked_size, make_batches, pack_examples
 from .metapredictor import DECISION_POLICIES, NaiveBayesModel
 from .model import TargetModel
 from .threshold import ThresholdState, make_label
@@ -116,11 +116,9 @@ class TrainerConfig:
             if choices is not None and value not in choices:
                 raise ValueError(f"unknown {f.name}: {value!r}")
         for name in ("epochs", "batch_size", "threshold_window", "predictor_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            checked_size(name, getattr(self, name))
         for name in ("learning_rate", "alt", "skip_margin_gamma", "smoothing_alpha", "t_forward", "t_backward"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            checked_positive(name, getattr(self, name))
         for name in ("seed", "power_cpu_watts", "power_dram_watts", "power_gpu_watts", "gpu_count"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")

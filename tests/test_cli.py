@@ -430,6 +430,16 @@ def test_a_config_file_that_cannot_be_read_exits_2_before_any_work(corpus_file, 
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_before_any_work(corpus_file, tmp_path, capsys, monkeypatch):
+    # the decoding error is raised while lines are read, after the file opened
+    refuse_work(monkeypatch)
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"mode = \xff\xfe\n")
+    assert run_cli("run", "--data", corpus_file, "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec can't decode byte 0xff")
+
+
 # -- sweep -------------------------------------------------------------------------
 
 

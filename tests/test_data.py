@@ -637,3 +637,37 @@ def test_toy_corpus_validation():
         generate_toy_corpus(10, duplication=0)
     with pytest.raises(ValueError):
         generate_toy_corpus(10, noise_rate=1.0)
+
+
+BAD_TOY_SIZES = [
+    ("num_examples", True), ("num_examples", "10"), ("duplication", 2.5), ("duplication", True),
+    ("class_vocab", 2.5), ("shared_vocab", True), ("min_tokens", 1.5), ("max_tokens", 3.0),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_TOY_SIZES)
+def test_toy_corpus_refuses_a_size_that_is_not_an_integer(name, value):
+    # 2.5 copies of a text or a vocabulary of True words cannot be generated
+    params = {"num_examples": 10, "min_tokens": 1, "max_tokens": 3, name: value}
+    with pytest.raises(ValueError, match=name):
+        generate_toy_corpus(**params)
+
+
+def test_toy_corpus_refuses_each_vocabulary_size_by_name():
+    for name in ("class_vocab", "shared_vocab"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            generate_toy_corpus(10, **{name: 0})
+
+
+def test_toy_corpus_takes_numpy_integer_sizes_as_python_ones():
+    sizes = dict(num_examples=40, duplication=4, class_vocab=7, shared_vocab=9, min_tokens=1, max_tokens=3)
+    expected = generate_toy_corpus(**sizes)
+    got = generate_toy_corpus(**{name: np.int64(value) for name, value in sizes.items()})
+    assert got == expected and got.texts == expected.texts
+
+
+@pytest.mark.parametrize("batch_size", [True, 2.5, "2"])
+def test_make_batches_refuses_a_batch_size_that_is_not_an_integer(batch_size):
+    # True would cut batches of one example, and 2.5 uneven ones
+    with pytest.raises(ValueError, match="batch_size"):
+        make_batches(_examples(3), batch_size=batch_size)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,40 @@ def test_energy_constants_overridable():
 def test_energy_params_reject_negative_and_non_finite(field, value):
     with pytest.raises(ValueError, match="energy parameters"):
         EnergyParams(**{field: value})
+
+
+# -- the number rules -------------------------------------------------------------------
+
+BAD_NUMBERS = {
+    "pass-time-bool": (TimingModel, {"t_forward": True}, "pass times"),
+    "pass-time-string": (TimingModel, {"t_backward": "2"}, "pass times"),
+    "skip-fraction-bool": (SkipFractions, {"alpha_b": True, "alpha_fb": 0.0}, "skip fractions"),
+    "skip-fraction-string": (SkipFractions, {"alpha_b": 0.0, "alpha_fb": "0.5"}, "skip fractions"),
+    "epsilon-bool": (AgotParams, {"epsilon": True}, "epsilon"),
+    "anchor-bool": (AgotParams, {"a_full": True}, "a_full"),
+    "anchor-string": (AgotParams, {"a_base": "0.5"}, "a_base"),
+    "gpu-count-fraction": (EnergyParams, {"gpu_count": 1.5}, "energy parameters"),
+    "gpu-count-bool": (EnergyParams, {"gpu_count": True}, "energy parameters"),
+    "power-bool": (EnergyParams, {"p_cpu": True}, "energy parameters"),
+    "hours-string": (EnergyParams, {"hours": "1"}, "energy parameters"),
+    "num-batches-fraction": (partial(total_time, SkipFractions(0.0, 0.0), TIMING), {"num_batches": 2.5}, "num_batches"),
+    "num-batches-bool": (partial(total_time, SkipFractions(0.0, 0.0), TIMING), {"num_batches": True}, "num_batches"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_a_bool_a_fraction_or_a_string_is_refused_where_a_number_is_due(case):
+    # a bool would count as 1 and a fraction of a GPU or a batch as a real one
+    make, kwargs, match = BAD_NUMBERS[case]
+    with pytest.raises(ValueError, match=match):
+        make(**kwargs)
+
+
+def test_numpy_numbers_pass_the_number_rules():
+    timing = TimingModel(np.float64(1.0), np.int64(2))
+    value = total_time(SkipFractions(np.float64(0.25), 0.0), timing, np.int64(4))
+    assert value == 4 * (0.25 * 1.0 + 0.75 * 3.0)
+    assert energy_co2(EnergyParams(gpu_count=np.int64(2), hours=np.float64(1.0))) == energy_co2(
+        EnergyParams(gpu_count=2, hours=1.0)
+    )
+    assert AgotParams(epsilon=np.float64(0.5)).epsilon == 0.5

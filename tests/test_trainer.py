@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lossgate.data import Example, generate_toy_corpus
+from lossgate.data import Example, generate_toy_corpus, make_batches
 from lossgate.metapredictor import NaiveBayesModel
 from lossgate.model import TargetModel
-from lossgate.threshold import make_label
+from lossgate.threshold import ThresholdState, make_label
 from lossgate.trainer import (
     DECISION_FORWARD_ONLY,
     DECISION_FULL,
@@ -447,6 +447,37 @@ def test_a_config_is_checked_when_built():
         TrainerConfig(epochs=0)
     with pytest.raises(ValueError, match="alt must be positive"):
         replace(BASE, alt=0.0)
+
+
+# each TrainerConfig field a component takes, with what that component keeps of the value
+HANDED_ON = {
+    "learning_rate": lambda value: TargetModel(learning_rate=value).learning_rate,
+    "threshold_window": lambda value: ThresholdState(value).window_size,
+    "skip_margin_gamma": lambda value: ThresholdState(1, skip_margin_gamma=value).skip_margin_gamma,
+    "smoothing_alpha": lambda value: NaiveBayesModel(smoothing_alpha=value).smoothing_alpha,
+    "batch_size": lambda value: len(make_batches(CORPUS[:4], value)[0]),
+}
+SIZES = ("threshold_window", "batch_size")
+CONTRACT_CASES = [
+    *((name, value, False) for name in SIZES for value in (0, -1, 2.5, True, "2")),
+    *((name, value, False) for name in HANDED_ON if name not in SIZES
+      for value in (0.0, -1.0, math.nan, math.inf, True, "0.5")),
+    *((name, np.int64(2) if name in SIZES else np.float64(0.5), True) for name in HANDED_ON),
+]
+
+
+@pytest.mark.parametrize("name, value, good", CONTRACT_CASES)
+def test_a_config_field_and_the_component_it_feeds_take_the_same_values(name, value, good):
+    # a library caller builds the components without a config, so each must hold the config's rule
+    if not good:
+        with pytest.raises(ValueError):
+            TrainerConfig(**{name: value})
+        with pytest.raises(ValueError):
+            HANDED_ON[name](value)
+        return
+    assert getattr(TrainerConfig(**{name: value}), name) == value
+    kept = HANDED_ON[name](value)
+    assert type(kept) is type(value.item()) and kept == value
 
 
 def test_a_config_is_frozen():
