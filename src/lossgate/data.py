@@ -325,6 +325,13 @@ def checked_positive(name: str, value) -> float:
     return float(value)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` if it is an integer (``is_int``) of at least 0, else ValueError naming it."""
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def _checked_label(label, line_no: int) -> int:
     if not is_int(label):
         raise ValueError(f"line {line_no}: label must be an integer, got {label!r}")
@@ -452,7 +459,7 @@ def make_batches(
     batch_size = checked_size("batch_size", batch_size)
     content, labels = corpus.content, corpus.labels
     if shuffle:
-        order = np.random.default_rng(seed).permutation(len(corpus))
+        order = np.random.default_rng(_checked_seed(seed)).permutation(len(corpus))
         content, labels = content[order], labels[order]
     return _gathered(corpus.ptr, corpus.buckets, content, labels, batch_size)
 
@@ -479,7 +486,7 @@ def generate_toy_corpus(
     """
     num_examples = checked_size("num_examples", num_examples)
     duplication = checked_size("duplication", duplication)
-    if not 0.0 <= noise_rate < 1.0:
+    if not (is_real(noise_rate) and 0.0 <= noise_rate < 1.0):
         raise ValueError("noise_rate must be in [0, 1)")
     class_vocab = checked_size("class_vocab", class_vocab)
     shared_vocab = checked_size("shared_vocab", shared_vocab)
@@ -488,9 +495,9 @@ def generate_toy_corpus(
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= min_tokens <= max_tokens:
         raise ValueError("token counts must satisfy 0 <= min_tokens <= max_tokens")
-    if not 0.0 <= indicative_prob <= 1.0:
+    if not (is_real(indicative_prob) and 0.0 <= indicative_prob <= 1.0):
         raise ValueError("indicative_prob must be in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     num_unique = max(1, int(round(num_examples / duplication)))
 
     uniques: list[tuple[str, int]] = []

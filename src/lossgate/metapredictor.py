@@ -32,17 +32,19 @@ An observed bucket's count is stored as count + 1 and an unseen bucket's as
 class, and an unseen bucket adds exactly 0 to ``s``.
 
 A batch has one label, the integer 0 or 1: ``update(batch, label)`` counts
-it and ``loss(batch, label)`` is the batch's mean negative log posterior of
-it; ``predict_batch(batch)`` decides whether the batch is worth a forward
-pass. On a batch of a few examples a numpy call costs more than its
-arithmetic, so the per-batch path makes few: a query is about ten (the
-gather, two lookups, a ``bincount`` into rows, in-place ufuncs and one
-``np.add.reduce``) plus, after an update, a rebuild of five or six per
-changed class; an update is twelve (a sort that finds the distinct buckets,
-gathers and scatter-adds into the counts and the histogram, one count of
-zeros for new vocabulary and one maximum). The class totals are a pair of
-Python ints. Each float is computed by the same IEEE operations in the same
-order as the formulas above spell out, which the tests check bit for bit.
+it, ``loss(batch, label)`` is its mean negative log posterior and
+``predict_batch(batch)`` decides whether it is worth a forward pass.
+``loss``, ``predict_batch`` and ``posterior`` share one negative log
+posterior, ``log(1 + e^-s)`` for label 1 and ``log(1 + e^s)`` for 0. On a
+batch of a few examples a numpy call costs more than its arithmetic, so the
+per-batch path makes few: a query is about ten (the gather, two lookups, a
+``bincount`` into rows, in-place ufuncs and one ``np.add.reduce``) plus,
+after an update, a rebuild of five or six per changed class; an update is
+twelve (a sort that finds the distinct buckets, gathers and scatter-adds
+into the counts and the histogram, one count of zeros for new vocabulary and
+one maximum). The class totals are a pair of Python ints. Each float is
+computed by the same IEEE operations in the same order as the formulas above
+spell out, which the tests check bit for bit.
 """
 
 from __future__ import annotations
@@ -172,18 +174,16 @@ class NaiveBayesModel:
                 self._absent[c] = float(np.add.reduce(terms))
         self._bias = float(self._log[totals[1]] - self._log[totals[0]] + self._absent[1] - self._absent[0])
 
-    def _batch_log_posteriors(self, batch: MiniBatch) -> np.ndarray:
-        """(n, 2) array of log P(class | features), one row per example."""
+    def _neg_log_posteriors(self, batch: MiniBatch, label: int) -> np.ndarray:
+        """``-log P(label | x)`` per example in a new array: ``log(1 + e^-s)`` for label 1, ``log(1 + e^s)`` for 0."""
         s = self._scores(batch)
-        return np.stack([-np.logaddexp(0.0, s), -np.logaddexp(0.0, -s)], axis=1)
-
-    def log_posteriors(self, features) -> np.ndarray:
-        """Log P(class | features) for one example's buckets; sums to 1 in probability."""
-        return self._batch_log_posteriors(pack([features], dimension=self.dimension))[0]
+        if label == 1:
+            np.negative(s, out=s)
+        return np.logaddexp(0.0, s, out=s)
 
     def posterior(self, features) -> float:
-        """P(train-worthy | features), strictly inside (0, 1)."""
-        return float(np.exp(self.log_posteriors(features)[1]))
+        """P(train-worthy | features) for one example's buckets, strictly inside (0, 1)."""
+        return float(np.exp(-self._neg_log_posteriors(pack([features], dimension=self.dimension), 1)[0]))
 
     def predict_batch(self, batch: MiniBatch, policy: str = "mean") -> tuple[int, float | None]:
         """Batch-level decision from per-example posteriors.
@@ -200,9 +200,7 @@ class NaiveBayesModel:
         if not self.has_both_classes:
             return 1, None
         # p1 = exp(-log(1 + e^-s)), computed in place
-        p1 = self._scores(batch)
-        np.negative(p1, out=p1)
-        np.logaddexp(0.0, p1, out=p1)
+        p1 = self._neg_log_posteriors(batch, 1)
         np.negative(p1, out=p1)
         np.exp(p1, out=p1)
         mean_p1 = float(np.add.reduce(p1)) / len(batch)  # p1.mean(), bit for bit, without its overhead
@@ -219,13 +217,7 @@ class NaiveBayesModel:
         _check_label(label)
         if len(batch) == 0:
             raise ValueError("empty batch")
-        # -log P(1 | x) = log(1 + e^-s) and -log P(0 | x) = log(1 + e^s);
-        # the reduce / n is .mean(), bit for bit, without its overhead
-        s = self._scores(batch)
-        if label == 1:
-            np.negative(s, out=s)
-        np.logaddexp(0.0, s, out=s)
-        return float(np.add.reduce(s)) / len(batch)
+        return float(np.add.reduce(self._neg_log_posteriors(batch, label))) / len(batch)  # .mean(), bit for bit
 
 
 def save_predictor(model: NaiveBayesModel, path: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import checked_size, is_int, is_real
+from .data import checked_positive, checked_size, is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,16 @@ def total_time(fractions: SkipFractions, timing: TimingModel, num_batches: int) 
 
 def t_norm(t_ours: float, t_all: float) -> float:
     """Run time normalized to the train-everything baseline."""
-    if t_all <= 0:
-        raise ValueError("t_all must be positive")
-    return t_ours / t_all
+    if not (is_real(t_ours) and 0 <= t_ours < math.inf):
+        raise ValueError(f"t_ours must be a finite number >= 0, got {t_ours!r}")
+    return t_ours / checked_positive("t_all", t_all)
 
 
 def agot(accuracy: float, time_norm: float, params: AgotParams) -> float:
     """Accuracy gain over time: normalized gain divided by time_norm**(1-eps)."""
-    if time_norm <= 0:
-        raise ValueError("time_norm must be positive")
+    if not (is_real(accuracy) and math.isfinite(accuracy)):
+        raise ValueError(f"accuracy must be a finite number, got {accuracy!r}")
+    time_norm = checked_positive("time_norm", time_norm)
     gain = (accuracy - params.a_base) / (params.a_full - params.a_base)
     return gain / time_norm ** (1.0 - params.epsilon)
 

@@ -51,7 +51,7 @@ class ThresholdState:
         """Push one batch loss, evicting the oldest once the window is full."""
         if self.frozen:
             raise ValueError("threshold frozen: no further losses accepted")
-        if not np.isfinite(loss) or loss < 0:
+        if not (is_real(loss) and 0 <= loss < math.inf):
             raise ValueError(f"loss must be finite and non-negative, got {loss!r}")
         self._window.append(float(loss))
 

@@ -175,6 +175,8 @@ BAD_GEN_TOY = [
     ("indicative-prob-nan", ["--indicative-prob", "nan"], "--indicative-prob"),
     ("eval-size", ["--eval-size", "0"], "--eval-size"),
     ("noise", ["--noise", "-0.1"], "--noise"),
+    ("seed", ["--seed", "-1"], "--seed"),
+    ("eval-seed", ["--eval-seed", "-1"], "--eval-seed"),
 ]
 
 

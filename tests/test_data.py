@@ -594,6 +594,13 @@ def test_make_batches_rejects_bad_input():
         make_batches([], batch_size=2)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
+def test_make_batches_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # a bool would shuffle with seed 1
+    with pytest.raises(ValueError, match="seed"):
+        make_batches(_examples(4), 2, seed=seed)
+
+
 # -- toy corpus -------------------------------------------------------------------
 
 
@@ -637,6 +644,25 @@ def test_toy_corpus_validation():
         generate_toy_corpus(10, duplication=0)
     with pytest.raises(ValueError):
         generate_toy_corpus(10, noise_rate=1.0)
+
+
+BAD_TOY_VALUES = [
+    ("seed", True), ("seed", 1.5), ("seed", -1), ("seed", np.int64(-1)),
+    ("indicative_prob", True), ("indicative_prob", "0.5"), ("noise_rate", "0.1"),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_TOY_VALUES, ids=[f"{n}-{v!r}" for n, v in BAD_TOY_VALUES])
+def test_toy_corpus_refuses_a_bool_a_string_or_a_bad_seed(name, value):
+    # a bool would build the corpus at probability 1.0 or seed 1
+    with pytest.raises(ValueError, match=name):
+        generate_toy_corpus(10, **{name: value})
+
+
+def test_toy_corpus_takes_numpy_numbers():
+    a = generate_toy_corpus(20, seed=np.int64(3), noise_rate=np.float64(0.1), indicative_prob=np.float32(0.5))
+    b = generate_toy_corpus(20, seed=3, noise_rate=0.1, indicative_prob=float(np.float32(0.5)))
+    assert [(ex.text, ex.label) for ex in a] == [(ex.text, ex.label) for ex in b]
 
 
 BAD_TOY_SIZES = [

@@ -39,6 +39,11 @@ def oracle_posterior(class_counts, bucket_counts, alpha, query):
     return joint[1] / (joint[0] + joint[1])
 
 
+def log_posteriors_of(model, batch):
+    """(n, 2) array of log P(class | x), one row per example of ``batch``."""
+    return -np.stack([model._neg_log_posteriors(batch, 0), model._neg_log_posteriors(batch, 1)], axis=1)
+
+
 def random_instance(rng, max_vocab=4, max_examples=20):
     """A random tiny training set, returned as (model, recount dicts)."""
     vocab = [int(b) for b in rng.choice(100, size=rng.integers(1, max_vocab + 1), replace=False)]
@@ -305,10 +310,30 @@ def test_zero_bucket_example_last_in_batch():
     assert model.loss(batch, 1) == pytest.approx(-np.mean(np.log(p1)), abs=1e-12)
     assert model.loss(batch, 0) == pytest.approx(-np.mean(np.log(1.0 - p1)), abs=1e-12)
     decision, mean_p1 = model.predict_batch(batch)
-    assert mean_p1 == pytest.approx(p1.mean(), abs=1e-12)
+    assert mean_p1 == float(np.add.reduce(p1)) / len(rows)
     assert decision == int(p1.mean() >= 0.5)
     vote, _ = model.predict_batch(batch, policy="vote")
     assert vote == int(2 * (p1 >= 0.5).sum() >= 3)
+
+
+def test_screen_matches_posterior_bit_for_bit():
+    # the screen's mean and vote decisions follow from the per-example
+    # ``posterior`` exactly, on states that have seen both classes and on
+    # batches that hold an empty row and a bucket no update has counted
+    rng = np.random.default_rng(13)
+    states = 0
+    while states < 50:
+        model, _, _, vocab = random_instance(rng)
+        if not model.has_both_classes:
+            continue
+        states += 1
+        rows = [[b for b in vocab if rng.random() < 0.5] for _ in range(int(rng.integers(0, 6)))]
+        rows += [bow(), bow(12345, *vocab[:1])]
+        batch = pack(rows)
+        p1 = np.array([model.posterior(r) for r in rows])
+        mean_p1 = float(np.add.reduce(p1)) / len(rows)
+        assert model.predict_batch(batch, "mean") == (int(mean_p1 >= 0.5), mean_p1)
+        assert model.predict_batch(batch, "vote") == (int(2 * np.count_nonzero(p1 >= 0.5) >= len(rows)), mean_p1)
 
 
 # -- predictor loss -------------------------------------------------------------------
@@ -394,10 +419,23 @@ def assert_counted_state(model, pool, recount):
         assert model._top[c] == counts.max(initial=0)
 
 
-def test_incremental_state_matches_reload(tmp_path):
+def rebuilt_by_updates(pool, class_counts, recount, alpha):
+    """A fresh model given one update per class: class c's batch has
+    ``class_counts[c]`` rows, and row i holds every bucket of ``pool`` counted
+    more than i times under c, so its counts are ``recount``."""
+    model = NaiveBayesModel(smoothing_alpha=alpha)
+    for c in (0, 1):
+        model.update(pack([pool[recount[c] > i] for i in range(class_counts[c])]), c)
+    return model
+
+
+@pytest.mark.parametrize("reference", ["checkpoint", "updates"])
+def test_incremental_state_matches_reload(tmp_path, reference):
     # buckets from both ends of the hash space, so a new bucket lands before,
     # between and after the ones already seen; batches large enough that both
-    # class totals outgrow the log table the model starts with
+    # class totals outgrow the log table the model starts with. The reference
+    # is the model read back from a checkpoint, or one built from the same
+    # counts by other updates: the state does not depend on how they were batched
     pool = np.concatenate([np.arange(40), HASH_BUCKETS - 1 - np.arange(40)])
     rng = np.random.default_rng(5)
     model = NaiveBayesModel(smoothing_alpha=0.5)
@@ -421,19 +459,22 @@ def test_incremental_state_matches_reload(tmp_path):
         assert model.class_counts == class_counts
         assert_counted_state(model, pool, recount)
         if model.queryable:
-            save_predictor(model, str(path))
-            loaded = load_predictor(str(path))
-            assert loaded.class_counts == class_counts
-            # the histograms kept update by update equal the ones rebuilt on load
+            if reference == "checkpoint":
+                save_predictor(model, str(path))
+                other = load_predictor(str(path))
+            else:
+                other = rebuilt_by_updates(pool, class_counts, recount, 0.5)
+            assert other.class_counts == class_counts
+            # the histograms kept update by update equal the reference's
             for c in (0, 1):
-                assert loaded._top[c] == model._top[c]
-                assert np.array_equal(trimmed(loaded._hist[c]), trimmed(model._hist[c]))
+                assert other._top[c] == model._top[c]
+                assert np.array_equal(trimmed(other._hist[c]), trimmed(model._hist[c]))
             query = pack([rng.choice(pool, size=4, replace=False), [], [12345]])
-            assert np.array_equal(model._batch_log_posteriors(query), loaded._batch_log_posteriors(query))
-            # the table grown update by update equals the one built for the loaded totals
-            size = min(model._log.size, loaded._log.size)
+            assert np.array_equal(log_posteriors_of(model, query), log_posteriors_of(other, query))
+            # the table grown update by update equals the one built for the reference's totals
+            size = min(model._log.size, other._log.size)
             assert size > max(class_counts)
-            assert np.array_equal(model._log[:size], loaded._log[:size])
+            assert np.array_equal(model._log[:size], other._log[:size])
     assert min(class_counts) > _LOG_TABLE_SIZE
 
 
@@ -483,7 +524,7 @@ def test_log_posteriors_match_reference_at_realistic_scale():
     assert min(class_counts) >= 5000
 
     queries = sample(0, 15) + sample(1, 15) + [np.array([], dtype=np.int64), np.array([12345]), vocab[:300]]
-    got = model._batch_log_posteriors(pack(queries))
+    got = log_posteriors_of(model, pack(queries))
     for row, query in zip(got, queries):
         expected = reference_log_posteriors(class_counts, bucket_counts, 1.0, set(query.tolist()))
         assert np.max(np.abs(row - expected)) <= 1e-10
@@ -512,7 +553,7 @@ def test_log_posteriors_match_reference_with_repeats_within_a_batch():
                 bucket_counts[label][b] = bucket_counts[label].get(b, 0) + 1
             recount[label] += np.isin(tracked, row)
         assert_counted_state(model, tracked, recount)
-        got = model._batch_log_posteriors(pack(queries))
+        got = log_posteriors_of(model, pack(queries))
         for row, query in zip(got, queries):
             expected = reference_log_posteriors(class_counts, bucket_counts, 0.5, set(query.tolist()))
             assert np.max(np.abs(row - expected)) <= 1e-10
@@ -536,11 +577,11 @@ def test_predictor_checkpoint_roundtrip(tmp_path):
     assert loaded.posterior(vocab) == model.posterior(vocab)
     batch = pack([vocab, vocab[:1], [], [12345]])
     assert loaded.predict_batch(batch) == model.predict_batch(batch)
-    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+    assert np.array_equal(log_posteriors_of(loaded, batch), log_posteriors_of(model, batch))
     for m in (model, loaded):
         m.update(pack([vocab[:1], [77]]), 1)
     assert loaded.posterior(vocab + [77]) == model.posterior(vocab + [77])
-    assert np.array_equal(loaded._batch_log_posteriors(batch), model._batch_log_posteriors(batch))
+    assert np.array_equal(log_posteriors_of(loaded, batch), log_posteriors_of(model, batch))
 
 
 MISSING = object()  # a field value that leaves the field out of the checkpoint

@@ -189,6 +189,14 @@ BAD_NUMBERS = {
     "hours-string": (EnergyParams, {"hours": "1"}, "energy parameters"),
     "num-batches-fraction": (partial(total_time, SkipFractions(0.0, 0.0), TIMING), {"num_batches": 2.5}, "num_batches"),
     "num-batches-bool": (partial(total_time, SkipFractions(0.0, 0.0), TIMING), {"num_batches": True}, "num_batches"),
+    "t-ours-bool": (partial(t_norm, t_all=2.0), {"t_ours": True}, "t_ours"),
+    "t-ours-string": (partial(t_norm, t_all=2.0), {"t_ours": "1"}, "t_ours"),
+    "t-ours-nan": (partial(t_norm, t_all=2.0), {"t_ours": NAN}, "t_ours"),
+    "t-all-bool": (partial(t_norm, 1.0), {"t_all": True}, "t_all"),
+    "accuracy-bool": (partial(agot, time_norm=0.5, params=AgotParams()), {"accuracy": True}, "accuracy"),
+    "accuracy-nan": (partial(agot, time_norm=0.5, params=AgotParams()), {"accuracy": NAN}, "accuracy"),
+    "time-norm-bool": (partial(agot, 0.8, params=AgotParams()), {"time_norm": True}, "time_norm"),
+    "time-norm-nan": (partial(agot, 0.8, params=AgotParams()), {"time_norm": NAN}, "time_norm"),
 }
 
 

@@ -68,6 +68,11 @@ def test_observe_rejects_bad_losses():
         state.observe(-0.1)
     with pytest.raises(ValueError):
         state.observe(float("nan"))
+    # a bool would count as 1.0, and a string is no loss
+    for bad in (True, "0.5"):
+        with pytest.raises(ValueError, match="loss"):
+            state.observe(bad)
+    assert len(state._window) == 0
 
 
 # -- window variance ----------------------------------------------------------------
