@@ -111,9 +111,10 @@ class NaiveBayesModel:
         """Count one batch of examples under ``label``, the integer 0 or 1 (a bool
         or float raises before any count changes). Pure accumulation."""
         _check_label(label)
-        if len(batch) == 0:
+        n = batch.labels.size
+        if n == 0:
             return
-        self.class_counts[label] += len(batch)
+        self.class_counts[label] += n
         # indices within one example are unique, so a bucket appears in
         # ``run`` once per example that contains it; ``buckets`` are distinct
         run = np.sort(batch.indices)
@@ -151,7 +152,7 @@ class NaiveBayesModel:
         w = self._gain[1].take(stored[1])
         w -= self._gain[0].take(stored[0])
         # not in place: a batch with no buckets gets integer zeros from bincount
-        return self._bias + np.bincount(batch.rows, weights=w, minlength=len(batch))
+        return self._bias + np.bincount(batch.rows, weights=w, minlength=batch.labels.size)
 
     def _rebuild_bias(self) -> None:
         """Rebuild ``b``, and ``G_c`` and ``absent_c`` of each class an update changed."""
@@ -195,7 +196,8 @@ class NaiveBayesModel:
         """
         if policy not in DECISION_POLICIES:
             raise ValueError(f"unknown decision policy: {policy!r}")
-        if len(batch) == 0:
+        n = batch.labels.size
+        if n == 0:
             raise ValueError("empty batch")
         if not self.has_both_classes:
             return 1, None
@@ -203,21 +205,22 @@ class NaiveBayesModel:
         p1 = self._neg_log_posteriors(batch, 1)
         np.negative(p1, out=p1)
         np.exp(p1, out=p1)
-        mean_p1 = float(np.add.reduce(p1)) / len(batch)  # p1.mean(), bit for bit, without its overhead
+        mean_p1 = float(np.add.reduce(p1)) / n  # p1.mean(), bit for bit, without its overhead
         if policy == "mean":
             decision = 1 if mean_p1 >= 0.5 else 0
         else:
             votes = int(np.count_nonzero(p1 >= 0.5))
-            decision = 1 if 2 * votes >= len(batch) else 0
+            decision = 1 if 2 * votes >= n else 0
         return decision, mean_p1
 
     def loss(self, batch: MiniBatch, label: int) -> float:
         """Mean negative log posterior of ``label``, the batch's one label: the
         integer 0 or 1, checked as ``update`` checks it, before any scoring."""
         _check_label(label)
-        if len(batch) == 0:
+        n = batch.labels.size
+        if n == 0:
             raise ValueError("empty batch")
-        return float(np.add.reduce(self._neg_log_posteriors(batch, label))) / len(batch)  # .mean(), bit for bit
+        return float(np.add.reduce(self._neg_log_posteriors(batch, label))) / n  # .mean(), bit for bit
 
 
 def save_predictor(model: NaiveBayesModel, path: str) -> None:

@@ -8,10 +8,17 @@ ln 2.
 The per-example loss is ``log(1 + exp(-y s))`` on the label-signed score
 (``y = +1`` for label 1, ``-1`` for label 0): one ``logaddexp`` per batch.
 On small batches each numpy call costs more than its arithmetic, so a pass
-makes only the calls its math needs. ``forward`` is a gather and a
-``bincount`` for the scores, one finiteness check, the signed ``logaddexp``,
-``expit`` and a sum; ``backward`` checks only the scalar bias gradient, the
-sum of every coefficient, before its ``np.add.at`` scatter.
+makes only the calls its math needs. ``forward`` is a ``take`` and a
+``bincount`` for the scores, one finiteness check, the label-signed
+``logaddexp`` in place, ``expit`` in place over the scores and one
+``np.add.reduce``. ``backward`` shares the per-example coefficient
+``(p - y) / n`` with ``batch_gradient``, sums it for the bias gradient (whose
+finiteness covers every coefficient, so it is the one check), scales it by
+``-learning_rate`` in place and scatters it onto each example's buckets with
+``np.add.at``.
+Every float is the same IEEE operation, in the same order, as in the plain
+formulas (``losses.mean()``, ``-learning_rate * values``), which the tests
+check bit for bit.
 """
 
 from __future__ import annotations
@@ -55,43 +62,60 @@ class TargetModel:
         self.step_count = 0
 
     def _scores(self, batch: MiniBatch) -> np.ndarray:
-        weights = self.weights[batch.indices]
-        return self.bias + np.bincount(batch.rows, weights=weights, minlength=len(batch))
+        weights = self.weights.take(batch.indices)
+        # not in place: a batch with no buckets gets integer zeros from bincount
+        return self.bias + np.bincount(batch.rows, weights=weights, minlength=batch.labels.size)
 
     def forward(self, batch: MiniBatch) -> ForwardResult:
         """Mean cross-entropy over the batch; the model is not touched."""
-        if len(batch) == 0:
+        n = batch.labels.size
+        if n == 0:
             raise ValueError("batch is empty")
         scores = self._scores(batch)
-        if not np.isfinite(scores).all():
+        if not np.logical_and.reduce(np.isfinite(scores)):
             raise RuntimeError("model diverged: non-finite prediction scores")
-        # CE = log(1 + exp(-y s)) with y = +1 for label 1 and -1 for label 0
-        losses = np.logaddexp(0.0, np.where(batch.labels == 1, -scores, scores))
-        probs = expit(scores)
+        # CE = log(1 + exp(-y s)) with y = +1 for label 1 and -1 for label 0;
+        # labels are 0 or 1, so they serve as the condition as they are
+        losses = np.where(batch.labels, -scores, scores)
+        np.logaddexp(0.0, losses, out=losses)
         return ForwardResult(
             per_example_losses=losses,
-            batch_loss=float(losses.sum()) / len(batch),
-            per_example_probs=probs,
+            batch_loss=float(np.add.reduce(losses)) / n,  # losses.mean(), bit for bit
+            per_example_probs=expit(scores, out=scores),
             batch=batch,
             model_step=self.step_count,
         )
 
+    @staticmethod
+    def _coefficients(result: ForwardResult) -> tuple[np.ndarray, float]:
+        """d(batch loss) / d(score) per example, ``(p - y) / n``, in a new
+        array, and their sum, the bias gradient."""
+        labels = result.batch.labels
+        coef = np.subtract(result.per_example_probs, labels)
+        coef /= labels.size
+        return coef, float(np.add.reduce(coef))
+
     def batch_gradient(self, result: ForwardResult) -> BatchGradient:
-        batch = result.batch
-        coef = (result.per_example_probs - batch.labels) / len(batch)
-        return BatchGradient(indices=batch.indices, values=coef[batch.rows], bias_grad=float(coef.sum()))
+        coef, bias_grad = self._coefficients(result)
+        return BatchGradient(indices=result.batch.indices, values=coef.take(result.batch.rows), bias_grad=bias_grad)
 
     def backward(self, result: ForwardResult) -> None:
-        """One SGD step on the forward result's batch. Rejects stale results."""
+        """One SGD step on the forward result's batch. Rejects stale results.
+
+        The step is the one ``batch_gradient`` describes, bit for bit: each
+        weight gets ``-learning_rate * value`` and the bias ``-learning_rate * bias_grad``.
+        """
         if result.model_step != self.step_count:
             raise RuntimeError("stale forward result: model was updated since forward")
-        grad = self.batch_gradient(result)
-        # bias_grad sums every coefficient and values repeats some of them, so
-        # one finite sum proves every value finite
-        if not math.isfinite(grad.bias_grad):
+        coef, bias_grad = self._coefficients(result)
+        # bias_grad sums every coefficient and the weights get some of them, so
+        # one finite sum proves every step finite
+        if not math.isfinite(bias_grad):
             raise RuntimeError("model diverged: non-finite gradient")
-        np.add.at(self.weights, grad.indices, -self.learning_rate * grad.values)
-        self.bias -= self.learning_rate * grad.bias_grad
+        # scaled before the gather: each entry is the same product either way
+        coef *= -self.learning_rate
+        np.add.at(self.weights, result.batch.indices, coef.take(result.batch.rows))
+        self.bias -= self.learning_rate * bias_grad
         self.step_count += 1
 
     def evaluate(self, batch: MiniBatch) -> float:

@@ -201,6 +201,9 @@ class Trainer:
         self.threshold = None
         if config.mode in ("three-stage", "auto-threshold-only"):
             self.threshold = ThresholdState(config.threshold_window, config.skip_margin_gamma)
+        # the loss a forward batch's backward is gated on: fixed-threshold's from
+        # the first batch, a staged run's from freeze on, None otherwise
+        self.gate = config.fixed_threshold if config.mode == "fixed-threshold" else None
         self.predictor = None
         if config.mode == "three-stage":
             self.predictor = NaiveBayesModel(smoothing_alpha=config.smoothing_alpha)
@@ -266,7 +269,7 @@ class Trainer:
         predictor is on, labels it one training example (loss measured on the
         batch before the update)."""
         learn = None if self.predictor is None else self._score_and_update_predictor
-        self._pass(batch, self.threshold.skip_boundary, learn)
+        self._pass(batch, self.gate, learn)
 
     def step_full_filter(self, batch: MiniBatch) -> None:
         """Stage 2: the predictor screens first; accepted batches run forward,
@@ -274,7 +277,7 @@ class Trainer:
         t0 = time.perf_counter()
         decision, mean_p1 = self.predictor.predict_batch(batch, self.config.batch_decision)
         self._overhead += time.perf_counter() - t0
-        self._pass(batch, self.threshold.skip_boundary, self._update_predictor, decision == 0, mean_p1)
+        self._pass(batch, self.gate, self._update_predictor, decision == 0, mean_p1)
 
     # -- stage transitions ---------------------------------------------------
 
@@ -289,6 +292,7 @@ class Trainer:
         if self.stage == Stage.WARMUP:
             if self.batches_seen >= self._warmup_batches and self.threshold.window_full:
                 self.threshold.freeze(override=self.config.force_l_low)
+                self.gate = self.threshold.skip_boundary  # frozen, so read once
                 self.stage = Stage.BACKWARD_FILTER
                 self.backward_filter_start = self.batches_seen
         elif self.stage == Stage.BACKWARD_FILTER and self.predictor is not None and not self.config.disable_predictor:
@@ -298,13 +302,10 @@ class Trainer:
                 self.full_filter_start = self.batches_seen
 
     def _step(self, batch: MiniBatch) -> None:
-        mode = self.config.mode
-        if mode == "train-all":
-            self._pass(batch)
-        elif mode == "fixed-threshold":
-            self._pass(batch, gate=self.config.fixed_threshold)
-        elif mode == "random-skip":
+        if self.config.mode == "random-skip":
             self._pass(batch, skip=self._skip_rng.random() < self.config.random_skip_ratio)
+        elif self.threshold is None:
+            self._pass(batch, self.gate)  # train-all and fixed-threshold
         else:
             if self.stage == Stage.WARMUP:
                 self.step_warmup(batch)

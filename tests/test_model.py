@@ -178,6 +178,30 @@ def test_backward_gradient_matches_finite_differences():
         assert abs(fd - dense[c]) / max(abs(dense[c]), 1e-12) < 1e-5
 
 
+def test_backward_takes_the_step_batch_gradient_describes_bit_for_bit():
+    # backward scales and scatters its coefficients without building a
+    # BatchGradient; its weights and bias must still be the gradient's step
+    rng = np.random.default_rng(12)
+    cases = [random_case(rng) for _ in range(20)]
+    model, _ = random_case(rng)
+    empty = Example("!!!", tokenize("!!!"), 1)
+    zero_bucket = pack_examples([ex(["tok1", "tok2"], 0), empty, ex(["tok3"], 1)])
+    shared = batch([(["tok1", "tok2"], 0), (["tok1", "tok3"], 1), (["tok1", "tok4"], 1)])
+    assert np.unique(shared.indices).size < shared.indices.size
+    cases += [(model, zero_bucket), (model, shared)]
+    for model, b in cases:
+        for learning_rate in (0.1, 0.37, 50.0):
+            model.learning_rate = learning_rate
+            result = model.forward(b)
+            grad = model.batch_gradient(result)
+            weights = model.weights.copy()
+            np.add.at(weights, grad.indices, -learning_rate * grad.values)
+            bias = model.bias - learning_rate * grad.bias_grad
+            model.backward(result)
+            assert np.array_equal(model.weights, weights)
+            assert model.bias == bias
+
+
 def test_backward_zero_gradient_leaves_weights_bit_identical():
     model = TargetModel()
     b = batch([(["sure"], 1)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import lossgate.trainer
 from lossgate.data import Example, generate_toy_corpus, make_batches
 from lossgate.metapredictor import NaiveBayesModel
 from lossgate.model import TargetModel
@@ -243,6 +244,33 @@ def test_stage_two_starts_at_the_first_full_predictor_loss_window_below_alt(seed
             switch = trace.batch + 1
             break
     assert switch == bounds["full_filter_start"]
+
+
+@pytest.mark.parametrize("mode, kw", [("three-stage", {}), ("fixed-threshold", {"fixed_threshold": 0.6})])
+def test_every_gated_forward_labels_its_loss_through_make_label(monkeypatch, mode, kw):
+    """The trainer looks ``make_label`` up in its own module for each gated
+    forward, so a wrapper patched in there (as the benchmark's tracer does to
+    count gate calls and passes) sees every one, with the gate in force."""
+    calls = []
+
+    def counted(loss, gate):
+        calls.append((loss, gate))
+        return make_label(loss, gate)
+
+    monkeypatch.setattr(lossgate.trainer, "make_label", counted)
+    report = run_mode(mode, **kw)
+    if mode == "three-stage":
+        assert report.stage_boundaries["full_filter_start"] is not None
+        gated = [
+            t for t in report.traces
+            if t.stage in (Stage.BACKWARD_FILTER, Stage.FULL_FILTER) and t.decision != DECISION_SKIPPED
+        ]
+        gate = BASE.skip_margin_gamma * report.stage_boundaries["l_low"]
+    else:
+        gated, gate = report.traces, kw["fixed_threshold"]
+    assert len(calls) == len(gated)
+    assert [loss for loss, _ in calls] == [t.loss for t in gated]
+    assert {g for _, g in calls} == {gate}
 
 
 def test_stage_one_learning_never_touches_training():
