@@ -8,13 +8,13 @@ work, as does a --config file that cannot be read or is not UTF-8.
 
 TrainerConfig field field_name is flag --field-name, but for six spelled
 otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
---no-shuffle) and three only a --config file sets (record_trace, which run's
---trace also sets, force_l_low, disable_predictor). gen-toy's flags are
+--no-shuffle) and two only a --config file sets (record_trace, which run's
+--trace also sets, and disable_predictor). gen-toy's flags are
 generate_toy_corpus's parameters, with its defaults. sweep and compare exit 2
-on a flag of a field they set for each run (sweep: --mode, --epochs, --seed,
---fixed-threshold, --n0, --predictor-window, --alt, --a-full; compare: --mode,
---seed, --fixed-threshold, --random-skip-ratio, --a-full), and sweep checks
---max-runs before it builds any config.
+before loading on a flag or a --config key of a field they set for each run
+(sweep: mode, epochs, seed, fixed_threshold, n0_fraction, predictor_window,
+alt, a_full; compare: mode, seed, fixed_threshold, random_skip_ratio,
+a_full), and sweep checks --max-runs before it builds a run's config.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ _FLAG_SPELLINGS = {
     "shuffle": "--no-shuffle", "n0_fraction": "--n0", "skip_margin_gamma": "--skip-gamma",
     "power_cpu_watts": "--power-cpu", "power_dram_watts": "--power-dram", "power_gpu_watts": "--power-gpu",
 }
-_FILE_ONLY_FIELDS = ("record_trace", "force_l_low", "disable_predictor")
+_FILE_ONLY_FIELDS = ("record_trace", "disable_predictor")
 
 # the argparse type of a flag, by the annotation of what it sets
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
@@ -157,8 +157,12 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
             g.add_argument(flag, type=_FLAG_TYPES[kind], choices=f.metadata.get("choices"), dest=f.name)
 
 
-def _config_from_args(args: argparse.Namespace) -> TrainerConfig:
+def _config_from_args(args: argparse.Namespace, sets: tuple[str, ...] = ()) -> TrainerConfig:
+    """The --config file's values with the flags given over them. ``sets``
+    names the fields the command sets for each run, whose flags and keys it
+    refuses."""
     values = _read_config_file(args.config) if args.config else {}
+    _reject_overridden(args, sets, values)
     for name in _CONFIG_FIELDS:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
@@ -225,12 +229,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- sweep and compare ---------------------------------------------------------
 
 
-def _reject_overridden(args: argparse.Namespace, names: tuple[str, ...]) -> None:
-    """A flag of a field the command sets for each run would be ignored."""
-    given = [_flag(name) for name in names if getattr(args, name) is not None]
-    if given:
-        flags = ", ".join(given)
-        raise UsageError(f"{args.command} sets these fields for each run, so it refuses their flags: {flags}")
+def _reject_overridden(args: argparse.Namespace, names: tuple[str, ...], file_values: dict) -> None:
+    """A flag or a --config key of a field the command sets for each run
+    would be ignored."""
+    flags = [_flag(name) for name in names if getattr(args, name) is not None]
+    keys = [name for name in names if name in file_values]
+    for what, given in (("flags", flags), ("config keys", keys)):
+        if given:
+            given = ", ".join(given)
+            raise UsageError(f"{args.command} sets these fields for each run, so it refuses their {what}: {given}")
 
 
 def _reject_repeats(name: str, values: list) -> None:
@@ -317,7 +324,7 @@ def _config_label(cfg: TrainerConfig) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _reject_overridden(args, SWEEP_SETS)
+    base = _config_from_args(args, SWEEP_SETS)
     for grid_name in ("n0_grid", "window_grid", "alt_grid", "fixed_thresholds", "epochs_grid", "seeds"):
         values, name = getattr(args, grid_name), grid_name.replace("_", "-")
         if not values and grid_name != "fixed_thresholds":
@@ -326,7 +333,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_runs = _sweep_run_count(args)
     if n_runs > args.max_runs:
         raise UsageError(f"grid has {n_runs} runs, over the cap of {args.max_runs}")
-    configs = _sweep_grid(args, _config_from_args(args))
+    configs = _sweep_grid(args, base)
     train_examples, eval_examples = _load_data(args)
     runs = list(_run_in_order(configs, train_examples, eval_examples))
 
@@ -367,8 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _reject_overridden(args, COMPARE_SETS)
-    base = _config_from_args(args)
+    base = _config_from_args(args, COMPARE_SETS)
     if not args.seeds:
         raise UsageError("need at least one seed")
     _reject_repeats("--seeds", args.seeds)
@@ -390,7 +396,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # the method's matched-ratio control, appended so it runs after every method
         ratio = report.alpha_b + report.alpha_fb
         labels.append(f"random@{label}")
-        configs.append(replace(cfg, mode="random-skip", random_skip_ratio=ratio if ratio < 1.0 else 1.0 - 1e-9))
+        # a random control ignores the gate, so it drops a fixed threshold
+        configs.append(replace(
+            cfg, mode="random-skip", random_skip_ratio=ratio if ratio < 1.0 else 1.0 - 1e-9, fixed_threshold=None
+        ))
 
     rows = []
     for label, reps in per_label.items():

@@ -60,9 +60,6 @@ from .data import HASH_BUCKETS, MiniBatch, checked_positive, checked_size, is_in
 # rebuilt at twice the size once a class total or count reaches its end
 _LOG_TABLE_SIZE = 256
 
-# the batch-level decision policies ``predict_batch`` takes
-DECISION_POLICIES = ("mean", "vote")
-
 
 def _check_label(label) -> None:
     """Raise unless ``label`` is the integer 0 or 1; a numpy integer passes,
@@ -186,16 +183,14 @@ class NaiveBayesModel:
         """P(train-worthy | features) for one example's buckets, strictly inside (0, 1)."""
         return float(np.exp(-self._neg_log_posteriors(pack([features], dimension=self.dimension), 1)[0]))
 
-    def predict_batch(self, batch: MiniBatch, policy: str = "mean") -> tuple[int, float | None]:
-        """Batch-level decision from per-example posteriors.
+    def predict_batch(self, batch: MiniBatch) -> tuple[int, float | None]:
+        """Batch-level decision: 1 iff the mean per-example posterior is at
+        least 0.5, returned with that mean.
 
         Fails open (decision 1, no probability) until both classes have been
-        seen, so an untrained predictor never discards data. ``policy`` is
-        "mean" (average posterior vs 0.5) or "vote" (majority of per-example
-        decisions); ties go to 1. An empty batch raises in every state.
+        seen, so an untrained predictor never discards data. An empty batch
+        raises in every state.
         """
-        if policy not in DECISION_POLICIES:
-            raise ValueError(f"unknown decision policy: {policy!r}")
         n = batch.labels.size
         if n == 0:
             raise ValueError("empty batch")
@@ -206,12 +201,7 @@ class NaiveBayesModel:
         np.negative(p1, out=p1)
         np.exp(p1, out=p1)
         mean_p1 = float(np.add.reduce(p1)) / n  # p1.mean(), bit for bit, without its overhead
-        if policy == "mean":
-            decision = 1 if mean_p1 >= 0.5 else 0
-        else:
-            votes = int(np.count_nonzero(p1 >= 0.5))
-            decision = 1 if 2 * votes >= n else 0
-        return decision, mean_p1
+        return (1 if mean_p1 >= 0.5 else 0), mean_p1
 
     def loss(self, batch: MiniBatch, label: int) -> float:
         """Mean negative log posterior of ``label``, the batch's one label: the

@@ -71,23 +71,18 @@ class ThresholdState:
             raise RuntimeError("model diverged: non-finite loss window variance")
         return var
 
-    def freeze(self, override: float | None = None) -> None:
-        """Fix the threshold at its current value. Idempotent.
+    def freeze(self) -> None:
+        """Fix the threshold at the window mean. Idempotent.
 
-        ``override`` replaces the frozen value; it exists for diagnostics such
-        as forcing the gate permanently open with ``-inf``. An override that
-        is NaN or not a real number (a bool included) raises in every state.
         The window's variance is checked first, so a diverged window raises
         and leaves the state unfrozen.
         """
-        if override is not None and not (is_real(override) and not math.isnan(override)):
-            raise ValueError(f"override must be a real number other than NaN, got {override!r}")
         if self.frozen:
             return
         if not self.window_full:
             raise ValueError("cannot freeze with a partial window")
         self.variance()
-        self._frozen_value = float(override) if override is not None else self.l_low
+        self._frozen_value = self.l_low
 
     @property
     def skip_boundary(self) -> float:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import metrics
 from .data import Corpus, Example, MiniBatch, checked_positive, checked_size, make_batches, pack_examples
-from .metapredictor import DECISION_POLICIES, NaiveBayesModel
+from .metapredictor import NaiveBayesModel
 from .model import TargetModel
 from .threshold import ThresholdState, make_label
 
@@ -84,7 +84,6 @@ class TrainerConfig:
     alt: float = 0.3
     skip_margin_gamma: float = 1.0
     smoothing_alpha: float = 1.0
-    batch_decision: str = field(default="mean", metadata={"choices": DECISION_POLICIES})
     fixed_threshold: float | None = None
     random_skip_ratio: float | None = None
     t_forward: float = 1.0
@@ -97,8 +96,7 @@ class TrainerConfig:
     gpu_count: int = 1
     record_trace: bool = False
     eval_every_epoch: bool = False
-    # diagnostics: force the gate value at freeze time / never leave stage 1
-    force_l_low: float | None = None
+    # diagnostics: never leave stage 1
     disable_predictor: bool = False
 
     def __post_init__(self) -> None:
@@ -128,12 +126,14 @@ class TrainerConfig:
             raise ValueError("agot_epsilon must lie in [0, 1]")
         if self.a_full is not None and not 0.0 <= self.a_full <= 1.0:
             raise ValueError("a_full must lie in [0, 1]")
-        if self.mode == "fixed-threshold" and self.fixed_threshold is None:
-            raise ValueError("fixed-threshold mode needs fixed_threshold")
+        # each of these fields is set iff its mode runs, as no other mode reads it
+        for name, mode in (("fixed_threshold", "fixed-threshold"), ("random_skip_ratio", "random-skip")):
+            if self.mode == mode and getattr(self, name) is None:
+                raise ValueError(f"{mode} mode needs {name}")
+            if self.mode != mode and getattr(self, name) is not None:
+                raise ValueError(f"{name} is for {mode} mode only")
         if self.random_skip_ratio is not None and not 0.0 <= self.random_skip_ratio < 1.0:
             raise ValueError("random_skip_ratio must lie in [0, 1)")
-        if self.mode == "random-skip" and self.random_skip_ratio is None:
-            raise ValueError("random-skip mode needs random_skip_ratio")
 
 
 # the report JSON names these fields as in the paper; the rest keep their own
@@ -275,7 +275,7 @@ class Trainer:
         """Stage 2: the predictor screens first; accepted batches run forward,
         gate the backward as in stage 1, and update the predictor."""
         t0 = time.perf_counter()
-        decision, mean_p1 = self.predictor.predict_batch(batch, self.config.batch_decision)
+        decision, mean_p1 = self.predictor.predict_batch(batch)
         self._overhead += time.perf_counter() - t0
         self._pass(batch, self.gate, self._update_predictor, decision == 0, mean_p1)
 
@@ -291,7 +291,7 @@ class Trainer:
         """
         if self.stage == Stage.WARMUP:
             if self.batches_seen >= self._warmup_batches and self.threshold.window_full:
-                self.threshold.freeze(override=self.config.force_l_low)
+                self.threshold.freeze()
                 self.gate = self.threshold.skip_boundary  # frozen, so read once
                 self.stage = Stage.BACKWARD_FILTER
                 self.backward_filter_start = self.batches_seen
@@ -400,8 +400,9 @@ def run_random_skip(
     target_ratio: float,
     eval_examples: Sequence[Example] | None = None,
 ) -> RunReport:
-    """The matched-ratio control: skip both passes on a seeded coin flip."""
-    cfg = replace(config, mode="random-skip", random_skip_ratio=target_ratio)
+    """The matched-ratio control: skip both passes on a seeded coin flip. It
+    ignores the gate, so it drops a fixed threshold."""
+    cfg = replace(config, mode="random-skip", random_skip_ratio=target_ratio, fixed_threshold=None)
     return run(cfg, train_examples, eval_examples)
 
 

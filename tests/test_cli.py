@@ -41,7 +41,7 @@ def subparsers() -> dict[str, argparse.ArgumentParser]:
 TRAINER_OPTIONS = [
     "--config", "--mode", "--epochs", "--batch-size", "--seed", "--no-shuffle", "--learning-rate", "--n0",
     "--threshold-window", "--predictor-window", "--alt", "--skip-gamma", "--smoothing-alpha",
-    "--batch-decision", "--fixed-threshold", "--random-skip-ratio", "--t-forward", "--t-backward",
+    "--fixed-threshold", "--random-skip-ratio", "--t-forward", "--t-backward",
     "--agot-epsilon", "--a-full", "--power-cpu", "--power-dram", "--power-gpu", "--gpu-count", "--eval-every-epoch",
 ]
 DATA_OPTIONS = ["--data", "--eval-data", "--format", "--header"]
@@ -88,6 +88,9 @@ def sample_value(f):
 
 FLAGGED_FIELDS = [f for f in fields(TrainerConfig) if f.name not in cli._FILE_ONLY_FIELDS]
 
+# the fields only one mode takes, with that mode
+MODE_FIELDS = {"fixed_threshold": "fixed-threshold", "random_skip_ratio": "random-skip"}
+
 
 @pytest.mark.parametrize("f", FLAGGED_FIELDS, ids=[f.name for f in FLAGGED_FIELDS])
 def test_trainer_flag_builds_the_config_its_file_key_does(tmp_path, f):
@@ -97,6 +100,9 @@ def test_trainer_flag_builds_the_config_its_file_key_does(tmp_path, f):
     flag_args = [action.option_strings[0]] + ([] if isinstance(value, bool) else [str(value)])
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"{f.name} = {json.dumps(value)}\n")
+    if f.name in MODE_FIELDS:
+        flag_args += ["--mode", MODE_FIELDS[f.name]]
+        cfg_path.write_text(cfg_path.read_text() + f"mode = {MODE_FIELDS[f.name]}\n")
     from_flag = cli._config_from_args(parser.parse_args(["--data", "x.jsonl", *flag_args]))
     from_file = cli._config_from_args(parser.parse_args(["--data", "x.jsonl", "--config", str(cfg_path)]))
     assert getattr(from_flag, f.name) == value != f.default
@@ -309,7 +315,7 @@ def test_run_config_file_with_flag_override(corpus_file, tmp_path):
         "mode = train-all\n"
         "epochs = 2\n"
         "batch_size = 16  # comment\n"
-        'batch_decision = "mean"\n'
+        "smoothing_alpha = 0.5\n"
     )
     report_path = tmp_path / "report.json"
     code = run_cli(
@@ -321,6 +327,7 @@ def test_run_config_file_with_flag_override(corpus_file, tmp_path):
     assert payload["config"]["mode"] == "train-all"  # from the file
     assert payload["config"]["epochs"] == 1  # flag wins
     assert payload["config"]["batch_size"] == 16
+    assert payload["config"]["smoothing_alpha"] == 0.5
 
 
 def test_run_unknown_config_key_exits_2(corpus_file, tmp_path, capsys):
@@ -331,7 +338,9 @@ def test_run_unknown_config_key_exits_2(corpus_file, tmp_path, capsys):
 
 
 BAD_CONFIGS = [
+    # batch_decision and force_l_low were config keys once; a stale config file naming one is an unknown key
     ("batch_decision", [], "batch_decision = median"),
+    ("force_l_low", [], "force_l_low = -inf"),
     ("t_forward", ["--t-forward", "0"], None),
     ("t_backward", ["--t-backward", "-1"], None),
     ("agot_epsilon", ["--agot-epsilon", "1.5"], None),
@@ -348,8 +357,11 @@ BAD_CONFIGS = [
     ("power_cpu_watts", ["--power-cpu", "inf"], None),
     ("a_full", ["--a-full", "7"], None),
     ("a_full-negative", ["--a-full", "-0.5"], None),
-    ("random_skip_ratio", ["--random-skip-ratio", "-3"], None),
+    ("random_skip_ratio", ["--mode", "random-skip", "--random-skip-ratio", "-3"], None),
     ("random_skip_ratio-missing", ["--mode", "random-skip"], None),
+    # a field only one mode reads is refused under any other
+    ("fixed_threshold-train-all", ["--mode", "train-all", "--fixed-threshold", "0.05"], None),
+    ("random_skip_ratio-train-all", ["--mode", "train-all", "--random-skip-ratio", "0.5"], None),
 ]
 
 
@@ -547,6 +559,22 @@ def test_sweep_and_compare_refuse_the_flags_they_override(
     out = tmp_path / "out.csv"
     assert run_cli(command, "--data", corpus_file, "--out", str(out), flag, value) == 2
     assert f"{command} sets these fields for each run, so it refuses their flags: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+OVERRIDDEN_KEYS = [("sweep", name) for name in cli.SWEEP_SETS] + [("compare", name) for name in cli.COMPARE_SETS]
+
+
+@pytest.mark.parametrize("command, name", OVERRIDDEN_KEYS, ids=[f"{c}-{n}" for c, n in OVERRIDDEN_KEYS])
+def test_sweep_and_compare_refuse_the_config_keys_they_override(
+    corpus_file, tmp_path, capsys, monkeypatch, command, name
+):
+    refuse_loading(monkeypatch)
+    cfg_path, out = tmp_path / "cmd.cfg", tmp_path / "out.csv"
+    cfg_path.write_text(f"{name} = {json.dumps(sample_value(cli._CONFIG_FIELDS[name]))}\n")
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), "--config", str(cfg_path)) == 2
+    refusal = f"{command} sets these fields for each run, so it refuses their config keys: {name}"
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
 
 

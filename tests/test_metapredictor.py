@@ -290,14 +290,6 @@ def test_predict_batch_empty_batch_raises_in_every_state(trained):
         model.predict_batch(pack([]))
 
 
-def test_predict_batch_vote_policy():
-    model = _biased_model(toward=1)
-    decision, _ = model.predict_batch(pack([bow(1), bow(1), bow(2)]), policy="vote")
-    assert decision == 1
-    with pytest.raises(ValueError):
-        model.predict_batch(pack([bow(1)]), policy="median")
-
-
 def test_zero_bucket_example_last_in_batch():
     # an example with no buckets at the end of a batch gets its own row,
     # exactly as when it is queried alone
@@ -312,12 +304,10 @@ def test_zero_bucket_example_last_in_batch():
     decision, mean_p1 = model.predict_batch(batch)
     assert mean_p1 == float(np.add.reduce(p1)) / len(rows)
     assert decision == int(p1.mean() >= 0.5)
-    vote, _ = model.predict_batch(batch, policy="vote")
-    assert vote == int(2 * (p1 >= 0.5).sum() >= 3)
 
 
 def test_screen_matches_posterior_bit_for_bit():
-    # the screen's mean and vote decisions follow from the per-example
+    # the screen's decision and mean follow from the per-example
     # ``posterior`` exactly, on states that have seen both classes and on
     # batches that hold an empty row and a bucket no update has counted
     rng = np.random.default_rng(13)
@@ -332,8 +322,7 @@ def test_screen_matches_posterior_bit_for_bit():
         batch = pack(rows)
         p1 = np.array([model.posterior(r) for r in rows])
         mean_p1 = float(np.add.reduce(p1)) / len(rows)
-        assert model.predict_batch(batch, "mean") == (int(mean_p1 >= 0.5), mean_p1)
-        assert model.predict_batch(batch, "vote") == (int(2 * np.count_nonzero(p1 >= 0.5) >= len(rows)), mean_p1)
+        assert model.predict_batch(batch) == (int(mean_p1 >= 0.5), mean_p1)
 
 
 # -- predictor loss -------------------------------------------------------------------
@@ -795,16 +784,13 @@ def test_seeded_sequence_matches_plain_formulas_bit_for_bit():
             terms = [np.logaddexp(0.0, -s if label == 1 else s) for s in scores]
             assert model.loss(batch, label) == float(np.add.reduce(np.array(terms))) / len(rows)
         else:
-            policy = ("mean", "vote")[step % 2]
             if 0 in totals:
                 expected = (1, None)
             else:
                 p1 = [np.exp(-np.logaddexp(0.0, -s)) for s in scores]
                 mean_p1 = float(np.add.reduce(np.array(p1))) / len(rows)
-                votes = sum(p >= 0.5 for p in p1)
-                decision = (mean_p1 >= 0.5) if policy == "mean" else (2 * votes >= len(rows))
-                expected = (int(decision), mean_p1)
-            assert model.predict_batch(batch, policy) == expected
+                expected = (int(mean_p1 >= 0.5), mean_p1)
+            assert model.predict_batch(batch) == expected
         checked[op] += 1
     # rows that hold no bucket at all score the bias alone
     assert model._scores(pack([[], []])).tolist() == plain_scores(alpha, log_table, totals, counts, [[], []])

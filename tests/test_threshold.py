@@ -143,24 +143,6 @@ def test_double_freeze_idempotent():
     assert state.l_low == value
 
 
-def test_freeze_override_for_diagnostics():
-    state = filled([0.2, 0.4], window_size=2)
-    state.freeze(override=float("-inf"))
-    assert state.l_low == float("-inf")
-    assert make_label(0.0, state.skip_boundary) == 1  # -inf trains everything
-
-
-@pytest.mark.parametrize("override", [math.nan, np.float64("nan"), True, "0.5", [0.5]])
-def test_freeze_refuses_an_override_that_is_nan_or_not_a_real_number(override):
-    # no loss compares at or above a NaN gate, so every backward would be skipped
-    state = filled([0.5], window_size=1)
-    with pytest.raises(ValueError, match="override"):
-        state.freeze(override=override)
-    assert not state.frozen
-    state.freeze(override=np.float64(0.25))
-    assert state.l_low == 0.25 and type(state.l_low) is float
-
-
 # -- skip decisions -----------------------------------------------------------------
 
 

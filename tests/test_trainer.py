@@ -291,7 +291,8 @@ def test_stage_one_learning_never_touches_training():
 
 
 def test_three_stage_with_gate_forced_open_matches_train_all():
-    cfg = replace(BASE, mode="three-stage", force_l_low=float("-inf"), disable_predictor=True)
+    # a gate of 1e-300 times the window mean is below every positive loss
+    cfg = replace(BASE, mode="three-stage", skip_margin_gamma=1e-300, disable_predictor=True)
     t_forced = Trainer(cfg, CORPUS, EVAL)
     t_all = Trainer(replace(BASE, mode="train-all"), CORPUS, EVAL)
     r_forced, r_all = t_forced.run(), t_all.run()
@@ -358,6 +359,19 @@ def test_csv_field_writes_a_numpy_float_as_a_python_float():
 
 
 MODE_ARGS = {"fixed-threshold": {"fixed_threshold": 0.5}, "random-skip": {"random_skip_ratio": 0.3}}
+
+
+@pytest.mark.parametrize("name, mode", [("fixed_threshold", "fixed-threshold"), ("random_skip_ratio", "random-skip")])
+def test_a_field_one_mode_reads_is_refused_under_every_other(name, mode):
+    for other in MODES:
+        if other != mode:
+            with pytest.raises(ValueError, match=f"{name} is for {mode} mode only"):
+                replace(BASE, mode=other, **MODE_ARGS.get(other, {}), **{name: 0.5})
+
+
+def test_run_random_skip_drops_a_fixed_threshold():
+    fixed = replace(BASE, mode="fixed-threshold", fixed_threshold=0.5)
+    assert run_random_skip(fixed, CORPUS, 0.3, EVAL).config == run_random_skip(BASE, CORPUS, 0.3, EVAL).config
 
 
 @pytest.mark.parametrize("mode", MODES)
