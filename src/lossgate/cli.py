@@ -114,7 +114,8 @@ def _flag(name: str) -> str:
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` pairs; keys are TrainerConfig field names."""
+    """Flat ``key = value`` pairs; keys are TrainerConfig field names. A
+    value is JSON, or else what the field's flag makes of it."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     try:
@@ -137,8 +138,19 @@ def _read_config_file(path: str) -> dict:
         try:
             values[key] = json.loads(raw)
         except json.JSONDecodeError:
-            values[key] = raw
+            values[key] = _parsed_as_flag(key, raw)
     return values
+
+
+def _parsed_as_flag(name: str, raw: str):
+    """``raw`` converted as field ``name``'s flag converts it, so ``inf``
+    is a float as it is on the command line; ``raw`` itself where that fails
+    or the field's flag takes no value, for the config to refuse."""
+    kind = _FLAG_TYPES.get(_CONFIG_FIELDS[name].type.partition(" | ")[0], str)
+    try:
+        return kind(raw)
+    except ValueError:
+        return raw
 
 
 def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:

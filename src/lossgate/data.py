@@ -20,6 +20,9 @@ definition, and ``Corpus.from_examples`` turns a list of them into a corpus.
 Batching is one gather: the examples' CSR rows, in the seeded permutation's
 order, are taken from ``buckets`` into three read-only arrays (buckets,
 in-batch rows, labels), and every ``MiniBatch`` is a slice of them. A corpus
+keeps the partition ``make_batches`` last cut from it, so consecutive runs
+that share a batch size, seed and shuffle gather it once; it is freed with the
+corpus or replaced by the next partition cut under another key. A corpus
 rejects a label other than 0 or 1.
 """
 
@@ -148,9 +151,14 @@ class Corpus(Sequence):
     read-only bucket view with the other examples of that content. A slice
     is a corpus over the same texts and CSR block. A corpus equals a list,
     tuple or corpus of equal examples.
+
+    A corpus keeps the latest partition ``make_batches`` cut from it, until
+    the corpus is freed or a call with another key replaces it: about 4.4 MB
+    (3.3 MB of arrays) for the 20000-example benchmark corpus at batch size
+    8. A slice starts without one.
     """
 
-    __slots__ = ("texts", "content", "labels", "ptr", "buckets", "_views")
+    __slots__ = ("texts", "content", "labels", "ptr", "buckets", "_views", "_batches")
 
     def __init__(self, texts, content: np.ndarray, labels, ptr: np.ndarray, buckets: np.ndarray):
         self.texts = tuple(texts)
@@ -164,6 +172,8 @@ class Corpus(Sequence):
         for array in (self.content, self.labels, self.ptr, self.buckets):
             array.flags.writeable = False
         self._views: list[np.ndarray] | None = None
+        # the partition make_batches last cut: ((batch_size, seed or None), batches)
+        self._batches: tuple[tuple[int, int | None], list[MiniBatch]] | None = None
 
     @classmethod
     def from_examples(cls, examples: Sequence[Example]) -> Corpus:
@@ -451,17 +461,25 @@ def make_batches(
 
     The permutation is fully determined by ``seed`` when ``shuffle`` is on.
     Every batch is a view of the same three arrays, gathered from the
-    corpus's CSR block through the permutation in one ``take``.
+    corpus's CSR block through the permutation in one ``take``. The
+    arguments are checked on every call; a corpus then returns a new list
+    over the batches it kept from the last call with the same ``batch_size``
+    and, when ``shuffle`` is on, ``seed``, and otherwise keeps the partition
+    it gathers in their place. Sharing is safe: a batch is frozen and its
+    arrays are read-only.
     """
     corpus = Corpus.from_examples(examples)
     if not corpus:
         raise ValueError("no examples to batch")
     batch_size = checked_size("batch_size", batch_size)
-    content, labels = corpus.content, corpus.labels
-    if shuffle:
-        order = np.random.default_rng(_checked_seed(seed)).permutation(len(corpus))
-        content, labels = content[order], labels[order]
-    return _gathered(corpus.ptr, corpus.buckets, content, labels, batch_size)
+    key = (batch_size, _checked_seed(seed) if shuffle else None)
+    if corpus._batches is None or corpus._batches[0] != key:
+        content, labels = corpus.content, corpus.labels
+        if shuffle:
+            order = np.random.default_rng(seed).permutation(len(corpus))
+            content, labels = content[order], labels[order]
+        corpus._batches = key, _gathered(corpus.ptr, corpus.buckets, content, labels, batch_size)
+    return list(corpus._batches[1])
 
 
 def generate_toy_corpus(

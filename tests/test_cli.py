@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lossgate import cli, trainer
+from lossgate import cli, data, trainer
 from lossgate.cli import COMPARE_COLUMNS, SWEEP_COLUMNS, main
 from lossgate.data import generate_toy_corpus, load_dataset, write_jsonl
 from lossgate.trainer import TrainerConfig
@@ -107,6 +107,30 @@ def test_trainer_flag_builds_the_config_its_file_key_does(tmp_path, f):
     from_file = cli._config_from_args(parser.parse_args(["--data", "x.jsonl", "--config", str(cfg_path)]))
     assert getattr(from_flag, f.name) == value != f.default
     assert from_flag == from_file
+
+
+FLOAT_FIELDS = [f for f in FLAGGED_FIELDS if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf"])
+@pytest.mark.parametrize("f", FLOAT_FIELDS, ids=[f.name for f in FLOAT_FIELDS])
+def test_an_infinite_float_key_builds_or_fails_as_its_flag_does(tmp_path, f, raw):
+    # JSON spells infinity "Infinity", so "inf" is read as the flag reads it
+    parser = subparsers()["run"]
+    flag = next(a for a in parser._actions if a.dest == f.name).option_strings[0]
+    mode = ["--mode", MODE_FIELDS[f.name]] if f.name in MODE_FIELDS else []
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{f.name} = {raw}\n")
+
+    def built(*argv):
+        try:
+            return cli._config_from_args(parser.parse_args(["--data", "x.jsonl", *mode, *argv]))
+        except cli.UsageError as exc:
+            return str(exc)
+
+    assert built(f"{flag}={raw}") == built("--config", str(cfg_path))
+    if f.name == "fixed_threshold":
+        assert built("--config", str(cfg_path)).fixed_threshold == float(raw)
 
 
 def test_gen_toy_flags_follow_generate_toy_corpus():
@@ -535,6 +559,25 @@ def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkey
     assert [cfg.mode for cfg, _ in runs[:4]] == ["train-all", "fixed-threshold", "three-stage", "three-stage"]
     assert [(cfg.epochs, cfg.seed) for cfg, _ in runs[::4]] == [(1, 0), (1, 1), (2, 0), (2, 1)]
     assert_a_full_from_train_all(runs)
+
+
+def test_sweep_gathers_one_partition_per_epochs_and_seed_block(corpus_file, tmp_path, monkeypatch):
+    # the loaded corpus keeps its last partition; the grid runs seeds inside
+    # epochs, so the key changes at each of the four (epochs, seed) blocks
+    runs = record_runs(monkeypatch)
+    gather, gathered = data._gathered, []
+
+    def counting_gathered(*args):
+        gathered.append(args[-1])  # the batch size
+        return gather(*args)
+
+    monkeypatch.setattr(data, "_gathered", counting_gathered)
+    args = [*SWEEP_ARGS, "--epochs-grid", "1,2"]
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(tmp_path / "s.csv"), *args) == 0
+    assert len(runs) == 16
+    # each run packs its eval batch: here the whole training set, in one batch
+    assert gathered.count(len(load_dataset(corpus_file))) == 16
+    assert gathered.count(16) == 4
 
 
 OVERRIDDEN_FLAGS = [

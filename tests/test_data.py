@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lossgate import data
 from lossgate.data import (
     HASH_BUCKETS,
     Corpus,
@@ -20,6 +21,7 @@ from lossgate.data import (
     vectorize,
     write_jsonl,
 )
+from lossgate.trainer import Trainer, TrainerConfig
 
 
 # -- tokenize -----------------------------------------------------------------
@@ -518,8 +520,7 @@ def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path, shuffle):
             assert_same_batches(got, _reference_batches(list(corpus), batch_size, 3, shuffle))
 
 
-def test_batch_arrays_are_read_only_views_of_one_array_per_field():
-    batches = make_batches(generate_toy_corpus(50, seed=2), batch_size=8, seed=1)
+def assert_read_only_views_of_one_array_per_field(batches):
     for name in ("indices", "rows", "labels"):
         arrays = [getattr(batch, name) for batch in batches]
         base = arrays[0].base
@@ -527,6 +528,11 @@ def test_batch_arrays_are_read_only_views_of_one_array_per_field():
         assert all(array.base is base and not array.flags.writeable for array in arrays)
         with pytest.raises(ValueError):
             arrays[0][:1] = 0
+
+
+def test_batch_arrays_are_read_only_views_of_one_array_per_field():
+    batches = make_batches(generate_toy_corpus(50, seed=2), batch_size=8, seed=1)
+    assert_read_only_views_of_one_array_per_field(batches)
     # a batch is equal to itself alone and hashes by identity
     first, second = batches[:2]
     assert first == first and first != second
@@ -599,6 +605,82 @@ def test_make_batches_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # a bool would shuffle with seed 1
     with pytest.raises(ValueError, match="seed"):
         make_batches(_examples(4), 2, seed=seed)
+
+
+# -- the partition a corpus keeps ------------------------------------------------
+
+
+def count_gathers(monkeypatch) -> list:
+    """Make every gather append its batch size to the returned list."""
+    gather, gathered = data._gathered, []
+
+    def counting_gathered(*args):
+        gathered.append(args[-1])
+        return gather(*args)
+
+    monkeypatch.setattr(data, "_gathered", counting_gathered)
+    return gathered
+
+
+def test_a_corpus_keeps_the_partition_of_its_last_key(monkeypatch):
+    corpus = generate_toy_corpus(60, duplication=3, seed=8)
+    gathered = count_gathers(monkeypatch)
+    results = []
+    for seed in (0, 1, 0):
+        got = make_batches(corpus, 7, seed=seed)
+        assert_same_batches(got, make_batches(corpus[:], 7, seed=seed))
+        assert all(a is b for a, b in zip(got, make_batches(corpus, 7, seed=seed)))
+        results.append(got)
+    # seed 1 replaced the seed-0 partition, so seed 0 was gathered again
+    assert results[2][0] is not results[0][0]
+    assert len(gathered) == 6  # three for the corpus, one for each fresh copy
+
+
+def test_without_shuffle_the_kept_partition_ignores_the_seed(monkeypatch):
+    corpus = generate_toy_corpus(60, duplication=3, seed=8)
+    unshuffled, shuffled = (_reference_batches(list(corpus), 7, 5, shuffle) for shuffle in (False, True))
+    gathered = count_gathers(monkeypatch)
+    first = make_batches(corpus, 7, seed=0, shuffle=False)
+    second = make_batches(corpus, 7, seed=5, shuffle=False)
+    assert all(a is b for a, b in zip(first, second)) and len(gathered) == 1
+    assert_same_batches(second, unshuffled)
+    assert_same_batches(make_batches(corpus, 7, seed=5), shuffled)
+    assert len(gathered) == 2
+
+
+def test_changing_a_returned_list_leaves_the_next_one_whole():
+    corpus = generate_toy_corpus(60, duplication=3, seed=8)
+    got = make_batches(corpus, 7, seed=2)
+    expected = list(got)
+    got.reverse()
+    got.pop()
+    got.append(got[0])
+    assert make_batches(corpus, 7, seed=2) == expected
+
+
+WARM_REFUSALS = [
+    ("batch_size", 0, 1), ("batch_size", 7.0, 1), ("batch_size", True, 1),
+    ("seed", 7, True), ("seed", 7, -1), ("seed", 7, 1.0),
+]
+
+
+@pytest.mark.parametrize("name, batch_size, seed", WARM_REFUSALS)
+def test_a_warm_corpus_still_refuses_a_bad_batch_size_or_seed(name, batch_size, seed):
+    # 7.0, True and 1.0 compare equal to the kept key (7, 1)
+    corpus = generate_toy_corpus(60, duplication=3, seed=8)
+    make_batches(corpus, 7, seed=1)
+    with pytest.raises(ValueError, match=name):
+        make_batches(corpus, batch_size, seed=seed)
+
+
+def test_the_kept_batches_stay_read_only_views_after_a_run():
+    corpus = generate_toy_corpus(400, duplication=4, seed=3)
+    config = TrainerConfig(epochs=2, batch_size=8, seed=1, threshold_window=8, n0_fraction=0.1, alt=0.6)
+    trainer = Trainer(config, corpus)
+    trainer.run()
+    batches = make_batches(corpus, 8, seed=1)
+    assert all(a is b for a, b in zip(batches, trainer._epoch_batches))
+    assert_read_only_views_of_one_array_per_field(batches)
 
 
 # -- toy corpus -------------------------------------------------------------------

@@ -476,6 +476,29 @@ def test_a_list_of_examples_runs_as_its_corpus(tmp_path, mode):
         assert json.loads(from_corpus[0])["stage_boundaries"]["full_filter_start"] is not None
 
 
+@pytest.mark.parametrize("mode", ["train-all", "three-stage"])
+def test_a_warm_corpus_runs_as_a_fresh_copy(tmp_path, mode):
+    """A run on a corpus that an earlier run batched trains on the batches
+    the corpus kept, and writes the same report JSON, trace and weights as a
+    run on a fresh copy, which gathers its own."""
+    config = replace(BASE, mode=mode)
+    warm = CORPUS[:]
+    run(config, warm, EVAL)
+
+    def outputs(train, trace_path):
+        trainer = Trainer(config, train, EVAL)
+        report = trainer.run()
+        payload = report.to_json_dict()
+        del payload["overhead_wall_seconds"]  # measured wall time
+        write_trace(report.traces, str(trace_path))
+        model = trainer.model
+        return trainer, (json.dumps(payload, indent=2), trace_path.read_bytes(), model.weights.tobytes(), model.bias)
+
+    trainer, from_warm = outputs(warm, tmp_path / "warm.csv")
+    assert all(a is b for a, b in zip(trainer._epoch_batches, build_epoch_batches(warm, config)))
+    assert outputs(CORPUS[:], tmp_path / "fresh.csv")[1] == from_warm
+
+
 @pytest.mark.parametrize("where", ["train", "eval"])
 def test_bad_label_rejected_at_construction(where):
     for label in (5, True, 1.0):
