@@ -14,7 +14,8 @@ generate_toy_corpus's parameters, with its defaults. sweep and compare exit 2
 before loading on a flag or a --config key of a field they set for each run
 (sweep: mode, epochs, seed, fixed_threshold, n0_fraction, predictor_window,
 alt, a_full; compare: mode, seed, fixed_threshold, random_skip_ratio,
-a_full), and sweep checks --max-runs before it builds a run's config.
+a_full), and sweep checks --max-runs before it builds a run's config. A
+negative number may follow its flag after a space, -inf and -1e-3 too.
 """
 
 from __future__ import annotations
@@ -296,10 +297,12 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[TrainerConfig]:
-    """One config per run, train-all first in each (epochs, seed) block."""
+    """One config per run, train-all first in each (epochs, seed) block.
+    Seeds run outside epochs: a batch partition depends on the seed and not
+    on the epoch count, so the runs of one seed share one partition."""
     configs = []
-    for epochs in args.epochs_grid:
-        for seed in args.seeds:
+    for seed in args.seeds:
+        for epochs in args.epochs_grid:
             common = _variant(base, epochs=epochs, seed=seed)
             configs.append(_variant(common, mode="train-all"))
             configs.extend(_variant(common, mode="fixed-threshold", fixed_threshold=t) for t in args.fixed_thresholds)
@@ -348,6 +351,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = _sweep_grid(args, base)
     train_examples, eval_examples = _load_data(args)
     runs = list(_run_in_order(configs, train_examples, eval_examples))
+    # rows, summaries and the optimum's ties go epochs-major, seeds inside
+    runs.sort(key=lambda run: args.epochs_grid.index(run[0].epochs))
 
     scored = [i for i, (_, rep) in enumerate(runs) if rep.agot is not None]
     optimal = min(
@@ -396,8 +401,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for t in args.fixed_thresholds
     ]
     _reject_repeats("--fixed-thresholds", [label for label, _ in methods])
-    labels = [label for label, _ in methods for _ in args.seeds]
-    configs = [_variant(cfg, seed=seed) for _, cfg in methods for seed in args.seeds]
+    # seed-major, so the runs of one seed share the partition the training corpus keeps
+    labels = [label for _ in args.seeds for label, _ in methods]
+    configs = [_variant(cfg, seed=seed) for seed in args.seeds for _, cfg in methods]
     train_examples, eval_examples = _load_data(args)
 
     per_label: dict[str, list[RunReport]] = {}
@@ -523,9 +529,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_negative_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with each number that starts with ``-`` joined to the flag
+    before it when that flag takes a value: ``--alt -1e-3`` becomes
+    ``--alt=-1e-3``. argparse reads ``-1`` as a value but ``-inf`` or
+    ``-1e-3`` as an unknown option; no option string reads as a number."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices.values()
+    takes_value = {flag for p in commands for a in p._actions if a.nargs is None for flag in a.option_strings}
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in takes_value and token.startswith("-") and _is_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_negative_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         _reject_clobbering(args)
         return args.func(args)

@@ -10,7 +10,7 @@ The per-example loss is ``log(1 + exp(-y s))`` on the label-signed score
 On small batches each numpy call costs more than its arithmetic, so a pass
 makes only the calls its math needs. ``forward`` is a ``take`` and a
 ``bincount`` for the scores, one finiteness check, the label-signed
-``logaddexp`` in place, ``expit`` in place over the scores and one
+``logaddexp`` in place, the sigmoid over the scores and one
 ``np.add.reduce``. ``backward`` shares the per-example coefficient
 ``(p - y) / n`` with ``batch_gradient``, sums it for the bias gradient (whose
 finiteness covers every coefficient, so it is the one check), scales it by
@@ -19,6 +19,12 @@ finiteness covers every coefficient, so it is the one check), scales it by
 Every float is the same IEEE operation, in the same order, as in the plain
 formulas (``losses.mean()``, ``-learning_rate * values``), which the tests
 check bit for bit.
+
+The sigmoid is ``1 / (1 + exp(-s))`` per score through ``math.exp``, the C
+library's ``exp``, so the package needs numpy alone. That is the formula and
+the ``exp`` of scipy's ``expit``, so the probabilities are the same bits
+wherever both call the same libm, as on glibc; numpy's own ``np.exp`` rounds
+differently on some hosts, so it is not used.
 """
 
 from __future__ import annotations
@@ -27,9 +33,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import HASH_BUCKETS, MiniBatch, checked_positive, checked_size
+
+
+def _sigmoid(scores: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-s))`` for each score, in a new array. Where ``-s``
+    exceeds about 709.78 ``math.exp`` raises instead of returning inf, and
+    the probability is 0.0, as the formula gives with an infinite ``exp``."""
+    probs = []
+    for s in scores.tolist():
+        try:
+            probs.append(1.0 / (1.0 + math.exp(-s)))
+        except OverflowError:
+            probs.append(0.0)
+    return np.array(probs)
 
 
 @dataclass
@@ -81,7 +99,7 @@ class TargetModel:
         return ForwardResult(
             per_example_losses=losses,
             batch_loss=float(np.add.reduce(losses)) / n,  # losses.mean(), bit for bit
-            per_example_probs=expit(scores, out=scores),
+            per_example_probs=_sigmoid(scores),
             batch=batch,
             model_step=self.step_count,
         )

@@ -2,6 +2,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -257,6 +258,27 @@ def test_run_without_report_writes_only_json_to_stdout(corpus_file, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["config"]["mode"] == "train-all"
     assert "accuracy=" in err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-1e-3"])
+@pytest.mark.parametrize("flag, mode", [("--fixed-threshold", "fixed-threshold"), ("--alt", "three-stage")])
+def test_a_negative_flag_value_parses_as_with_an_equals_sign(corpus_file, tmp_path, capsys, flag, mode, value):
+    # argparse takes "-1" for a value but "-inf" or "-1e-3" for an option
+    report = tmp_path / "report.json"
+
+    def outcome(*flag_args):
+        argv = ["run", "--data", corpus_file, "--mode", mode, "--batch-size", "16", "--report", str(report)]
+        try:
+            code = run_cli(*argv, *flag_args)
+        except SystemExit as exc:  # an argparse error
+            code = exc.code
+        return code, capsys.readouterr()
+
+    joined = outcome(f"{flag}={value}")
+    assert outcome(flag, value) == joined
+    if flag == "--fixed-threshold" and value == "-inf":
+        assert joined[0] == 0
+        assert json.loads(report.read_text())["config"]["fixed_threshold"] == -math.inf
 
 
 def test_run_huge_learning_rate_exits_3(corpus_file, tmp_path, capsys):
@@ -553,31 +575,43 @@ def assert_a_full_from_train_all(runs):
 def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkeypatch):
     runs = record_runs(monkeypatch)
     args = [*SWEEP_ARGS, "--epochs-grid", "1,2"]
-    assert run_cli("sweep", "--data", corpus_file, "--out", str(tmp_path / "s.csv"), *args) == 0
-    # per (epochs, seed): train-all, then fixed 0.3, then three-stage at alt 0.4 and 0.6
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(out), *args) == 0
+    # per (epochs, seed): train-all, then fixed 0.3, then three-stage at alt 0.4 and 0.6;
+    # the blocks run seed-major and their rows are written epochs-major
     assert len(runs) == 16
     assert [cfg.mode for cfg, _ in runs[:4]] == ["train-all", "fixed-threshold", "three-stage", "three-stage"]
-    assert [(cfg.epochs, cfg.seed) for cfg, _ in runs[::4]] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert [(cfg.epochs, cfg.seed) for cfg, _ in runs[::4]] == [(1, 0), (2, 0), (1, 1), (2, 1)]
     assert_a_full_from_train_all(runs)
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    written = [(r["epochs"], r["seed"]) for r in rows if r["row_type"] == "run"]
+    assert written == [("1", "0")] * 4 + [("1", "1")] * 4 + [("2", "0")] * 4 + [("2", "1")] * 4
 
 
-def test_sweep_gathers_one_partition_per_epochs_and_seed_block(corpus_file, tmp_path, monkeypatch):
-    # the loaded corpus keeps its last partition; the grid runs seeds inside
-    # epochs, so the key changes at each of the four (epochs, seed) blocks
-    runs = record_runs(monkeypatch)
+def count_gathers(monkeypatch) -> list[int]:
+    """Make every batch partition or eval batch the CLI gathers append its
+    batch size to the returned list."""
     gather, gathered = data._gathered, []
 
     def counting_gathered(*args):
-        gathered.append(args[-1])  # the batch size
+        gathered.append(args[-1])
         return gather(*args)
 
     monkeypatch.setattr(data, "_gathered", counting_gathered)
+    return gathered
+
+
+def test_sweep_gathers_one_partition_per_seed(corpus_file, tmp_path, monkeypatch):
+    # the loaded corpus keeps its last partition, which depends on the seed
+    # and not on the epoch count, and the grid runs seeds outside epochs
+    runs = record_runs(monkeypatch)
+    gathered = count_gathers(monkeypatch)
     args = [*SWEEP_ARGS, "--epochs-grid", "1,2"]
     assert run_cli("sweep", "--data", corpus_file, "--out", str(tmp_path / "s.csv"), *args) == 0
     assert len(runs) == 16
     # each run packs its eval batch: here the whole training set, in one batch
     assert gathered.count(len(load_dataset(corpus_file))) == 16
-    assert gathered.count(16) == 4
+    assert gathered.count(16) == 2
 
 
 OVERRIDDEN_FLAGS = [
@@ -760,6 +794,18 @@ def test_compare_outputs_matched_random_rows(corpus_file, tmp_path, capsys):
         float(by_method["three-stage"]["skip_ratio_mean"]), abs=1e-12
     )
     assert float(by_method["auto-threshold-only"]["skip_ratio_mean"]) > 0.0
+
+
+def test_compare_gathers_one_partition_per_seed_for_methods_and_for_controls(corpus_file, tmp_path, monkeypatch):
+    # methods and then controls run seed-major, so each seed's runs share its partition
+    runs = record_runs(monkeypatch)
+    gathered = count_gathers(monkeypatch)
+    flags = ["--seeds", "0,1", "--batch-size", "16", "--threshold-window", "8", "--fixed-thresholds", "0.3"]
+    assert run_cli("compare", "--data", corpus_file, *flags) == 0
+    # 4 methods and 3 controls per seed
+    assert [cfg.seed for cfg, _ in runs] == [0] * 4 + [1] * 4 + [0] * 3 + [1] * 3
+    assert gathered.count(len(load_dataset(corpus_file))) == 14
+    assert gathered.count(16) == 4
 
 
 def test_compare_requires_seed(corpus_file, tmp_path):

@@ -1,6 +1,14 @@
-"""The package's export list names only what exists."""
+"""The package's import surface: its export list names only what exists, and
+it runs on numpy alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import lossgate
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +21,25 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from lossgate import *", namespace)
     assert set(lossgate.__all__) <= set(namespace)
+
+
+# generates a corpus, runs it end to end and prints every scipy module loaded
+NO_SCIPY_SCRIPT = """
+import sys
+import lossgate.cli
+assert lossgate.cli.main(["gen-toy", "--out", "toy.jsonl", "--num-examples", "200"]) == 0
+assert lossgate.cli.main(["run", "--data", "toy.jsonl", "--report", "report.json", "--trace", "trace.csv"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only; a fresh interpreter shows what the package itself loads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "report.json").stat().st_size > 0

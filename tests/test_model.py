@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from lossgate.data import Example, pack, pack_examples, tokenize, vectorize
-from lossgate.model import ForwardResult, TargetModel
+from lossgate.model import ForwardResult, TargetModel, _sigmoid
 
 
 def ex(tokens, label):
@@ -51,6 +51,40 @@ def test_forward_perfect_prediction_zero_loss():
     result = model.forward(b)
     assert result.per_example_probs[0] == 1.0
     assert result.batch_loss == 0.0
+
+
+def test_forward_probability_is_zero_where_exp_overflows():
+    # -score above about 709.78 overflows math.exp; expit gives 0.0 there
+    model = TargetModel()
+    b = batch([(["doom"], 0), (["doom", "gloom"], 1), (["meh"], 0)])
+    model.bias = -700.0
+    for token, weight in (("doom", -10.5), ("gloom", -300.0), ("meh", -9.0)):
+        model.weights[vectorize([token])[0]] = weight
+    scores = model.bias + np.bincount(b.rows, weights=model.weights[b.indices], minlength=3)
+    assert scores.tolist() == [-710.5, -1010.5, -709.0]
+    result = model.forward(b)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(result.per_example_probs.view(np.int64), expit(scores).view(np.int64))
+    assert np.count_nonzero(result.per_example_probs == 0.0) == 2
+    assert result.per_example_probs[2] > 0.0  # -709 does not overflow
+
+
+def test_sigmoid_is_expit_bit_for_bit():
+    # a bit pattern comparison, so that -0.0 and 0.0 differ; the grid over
+    # [-720, -700] crosses where math.exp(-s) starts to overflow
+    rng = np.random.default_rng(12)
+    scores = np.concatenate([
+        *(rng.normal(scale=scale, size=200_000) for scale in (0.01, 1.0, 10.0, 100.0, 1000.0)),
+        np.linspace(-720.0, -700.0, 100_001),
+        [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308],
+    ])
+    with np.errstate(over="ignore"):
+        reference = expit(scores)
+    probs = _sigmoid(scores)
+    assert scores.size > 1_000_000
+    assert probs.dtype == np.float64
+    assert np.array_equal(probs.view(np.int64), reference.view(np.int64))
+    assert 0 < np.count_nonzero(probs == 0.0) < np.count_nonzero(scores < -700.0)
 
 
 def test_forward_quarter_probability_loss():
