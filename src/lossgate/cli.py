@@ -4,18 +4,20 @@ toy-corpus generation.
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
 output path that resolves to an input or to another output, that is a
 directory or that lies in a directory that does not exist exits 2 before any
-work, as does a --config file that cannot be read or is not UTF-8.
+work, as does a --config file that cannot be read or is not UTF-8. A time
+model that prices the run at an infinite T or p_t exits 2 before the first
+pass.
 
-TrainerConfig field field_name is flag --field-name, but for six spelled
-otherwise (--n0, --skip-gamma, --power-cpu, --power-dram, --power-gpu,
---no-shuffle) and two only a --config file sets (record_trace, which run's
---trace also sets, and disable_predictor). gen-toy's flags are
-generate_toy_corpus's parameters, with its defaults. sweep and compare exit 2
-before loading on a flag or a --config key of a field they set for each run
-(sweep: mode, epochs, seed, fixed_threshold, n0_fraction, predictor_window,
-alt, a_full; compare: mode, seed, fixed_threshold, random_skip_ratio,
-a_full), and sweep checks --max-runs before it builds a run's config. A
-negative number may follow its flag after a space, -inf and -1e-3 too.
+TrainerConfig field field_name is flag --field-name, but for two spelled
+otherwise (--n0, --skip-gamma) and two only a --config file sets
+(record_trace, which run's --trace also sets, and disable_predictor). gen-toy's
+flags are generate_toy_corpus's parameters, with its defaults. sweep and
+compare exit 2 before loading on a flag or a --config key of a field they set
+for each run (sweep: mode, epochs, seed, fixed_threshold, n0_fraction,
+predictor_window, alt, a_full; compare: mode, seed, fixed_threshold,
+random_skip_ratio, a_full), and sweep checks --max-runs before it builds a
+run's config. A negative number may follow its flag after a space, -inf and
+-1e-3 too.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .data import Corpus, generate_toy_corpus, load_dataset, write_jsonl
-from .trainer import RunReport, TrainerConfig, csv_field, run, write_trace
+from .trainer import ConfigError, RunReport, TrainerConfig, csv_field, run, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
 DEFAULT_WINDOW_GRID = [4, 8, 16]
@@ -99,10 +101,7 @@ def _load_data(args: argparse.Namespace) -> tuple[Corpus, Corpus | None]:
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainerConfig)}
 
 # the flags not spelled --field-name, and the fields only a --config file sets
-_FLAG_SPELLINGS = {
-    "shuffle": "--no-shuffle", "n0_fraction": "--n0", "skip_margin_gamma": "--skip-gamma",
-    "power_cpu_watts": "--power-cpu", "power_dram_watts": "--power-dram", "power_gpu_watts": "--power-gpu",
-}
+_FLAG_SPELLINGS = {"n0_fraction": "--n0", "skip_margin_gamma": "--skip-gamma"}
 _FILE_ONLY_FIELDS = ("record_trace", "disable_predictor")
 
 # the argparse type of a flag, by the annotation of what it sets
@@ -164,8 +163,8 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
             continue
         flag = _flag(f.name)
         kind = f.type.partition(" | ")[0]
-        if kind == "bool":  # the flag sets the value the field does not default to
-            g.add_argument(flag, action="store_false" if f.default else "store_true", default=None, dest=f.name)
+        if kind == "bool":  # every bool field defaults to False
+            g.add_argument(flag, action="store_true", default=None, dest=f.name)
         else:
             g.add_argument(flag, type=_FLAG_TYPES[kind], choices=f.metadata.get("choices"), dest=f.name)
 
@@ -559,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _reject_clobbering(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -318,11 +318,14 @@ def is_real(value) -> bool:
 
 
 def checked_size(name: str, value) -> int:
-    """``value`` as an int if it is an integer (``is_int``) of at least 1, else ValueError naming ``name``."""
+    """``value`` as an int if it is an integer (``is_int``) in [1, 2**63 - 1], the sizes numpy indexes with,
+    else ValueError naming ``name``."""
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
+    if value >= 2**63:
+        raise ValueError(f"{name} must be <= 2**63 - 1, got {value}")
     return int(value)
 
 

@@ -49,6 +49,10 @@ DECISION_FORWARD_ONLY = "forward_only"
 DECISION_SKIPPED = "skipped"
 
 
+class ConfigError(ValueError):
+    """A config that cannot run on the given dataset, raised before the first pass."""
+
+
 class Stage(IntEnum):
     WARMUP = 0
     BACKWARD_FILTER = 1
@@ -76,7 +80,6 @@ class TrainerConfig:
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
     learning_rate: float = 0.5
     n0_fraction: float = 0.1
     threshold_window: int = 64
@@ -88,12 +91,7 @@ class TrainerConfig:
     random_skip_ratio: float | None = None
     t_forward: float = 1.0
     t_backward: float = 2.0
-    agot_epsilon: float = 0.95
     a_full: float | None = None
-    power_cpu_watts: float = 100.0
-    power_dram_watts: float = 50.0
-    power_gpu_watts: float = 250.0
-    gpu_count: int = 1
     record_trace: bool = False
     eval_every_epoch: bool = False
     # diagnostics: never leave stage 1
@@ -117,13 +115,10 @@ class TrainerConfig:
             checked_size(name, getattr(self, name))
         for name in ("learning_rate", "alt", "skip_margin_gamma", "smoothing_alpha", "t_forward", "t_backward"):
             checked_positive(name, getattr(self, name))
-        for name in ("seed", "power_cpu_watts", "power_dram_watts", "power_gpu_watts", "gpu_count"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0 and finite")
         if not 0.0 < self.n0_fraction <= 1.0:
             raise ValueError("n0_fraction must lie in (0, 1]")
-        if not 0.0 <= self.agot_epsilon <= 1.0:
-            raise ValueError("agot_epsilon must lie in [0, 1]")
         if self.a_full is not None and not 0.0 <= self.a_full <= 1.0:
             raise ValueError("a_full must lie in [0, 1]")
         # each of these fields is set iff its mode runs, as no other mode reads it
@@ -169,7 +164,7 @@ class RunReport:
 
 def build_epoch_batches(examples: Sequence[Example], config: TrainerConfig) -> list[MiniBatch]:
     """The exact batch partition a run with this config iterates each epoch."""
-    return make_batches(examples, config.batch_size, seed=config.seed, shuffle=config.shuffle)
+    return make_batches(examples, config.batch_size, seed=config.seed)
 
 
 class Trainer:
@@ -188,6 +183,14 @@ class Trainer:
         self._eval_batch = pack_examples(train if eval_examples is None else eval_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
         self._epoch_batches = build_epoch_batches(train, config)
+        # T of a run that trains every batch, the most the time model can price; an
+        # infinite T or p_t would be written to the report as JSON's invalid Infinity
+        self._t_all = config.epochs * len(self._epoch_batches) * (config.t_forward + config.t_backward)
+        if not (self._t_all < math.inf and metrics.energy_co2(metrics.EnergyParams(hours=self._t_all))[0] < math.inf):
+            raise ConfigError(
+                f"t_forward and t_backward price {config.epochs} epoch(s) of {len(self._epoch_batches)} batch(es) "
+                f"at an infinite T or p_t"
+            )
         self._warmup_batches = math.ceil(config.n0_fraction * len(self._epoch_batches) - 1e-9)
         self.stage = Stage.WARMUP
         self.epoch_index = 0
@@ -337,8 +340,7 @@ class Trainer:
         )
         timing = metrics.TimingModel(cfg.t_forward, cfg.t_backward)
         t_ours = metrics.total_time(fractions, timing, total)
-        t_all = total * (cfg.t_forward + cfg.t_backward)
-        time_norm = metrics.t_norm(t_ours, t_all)
+        time_norm = metrics.t_norm(t_ours, self._t_all)
 
         a_full_ref = cfg.a_full
         if a_full_ref is None and cfg.mode == "train-all":
@@ -346,17 +348,8 @@ class Trainer:
         # AGOT divides by a power of T_norm: undefined when every batch was skipped
         agot_value = None
         if a_full_ref is not None and a_full_ref != a_base and time_norm > 0:
-            params = metrics.AgotParams(epsilon=cfg.agot_epsilon, a_base=a_base, a_full=a_full_ref)
-            agot_value = metrics.agot(accuracy, time_norm, params)
-
-        energy = metrics.EnergyParams(
-            p_cpu=cfg.power_cpu_watts,
-            p_dram=cfg.power_dram_watts,
-            p_gpu=cfg.power_gpu_watts,
-            gpu_count=cfg.gpu_count,
-            hours=t_ours,
-        )
-        kwh, co2 = metrics.energy_co2(energy)
+            agot_value = metrics.agot(accuracy, time_norm, metrics.AgotParams(a_base=a_base, a_full=a_full_ref))
+        kwh, co2 = metrics.energy_co2(metrics.EnergyParams(hours=t_ours))
 
         boundaries = {
             "backward_filter_start": self.backward_filter_start,

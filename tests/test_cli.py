@@ -40,10 +40,9 @@ def subparsers() -> dict[str, argparse.ArgumentParser]:
 
 
 TRAINER_OPTIONS = [
-    "--config", "--mode", "--epochs", "--batch-size", "--seed", "--no-shuffle", "--learning-rate", "--n0",
+    "--config", "--mode", "--epochs", "--batch-size", "--seed", "--learning-rate", "--n0",
     "--threshold-window", "--predictor-window", "--alt", "--skip-gamma", "--smoothing-alpha",
-    "--fixed-threshold", "--random-skip-ratio", "--t-forward", "--t-backward",
-    "--agot-epsilon", "--a-full", "--power-cpu", "--power-dram", "--power-gpu", "--gpu-count", "--eval-every-epoch",
+    "--fixed-threshold", "--random-skip-ratio", "--t-forward", "--t-backward", "--a-full", "--eval-every-epoch",
 ]
 DATA_OPTIONS = ["--data", "--eval-data", "--format", "--header"]
 
@@ -73,6 +72,24 @@ def test_every_trainer_config_field_has_a_flag_or_is_file_only():
     dests = {action.dest for action in subparsers()["run"]._actions}
     for f in fields(TrainerConfig):
         assert (f.name in dests) != (f.name in cli._FILE_ONLY_FIELDS), f.name
+
+
+# the flags of the fields that went with the fixed cost model and the always-shuffled epoch
+REMOVED_FLAGS = [
+    ["--no-shuffle"], ["--agot-epsilon", "0.95"], ["--power-cpu", "100"], ["--power-dram", "50"],
+    ["--power-gpu", "250"], ["--gpu-count", "1"],
+]
+
+
+@pytest.mark.parametrize("flag_args", REMOVED_FLAGS, ids=[args[0] for args in REMOVED_FLAGS])
+def test_a_removed_flag_is_an_unrecognized_argument(corpus_file, tmp_path, capsys, monkeypatch, flag_args):
+    refuse_loading(monkeypatch)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("run", "--data", corpus_file, "--report", str(report), *flag_args)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag_args)}" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def sample_value(f):
@@ -389,18 +406,27 @@ BAD_CONFIGS = [
     ("force_l_low", [], "force_l_low = -inf"),
     ("t_forward", ["--t-forward", "0"], None),
     ("t_backward", ["--t-backward", "-1"], None),
-    ("agot_epsilon", ["--agot-epsilon", "1.5"], None),
+    # shuffle, agot_epsilon, the power_*_watts and gpu_count were config keys once; the cost model is fixed now
+    ("shuffle", [], "shuffle = false"),
+    ("agot_epsilon", [], "agot_epsilon = 0.95"),
+    ("power_cpu_watts", [], "power_cpu_watts = 100"),
+    ("power_dram_watts", [], "power_dram_watts = 50"),
+    ("power_gpu_watts", [], "power_gpu_watts = 250"),
+    ("gpu_count", [], "gpu_count = 1"),
     ("skip_margin_gamma", ["--skip-gamma", "0"], None),
     # variance_tolerance was a config key once; a stale config file naming it is an unknown key
     ("variance_tolerance", [], "variance_tolerance = 1e-4"),
     ("smoothing_alpha", ["--smoothing-alpha", "0"], None),
     ("batch_size", [], "batch_size = 8.5"),
+    # numpy cannot index with a size of 2**63 or more
+    ("batch_size-huge", ["--batch-size", "10000000000000000000"], None),
+    ("threshold_window-huge", ["--threshold-window", "10000000000000000000"], None),
+    ("predictor_window-huge", ["--predictor-window", "10000000000000000000"], None),
     ("epochs", [], "epochs = true"),
     ("smoothing_alpha-inf", ["--smoothing-alpha", "inf"], None),
     ("t_forward-inf", ["--t-forward", "inf"], None),
     ("learning_rate", ["--learning-rate", "inf"], None),
     ("variance_tolerance-inf", [], "variance_tolerance = inf"),
-    ("power_cpu_watts", ["--power-cpu", "inf"], None),
     ("a_full", ["--a-full", "7"], None),
     ("a_full-negative", ["--a-full", "-0.5"], None),
     ("random_skip_ratio", ["--mode", "random-skip", "--random-skip-ratio", "-3"], None),
@@ -425,6 +451,19 @@ def test_run_bad_config_exits_2_before_training(corpus_file, tmp_path, capsys, m
     assert run_cli(*argv) == 2
     field = case.partition("-")[0]
     assert field in capsys.readouterr().err
+
+
+def test_run_a_time_model_priced_at_infinity_exits_2_before_the_first_pass(corpus_file, tmp_path, capsys, monkeypatch):
+    # each pass time is finite, but T is not, and a report would write it as JSON's invalid Infinity
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran on a time model priced at infinity")
+
+    monkeypatch.setattr("lossgate.model.TargetModel.forward", no_pass)
+    report = tmp_path / "report.json"
+    argv = ["run", "--data", corpus_file, "--t-forward", "1e308", "--t-backward", "1e308", "--report", str(report)]
+    assert run_cli(*argv) == 2
+    assert "error: t_forward and t_backward price" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def refuse_loading(monkeypatch):

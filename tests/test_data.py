@@ -600,6 +600,14 @@ def test_make_batches_rejects_bad_input():
         make_batches([], batch_size=2)
 
 
+def test_a_size_of_2_to_the_63_or_more_is_refused_by_name():
+    # numpy indexes with a signed 64-bit integer, so a larger size would fail inside numpy
+    assert data.checked_size("batch_size", 2**63 - 1) == 2**63 - 1
+    for size in (2**63, 10**19):
+        with pytest.raises(ValueError, match=r"^batch_size must be <= 2\*\*63 - 1"):
+            make_batches(_examples(3), batch_size=size)
+
+
 @pytest.mark.parametrize("seed", [True, 1.5, -1, "1"])
 def test_make_batches_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # a bool would shuffle with seed 1

@@ -451,6 +451,17 @@ def test_empty_dataset_rejected():
         run(BASE, [])
 
 
+@pytest.mark.parametrize("epochs, t_forward, t_backward", [
+    (1, 1e308, 1e308),  # t_forward + t_backward overflows
+    (10**9, 1e300, 1.0),  # epochs x batches x (t_forward + t_backward) overflows
+    (1, 3e305, 2e305),  # T is finite, but p_t = 1.58 * T * 400 / 1000 overflows on the way
+])
+def test_a_time_model_priced_at_infinity_is_refused_before_the_first_pass(epochs, t_forward, t_backward):
+    cfg = replace(BASE, mode="train-all", epochs=epochs, t_forward=t_forward, t_backward=t_backward)
+    with pytest.raises(ValueError, match="^t_forward and t_backward price"):
+        Trainer(cfg, CORPUS[: BASE.batch_size], EVAL)
+
+
 def test_empty_eval_set_rejected_and_none_means_the_training_set():
     with pytest.raises(ValueError, match="eval set is empty"):
         Trainer(BASE, CORPUS, [])
