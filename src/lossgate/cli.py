@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
 output path that resolves to an input or to another output, that is a
 directory or that lies in a directory that does not exist exits 2 before any
 work, as does a --config file that cannot be read or is not UTF-8. A time
-model that prices the run at an infinite T or p_t exits 2 before the first
-pass.
+model that prices a run at an infinite T or p_t exits 2 before the first
+pass; sweep and compare check every run's before their first run.
 
 TrainerConfig field field_name is flag --field-name, but for two spelled
 otherwise (--n0, --skip-gamma) and two only a --config file sets
@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .data import Corpus, generate_toy_corpus, load_dataset, write_jsonl
-from .trainer import ConfigError, RunReport, TrainerConfig, csv_field, run, write_trace
+from .trainer import ConfigError, RunReport, TrainerConfig, csv_field, priced_time, random_control, run, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
 DEFAULT_WINDOW_GRID = [4, 8, 16]
@@ -275,7 +275,11 @@ def _run_in_order(
     run's ``a_full`` comes from the run order, whatever the base config says:
     a train-all run scores against its own accuracy, and any other run takes
     the accuracy of the earlier train-all run with the same (epochs, seed).
-    Configs appended to the list while it is being run are run too."""
+    Configs appended to the list while it is being run are run too; the time
+    model of each config in it at the start is checked before the first run."""
+    for cfg in configs:
+        # a partition's batch count, ceil(examples / batch size), without cutting one
+        priced_time(cfg, -(-len(train_examples) // cfg.batch_size))
     a_full: dict[tuple[int, int], float] = {}
     for cfg in configs:
         key = (cfg.epochs, cfg.seed)
@@ -411,12 +415,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if cfg.mode in ("train-all", "random-skip"):
             continue
         # the method's matched-ratio control, appended so it runs after every method
-        ratio = report.alpha_b + report.alpha_fb
         labels.append(f"random@{label}")
-        # a random control ignores the gate, so it drops a fixed threshold
-        configs.append(replace(
-            cfg, mode="random-skip", random_skip_ratio=ratio if ratio < 1.0 else 1.0 - 1e-9, fixed_threshold=None
-        ))
+        configs.append(random_control(cfg, report.alpha_b + report.alpha_fb))
 
     rows = []
     for label, reps in per_label.items():

@@ -49,7 +49,6 @@ spell out, which the tests check bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -70,7 +69,7 @@ def _check_label(label) -> None:
 
 class NaiveBayesModel:
     def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
-        # the one check of both parameters, a checkpoint's too
+        # the one check of both parameters
         self.smoothing_alpha = checked_positive("smoothing_alpha", smoothing_alpha)
         self.dimension = checked_size("dimension", dimension)
         # examples counted under class 0 and class 1
@@ -212,66 +211,3 @@ class NaiveBayesModel:
             raise ValueError("empty batch")
         return float(np.add.reduce(self._neg_log_posteriors(batch, label))) / n  # .mean(), bit for bit
 
-
-def save_predictor(model: NaiveBayesModel, path: str) -> None:
-    """JSON checkpoint: class counts plus sparse per-class bucket counts."""
-    counts = {}
-    for label in (0, 1):
-        stored = model._bucket_counts[label]
-        counts[str(label)] = [[int(b), int(stored[b]) - 1] for b in np.flatnonzero(stored > 1)]
-    payload = {
-        "alpha": model.smoothing_alpha,
-        "dimension": model.dimension,
-        "class_counts": list(model.class_counts),
-        "token_counts": counts,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_predictor(path: str) -> NaiveBayesModel:
-    """Read a ``save_predictor`` checkpoint.
-
-    Raises ValueError on a checkpoint no live model could have written: a
-    payload that is not an object or lacks a key, an ``alpha`` or
-    ``dimension`` that ``NaiveBayesModel`` refuses, ``class_counts`` that are
-    not two non-negative integers, ``token_counts`` that are not an object of
-    two lists keyed ``"0"`` and ``"1"``, an entry that is not an integer
-    pair, a bucket outside ``[0, dimension)``, or a bucket count that is
-    negative or above its class total.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-    missing = [key for key in ("alpha", "dimension", "class_counts", "token_counts") if key not in payload]
-    if missing:
-        raise ValueError(f"missing key(s): {', '.join(map(repr, missing))}")
-    model = NaiveBayesModel(smoothing_alpha=payload["alpha"], dimension=payload["dimension"])
-    class_counts, token_counts, dimension = payload["class_counts"], payload["token_counts"], model.dimension
-    if not (isinstance(class_counts, list) and len(class_counts) == 2
-            and all(is_int(c) and c >= 0 for c in class_counts)):
-        raise ValueError(f"class_counts must be two non-negative integers, got {class_counts!r}")
-    if not (isinstance(token_counts, dict) and all(isinstance(token_counts.get(k), list) for k in ("0", "1"))):
-        raise ValueError("token_counts must be an object with a list under each of '0' and '1'")
-    # the totals stay Python ints, as ``update`` keeps them
-    model.class_counts = list(class_counts)
-    for label in (0, 1):
-        for entry in token_counts[str(label)]:
-            if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_int, entry))):
-                raise ValueError(f"class {label} entry must be an integer [bucket, count] pair, got {entry!r}")
-            bucket, count = entry
-            if not 0 <= bucket < dimension:
-                raise ValueError(f"class {label} bucket {bucket} outside [0, {dimension})")
-            if not 0 <= count <= class_counts[label]:
-                raise ValueError(
-                    f"class {label} bucket {bucket} count {count} outside [0, {class_counts[label]}]"
-                )
-            model._bucket_counts[label, bucket] = count
-    vocab = np.flatnonzero(model._bucket_counts.any(axis=0))
-    model._bucket_counts[:, vocab] += 1
-    stored = model._bucket_counts[:, vocab]
-    model._top = [int(row.max(initial=1)) - 1 for row in stored]
-    size = max(_LOG_TABLE_SIZE, max(model._top) + 2)
-    model._hist = np.stack([np.bincount(row, minlength=size) for row in stored])
-    return model

@@ -162,6 +162,18 @@ class RunReport:
         return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "traces"}
 
 
+def priced_time(config: TrainerConfig, n_batches: int) -> float:
+    """T of a run of ``config`` that trains all ``n_batches`` batches of every
+    epoch, the most its time model can price. Raises ``ConfigError`` when that
+    T or its p_t is infinite: the report would write JSON's invalid Infinity."""
+    t_all = config.epochs * n_batches * (config.t_forward + config.t_backward)
+    if not (t_all < math.inf and metrics.energy_co2(metrics.EnergyParams(hours=t_all))[0] < math.inf):
+        raise ConfigError(
+            f"t_forward and t_backward price {config.epochs} epoch(s) of {n_batches} batch(es) at an infinite T or p_t"
+        )
+    return t_all
+
+
 def build_epoch_batches(examples: Sequence[Example], config: TrainerConfig) -> list[MiniBatch]:
     """The exact batch partition a run with this config iterates each epoch."""
     return make_batches(examples, config.batch_size, seed=config.seed)
@@ -183,14 +195,7 @@ class Trainer:
         self._eval_batch = pack_examples(train if eval_examples is None else eval_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
         self._epoch_batches = build_epoch_batches(train, config)
-        # T of a run that trains every batch, the most the time model can price; an
-        # infinite T or p_t would be written to the report as JSON's invalid Infinity
-        self._t_all = config.epochs * len(self._epoch_batches) * (config.t_forward + config.t_backward)
-        if not (self._t_all < math.inf and metrics.energy_co2(metrics.EnergyParams(hours=self._t_all))[0] < math.inf):
-            raise ConfigError(
-                f"t_forward and t_backward price {config.epochs} epoch(s) of {len(self._epoch_batches)} batch(es) "
-                f"at an infinite T or p_t"
-            )
+        self._t_all = priced_time(config, len(self._epoch_batches))
         self._warmup_batches = math.ceil(config.n0_fraction * len(self._epoch_batches) - 1e-9)
         self.stage = Stage.WARMUP
         self.epoch_index = 0
@@ -387,16 +392,23 @@ def run(
     return Trainer(config, train_examples, eval_examples).run()
 
 
+def random_control(config: TrainerConfig, target_ratio: float) -> TrainerConfig:
+    """The matched-ratio control of ``config``: skip both passes on a seeded
+    coin flip with chance ``target_ratio``. It ignores the gate, so it drops a
+    fixed threshold. A ratio of 1.0 (a run that skipped every batch) runs at
+    ``1 - 1e-9``, as the coin needs a ratio below 1; one outside [0, 1] raises."""
+    ratio = 1.0 - 1e-9 if target_ratio == 1.0 else target_ratio
+    return replace(config, mode="random-skip", random_skip_ratio=ratio, fixed_threshold=None)
+
+
 def run_random_skip(
     config: TrainerConfig,
     train_examples: Sequence[Example],
     target_ratio: float,
     eval_examples: Sequence[Example] | None = None,
 ) -> RunReport:
-    """The matched-ratio control: skip both passes on a seeded coin flip. It
-    ignores the gate, so it drops a fixed threshold."""
-    cfg = replace(config, mode="random-skip", random_skip_ratio=target_ratio, fixed_threshold=None)
-    return run(cfg, train_examples, eval_examples)
+    """Run ``random_control(config, target_ratio)``."""
+    return run(random_control(config, target_ratio), train_examples, eval_examples)
 
 
 TRACE_FIELDS = tuple(f.name for f in fields(StepTrace))

@@ -466,6 +466,28 @@ def test_run_a_time_model_priced_at_infinity_exits_2_before_the_first_pass(corpu
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--epochs-grid", "1,1000000000"]),
+    ("compare", ["--epochs", "1000000000"]),
+], ids=["sweep", "compare"])
+def test_sweep_and_compare_refuse_a_time_model_priced_at_infinity_before_the_first_run(
+    corpus_file, tmp_path, capsys, monkeypatch, command, flags
+):
+    # one epoch at 1e300 per forward prices finitely, a billion epochs do not
+    started = []
+
+    def no_run(config, *args):
+        started.append(config)
+        raise AssertionError("a run started on a time model priced at infinity")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), "--t-forward", "1e300", *flags) == 2
+    assert "error: t_forward and t_backward price 1000000000 epoch(s)" in capsys.readouterr().err
+    assert started == []
+    assert not out.exists()
+
+
 def refuse_loading(monkeypatch):
     def no_loading(*args, **kwargs):
         raise AssertionError("loaded the data for a command line it refuses")

@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import combinations
 
@@ -6,12 +5,7 @@ import numpy as np
 import pytest
 
 from lossgate.data import HASH_BUCKETS, pack
-from lossgate.metapredictor import (
-    _LOG_TABLE_SIZE,
-    NaiveBayesModel,
-    load_predictor,
-    save_predictor,
-)
+from lossgate.metapredictor import _LOG_TABLE_SIZE, NaiveBayesModel
 from lossgate.threshold import ThresholdState, make_label
 
 
@@ -418,17 +412,16 @@ def rebuilt_by_updates(pool, class_counts, recount, alpha):
     return model
 
 
-@pytest.mark.parametrize("reference", ["checkpoint", "updates"])
-def test_incremental_state_matches_reload(tmp_path, reference):
+@pytest.mark.parametrize("reference", ["updates"])
+def test_incremental_state_matches_reload(reference):
     # buckets from both ends of the hash space, so a new bucket lands before,
     # between and after the ones already seen; batches large enough that both
     # class totals outgrow the log table the model starts with. The reference
-    # is the model read back from a checkpoint, or one built from the same
-    # counts by other updates: the state does not depend on how they were batched
+    # is a model built from the same counts by other updates: the state does
+    # not depend on how they were batched
     pool = np.concatenate([np.arange(40), HASH_BUCKETS - 1 - np.arange(40)])
     rng = np.random.default_rng(5)
     model = NaiveBayesModel(smoothing_alpha=0.5)
-    path = tmp_path / "predictor.json"
     class_counts = [0, 0]
     recount = np.zeros((2, pool.size), dtype=np.int64)
     for _ in range(160):
@@ -448,11 +441,7 @@ def test_incremental_state_matches_reload(tmp_path, reference):
         assert model.class_counts == class_counts
         assert_counted_state(model, pool, recount)
         if model.queryable:
-            if reference == "checkpoint":
-                save_predictor(model, str(path))
-                other = load_predictor(str(path))
-            else:
-                other = rebuilt_by_updates(pool, class_counts, recount, 0.5)
+            other = rebuilt_by_updates(pool, class_counts, recount, 0.5)
             assert other.class_counts == class_counts
             # the histograms kept update by update equal the reference's
             for c in (0, 1):
@@ -552,131 +541,7 @@ def test_log_posteriors_match_reference_with_repeats_within_a_batch():
     assert model._log.size > max(class_counts)
 
 
-# -- checkpoint --------------------------------------------------------------------------
-
-
-def test_predictor_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    model, _, _, vocab = random_instance(rng, max_examples=15)
-    path = tmp_path / "predictor.json"
-    save_predictor(model, str(path))
-    loaded = load_predictor(str(path))
-    assert loaded.class_counts == model.class_counts
-    assert all(type(c) is int for c in loaded.class_counts)
-    assert loaded.posterior(vocab) == model.posterior(vocab)
-    batch = pack([vocab, vocab[:1], [], [12345]])
-    assert loaded.predict_batch(batch) == model.predict_batch(batch)
-    assert np.array_equal(log_posteriors_of(loaded, batch), log_posteriors_of(model, batch))
-    for m in (model, loaded):
-        m.update(pack([vocab[:1], [77]]), 1)
-    assert loaded.posterior(vocab + [77]) == model.posterior(vocab + [77])
-    assert np.array_equal(log_posteriors_of(loaded, batch), log_posteriors_of(model, batch))
-
-
-MISSING = object()  # a field value that leaves the field out of the checkpoint
-
-
-def _checkpoint(tmp_path, **changes):
-    """Path of a small valid checkpoint with ``changes`` applied to its fields."""
-    payload = {
-        "alpha": 1.0,
-        "dimension": 8,
-        "class_counts": [3, 3],
-        "token_counts": {"0": [[1, 2]], "1": [[1, 3], [7, 1]]},
-    }
-    payload.update(changes)
-    payload = {key: value for key, value in payload.items() if value is not MISSING}
-    path = tmp_path / "predictor.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return str(path)
-
-
-def test_load_predictor_accepts_valid_checkpoint(tmp_path):
-    model = load_predictor(_checkpoint(tmp_path))
-    assert model.bucket_count(1, 7) == 1
-    assert model.bucket_count(0, 7) == 0
-    # buckets 1 and 7 are observed: stored as count + 1 in both classes
-    assert np.flatnonzero(model._bucket_counts[0]).tolist() == [1, 7]
-    assert np.flatnonzero(model._bucket_counts[1]).tolist() == [1, 7]
-    assert model._bucket_counts[:, [1, 7]].tolist() == [[3, 1], [4, 2]]
-    assert trimmed(model._hist[0]).tolist() == [0, 1, 0, 1]
-    assert trimmed(model._hist[1]).tolist() == [0, 0, 1, 0, 1]
-    assert model._top == [2, 3]
-
-
-def test_load_predictor_rejects_negative_bucket(tmp_path):
-    # negative indexing would otherwise write bucket -1 into the last bucket
-    with pytest.raises(ValueError, match="bucket -1 outside"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[-1, 1]]}))
-
-
-def test_load_predictor_rejects_bucket_at_dimension(tmp_path):
-    with pytest.raises(ValueError, match="bucket 8 outside"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[8, 1]], "1": []}))
-
-
-def test_load_predictor_rejects_negative_count(tmp_path):
-    with pytest.raises(ValueError, match="count -1"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [[1, -1]], "1": []}))
-
-
-def test_load_predictor_rejects_count_above_class_total(tmp_path):
-    with pytest.raises(ValueError, match="count 9"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [], "1": [[1, 9]]}))
-
-
-@pytest.mark.parametrize("class_counts", [[3], [3, 3, 3], [3, -1], [3.0, 3], [True, 3], "33"])
-def test_load_predictor_rejects_bad_class_counts(tmp_path, class_counts):
-    with pytest.raises(ValueError, match="class_counts"):
-        load_predictor(_checkpoint(tmp_path, class_counts=class_counts))
-
-
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), "1.0"])
-def test_load_predictor_rejects_non_positive_alpha(tmp_path, alpha):
-    with pytest.raises(ValueError, match="alpha"):
-        load_predictor(_checkpoint(tmp_path, alpha=alpha))
-    if not isinstance(alpha, str):  # a string is rejected by TrainerConfig's type check
-        with pytest.raises(ValueError, match="alpha"):
-            NaiveBayesModel(smoothing_alpha=alpha)
-
-
-@pytest.mark.parametrize("entry", [[1], [1, 1, 1], [1.0, 1], ["1", 1], [1, True]])
-def test_load_predictor_rejects_malformed_entry(tmp_path, entry):
-    with pytest.raises(ValueError, match="pair"):
-        load_predictor(_checkpoint(tmp_path, token_counts={"0": [entry], "1": []}))
-
-
-BAD_STRUCTURES = {
-    "missing-alpha": ({"alpha": MISSING}, "missing key.*'alpha'"),
-    "missing-dimension": ({"dimension": MISSING}, "missing key.*'dimension'"),
-    "missing-class_counts": ({"class_counts": MISSING}, "missing key.*'class_counts'"),
-    "missing-token_counts": ({"token_counts": MISSING}, "missing key.*'token_counts'"),
-    "list-token_counts": ({"token_counts": [[1, 2]]}, "token_counts"),
-    "token_counts-without-class-1": ({"token_counts": {"0": [[1, 2]]}}, "token_counts"),
-    "number-class-entries": ({"token_counts": {"0": 3, "1": []}}, "token_counts"),
-    "null-class-entries": ({"token_counts": {"0": [], "1": None}}, "token_counts"),
-}
-
-
-@pytest.mark.parametrize("case", BAD_STRUCTURES)
-def test_load_predictor_rejects_bad_structure(tmp_path, case):
-    changes, match = BAD_STRUCTURES[case]
-    with pytest.raises(ValueError, match=match):
-        load_predictor(_checkpoint(tmp_path, **changes))
-
-
-@pytest.mark.parametrize("payload", [[1, 2], None, "predictor", 3])
-def test_load_predictor_rejects_a_payload_that_is_not_an_object(tmp_path, payload):
-    path = tmp_path / "predictor.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match="expected a JSON object"):
-        load_predictor(str(path))
-
-
-@pytest.mark.parametrize("dimension", [0, 8.0, True])
-def test_load_predictor_rejects_bad_dimension(tmp_path, dimension):
-    with pytest.raises(ValueError, match="dimension"):
-        load_predictor(_checkpoint(tmp_path, dimension=dimension))
+# -- constructor --------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("alpha", [True, "1", 0.0, -1.0, float("nan"), float("inf")])
@@ -697,15 +562,6 @@ def test_constructor_accepts_numpy_numbers_and_keeps_python_ones():
     assert type(model.dimension) is int and model.dimension == 8
     assert model._bucket_counts.shape == (2, 8)
     assert NaiveBayesModel(dimension=1).dimension == 1
-
-
-@pytest.mark.parametrize("field, value", [("alpha", True), ("alpha", 0.0), ("dimension", 8.0), ("dimension", 0)])
-def test_load_predictor_refuses_alpha_and_dimension_by_the_constructors_rule(tmp_path, field, value):
-    with pytest.raises(ValueError) as from_checkpoint:
-        load_predictor(_checkpoint(tmp_path, **{field: value}))
-    with pytest.raises(ValueError) as from_constructor:
-        NaiveBayesModel(**{"smoothing_alpha" if field == "alpha" else field: value})
-    assert str(from_checkpoint.value) == str(from_constructor.value)
 
 
 # -- bit-exact floats ---------------------------------------------------------------------

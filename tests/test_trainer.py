@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +17,14 @@ from lossgate.trainer import (
     DECISION_FULL,
     DECISION_SKIPPED,
     MODES,
+    ConfigError,
     Stage,
     Trainer,
     TrainerConfig,
     build_epoch_batches,
     csv_field,
+    priced_time,
+    random_control,
     run,
     run_random_skip,
     write_trace,
@@ -134,8 +137,20 @@ def test_random_skip_same_seed_same_mask():
 
 
 def test_run_random_skip_wrapper_validates_ratio():
-    with pytest.raises(ValueError):
-        run_random_skip(BASE, CORPUS, 1.0, EVAL)
+    for ratio in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            run_random_skip(BASE, CORPUS, ratio, EVAL)
+
+
+def test_run_random_skip_matches_a_run_that_skipped_every_batch():
+    # a threshold above every loss skips every backward, so the ratio to match is 1.0
+    cfg = replace(BASE, mode="fixed-threshold", fixed_threshold=100.0)
+    skipped_all = run(cfg, CORPUS, EVAL)
+    ratio = skipped_all.alpha_b + skipped_all.alpha_fb
+    assert ratio == 1.0
+    control = run_random_skip(cfg, CORPUS, ratio, EVAL)
+    assert control.config["mode"] == "random-skip"
+    assert control.config["random_skip_ratio"] == 1.0 - 1e-9
 
 
 def test_run_skipping_every_batch_reports_null_agot():
@@ -375,6 +390,40 @@ def test_run_random_skip_drops_a_fixed_threshold():
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_random_control_is_a_random_skip_run_without_a_fixed_threshold(mode):
+    control = random_control(replace(BASE, mode=mode, **MODE_ARGS.get(mode, {})), 0.25)
+    assert (control.mode, control.random_skip_ratio, control.fixed_threshold) == ("random-skip", 0.25, None)
+
+
+# a method whose every field but the three a control sets is off its default
+METHOD = TrainerConfig(
+    mode="fixed-threshold", epochs=3, batch_size=8, seed=4, learning_rate=0.3, n0_fraction=0.2,
+    threshold_window=5, predictor_window=6, alt=0.4, skip_margin_gamma=0.8, smoothing_alpha=0.5,
+    fixed_threshold=0.5, t_forward=0.7, t_backward=3.4, a_full=0.8, record_trace=True,
+    eval_every_epoch=True, disable_predictor=True,
+)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainerConfig) if f.name not in (
+    "mode", "random_skip_ratio", "fixed_threshold"
+)])
+def test_random_control_keeps_every_other_field_of_its_method(name):
+    assert getattr(METHOD, name) != getattr(TrainerConfig(), name)
+    assert getattr(random_control(METHOD, 0.3), name) == getattr(METHOD, name)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.25, 0.5, 0.999, 1.0 - 1e-9])
+def test_random_control_runs_a_ratio_below_1_as_given(ratio):
+    assert random_control(METHOD, ratio).random_skip_ratio == ratio
+
+
+@pytest.mark.parametrize("ratio", [-1e-300, -0.1, 1.0 + 1e-15, 1.5, math.inf, -math.inf, math.nan])
+def test_random_control_refuses_a_ratio_outside_0_1(ratio):
+    with pytest.raises(ValueError, match="random_skip_ratio"):
+        random_control(METHOD, ratio)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_skip_fractions_recomputable_from_trace_file(tmp_path, mode):
     report = run_mode(mode, **MODE_ARGS.get(mode, {}))
     path = tmp_path / "trace.csv"
@@ -460,6 +509,54 @@ def test_a_time_model_priced_at_infinity_is_refused_before_the_first_pass(epochs
     cfg = replace(BASE, mode="train-all", epochs=epochs, t_forward=t_forward, t_backward=t_backward)
     with pytest.raises(ValueError, match="^t_forward and t_backward price"):
         Trainer(cfg, CORPUS[: BASE.batch_size], EVAL)
+
+
+@pytest.mark.parametrize("epochs, n_batches, t_forward, t_backward", [
+    (1, 1, 1e308, 1e308),  # t_forward + t_backward overflows
+    (10**9, 1, 1e300, 1.0),  # epochs x (t_forward + t_backward) overflows
+    (1, 10**10, 1e300, 1.0),  # batches x (t_forward + t_backward) overflows
+    (1, 1, 3e305, 2e305),  # T is finite, but p_t overflows on the way
+])
+def test_priced_time_refuses_an_infinite_T_or_p_t(epochs, n_batches, t_forward, t_backward):
+    cfg = replace(BASE, epochs=epochs, t_forward=t_forward, t_backward=t_backward)
+    message = f"^t_forward and t_backward price {epochs} epoch\\(s\\) of {n_batches} batch"
+    with pytest.raises(ConfigError, match=message):
+        priced_time(cfg, n_batches)
+
+
+@pytest.mark.parametrize("epochs, n_batches, t_forward, t_backward, expected", [
+    (1, 1, 1.0, 2.0, 3.0),
+    (2, 50, 1.0, 2.0, 300.0),
+    (10**9, 10**6, 1.0, 3.0, 4e15),
+    (1, 1, 1e305, 1e305, 2e305),  # the largest T here still has a finite p_t
+])
+def test_priced_time_is_epochs_times_batches_times_both_passes(epochs, n_batches, t_forward, t_backward, expected):
+    cfg = replace(BASE, epochs=epochs, t_forward=t_forward, t_backward=t_backward)
+    assert priced_time(cfg, n_batches) == expected
+
+
+@pytest.mark.parametrize("epochs, batch_size, t_forward, t_backward", [
+    (1, 16, 1.0, 2.0),
+    (2, 16, 1.0, 2.0),
+    (3, 7, 0.5, 1.5),
+    (2, 100, 1.0, 3.4),
+    (1, 1, 0.25, 0.25),
+])
+def test_priced_time_is_the_T_of_a_run_that_trains_every_batch(epochs, batch_size, t_forward, t_backward):
+    cfg = replace(
+        BASE, mode="train-all", epochs=epochs, batch_size=batch_size, t_forward=t_forward, t_backward=t_backward
+    )
+    report = run(cfg, CORPUS[:200], EVAL)
+    assert report.total_time == pytest.approx(priced_time(cfg, report.batches_total // epochs), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_examples, batch_size", [
+    (1, 1), (1, 16), (15, 16), (16, 16), (17, 16), (33, 16), (100, 7), (7, 100),
+])
+def test_a_partition_has_the_ceiling_of_examples_over_batch_size_batches(n_examples, batch_size):
+    # sweep and compare price every run by this count before a partition is cut
+    cfg = replace(BASE, batch_size=batch_size)
+    assert len(build_epoch_batches(CORPUS[:n_examples], cfg)) == -(-n_examples // batch_size)
 
 
 def test_empty_eval_set_rejected_and_none_means_the_training_set():
