@@ -21,9 +21,9 @@ Batching is one gather: the examples' CSR rows, in the seeded permutation's
 order, are taken from ``buckets`` into three read-only arrays (buckets,
 in-batch rows, labels), and every ``MiniBatch`` is a slice of them. A corpus
 keeps the partition ``make_batches`` last cut from it, so consecutive runs
-that share a batch size, seed and shuffle gather it once; it is freed with the
-corpus or replaced by the next partition cut under another key. A corpus
-rejects a label other than 0 or 1.
+that share a batch size and seed gather it once; it is freed with the corpus
+or replaced by the next partition cut under another key. A corpus rejects a
+label other than 0 or 1.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ class Corpus(Sequence):
         for array in (self.content, self.labels, self.ptr, self.buckets):
             array.flags.writeable = False
         self._views: list[np.ndarray] | None = None
-        # the partition make_batches last cut: ((batch_size, seed or None), batches)
-        self._batches: tuple[tuple[int, int | None], list[MiniBatch]] | None = None
+        # the partition make_batches last cut: ((batch_size, seed), batches)
+        self._batches: tuple[tuple[int, int], list[MiniBatch]] | None = None
 
     @classmethod
     def from_examples(cls, examples: Sequence[Example]) -> Corpus:
@@ -454,34 +454,25 @@ def write_jsonl(examples: Sequence[Example], path: str) -> None:
             fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
 
 
-def make_batches(
-    examples: Sequence[Example],
-    batch_size: int,
-    seed: int = 0,
-    shuffle: bool = True,
-) -> list[MiniBatch]:
-    """Partition examples into ordered minibatches; the final one may be short.
+def make_batches(examples: Sequence[Example], batch_size: int, seed: int = 0) -> list[MiniBatch]:
+    """Partition examples into minibatches, in the order of the permutation
+    ``seed`` fully determines; the final one may be short.
 
-    The permutation is fully determined by ``seed`` when ``shuffle`` is on.
     Every batch is a view of the same three arrays, gathered from the
     corpus's CSR block through the permutation in one ``take``. The
     arguments are checked on every call; a corpus then returns a new list
     over the batches it kept from the last call with the same ``batch_size``
-    and, when ``shuffle`` is on, ``seed``, and otherwise keeps the partition
-    it gathers in their place. Sharing is safe: a batch is frozen and its
-    arrays are read-only.
+    and ``seed``, and otherwise keeps the partition it gathers in their
+    place. Sharing is safe: a batch is frozen and its arrays are read-only.
     """
     corpus = Corpus.from_examples(examples)
     if not corpus:
         raise ValueError("no examples to batch")
-    batch_size = checked_size("batch_size", batch_size)
-    key = (batch_size, _checked_seed(seed) if shuffle else None)
-    if corpus._batches is None or corpus._batches[0] != key:
-        content, labels = corpus.content, corpus.labels
-        if shuffle:
-            order = np.random.default_rng(seed).permutation(len(corpus))
-            content, labels = content[order], labels[order]
-        corpus._batches = key, _gathered(corpus.ptr, corpus.buckets, content, labels, batch_size)
+    batch_size, seed = checked_size("batch_size", batch_size), _checked_seed(seed)
+    if corpus._batches is None or corpus._batches[0] != (batch_size, seed):
+        order = np.random.default_rng(seed).permutation(len(corpus))
+        batches = _gathered(corpus.ptr, corpus.buckets, corpus.content[order], corpus.labels[order], batch_size)
+        corpus._batches = (batch_size, seed), batches
     return list(corpus._batches[1])
 
 

@@ -298,6 +298,17 @@ def test_a_negative_flag_value_parses_as_with_an_equals_sign(corpus_file, tmp_pa
         assert json.loads(report.read_text())["config"]["fixed_threshold"] == -math.inf
 
 
+def test_a_flag_after_a_flag_missing_its_value_is_not_joined_to_it(corpus_file, tmp_path, capsys, monkeypatch):
+    # only a number that starts with "-" is joined, so argparse still sees --eval-data without a value
+    refuse_loading(monkeypatch)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("run", "--data", corpus_file, "--eval-data", "--report", str(report))
+    assert exit_info.value.code == 2
+    assert "argument --eval-data: expected one argument" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_run_huge_learning_rate_exits_3(corpus_file, tmp_path, capsys):
     # a finite but huge step size overflows the warmup loss window's variance
     report_path = tmp_path / "report.json"
@@ -349,12 +360,28 @@ def test_run_dataset_that_is_not_a_readable_file_exits_2_before_training(
     ('{"text": 5, "label": 1}', "line 2: 'text' must be a string"),
     ('{"text": "a b", "text2": 123, "label": 1}', "line 2: 'text2' must be a string"),
     ('{"text": "a b", "label": 2}', "line 2: label out of range"),
+    # a label must be a JSON integer: not a string, a float or a bool, even of value 1
+    ('{"text": "a b", "label": "1"}', "line 2: label must be an integer, got '1'"),
+    ('{"text": "a b", "label": 1.0}', "line 2: label must be an integer, got 1.0"),
+    ('{"text": "a b", "label": true}', "line 2: label must be an integer, got True"),
+    ("a b\tx", "line 2: label not an integer: 'x'"),
 ])
 def test_run_bad_record_exits_2(tmp_path, capsys, record, message):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"text": "ok", "label": 0}\n' + record + "\n")
+    # a record that is not a JSON object is a TSV row, after a good one of its own format
+    if record.startswith("{"):
+        path, good = tmp_path / "bad.jsonl", '{"text": "ok", "label": 0}'
+    else:
+        path, good = tmp_path / "bad.tsv", "ok\t0"
+    path.write_text(good + "\n" + record + "\n")
     assert run_cli("run", "--data", str(path), "--mode", "train-all") == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_run_dataset_of_blank_lines_exits_2(tmp_path, capsys):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n   \n\n")
+    assert run_cli("run", "--data", str(path), "--mode", "train-all") == 2
+    assert capsys.readouterr().err == f"error: dataset is empty: {path}\n"
 
 
 def test_run_writes_trace(corpus_file, tmp_path):
@@ -375,6 +402,9 @@ def test_run_writes_trace(corpus_file, tmp_path):
 def test_run_config_file_with_flag_override(corpus_file, tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(
+        "# a comment\n"
+        "\n"
+        "  # an indented comment\n"
         "mode = train-all\n"
         "epochs = 2\n"
         "batch_size = 16  # comment\n"
@@ -391,6 +421,20 @@ def test_run_config_file_with_flag_override(corpus_file, tmp_path):
     assert payload["config"]["epochs"] == 1  # flag wins
     assert payload["config"]["batch_size"] == 16
     assert payload["config"]["smoothing_alpha"] == 0.5
+
+
+# a config file that is missing or not made of pairs, by its text (None: no file), and the message
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found: {path}"),
+    ("# a comment\n\n  # an indented comment\nnot a pair\n", "{path}:4: expected 'key = value'"),
+], ids=["missing", "not-a-pair"])
+def test_run_config_file_refusal_exits_2_before_any_work(corpus_file, tmp_path, capsys, monkeypatch, text, message):
+    refuse_work(monkeypatch)
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli("run", "--data", corpus_file, "--config", str(path)) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
 
 
 def test_run_unknown_config_key_exits_2(corpus_file, tmp_path, capsys):
@@ -423,6 +467,7 @@ BAD_CONFIGS = [
     ("threshold_window-huge", ["--threshold-window", "10000000000000000000"], None),
     ("predictor_window-huge", ["--predictor-window", "10000000000000000000"], None),
     ("epochs", [], "epochs = true"),
+    ("epochs-not-an-int", [], "epochs = abc"),
     ("smoothing_alpha-inf", ["--smoothing-alpha", "inf"], None),
     ("t_forward-inf", ["--t-forward", "inf"], None),
     ("learning_rate", ["--learning-rate", "inf"], None),

@@ -417,6 +417,10 @@ def test_load_unknown_extension_needs_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         load_dataset(str(path))
     assert load_dataset(str(path), format="tsv")[0].label == 1
+    # an explicit format is checked too, whatever the extension
+    for name in ("data.txt", "data.tsv"):
+        with pytest.raises(ValueError, match=r"^unknown format: 'csv'$"):
+            load_dataset(str(tmp_path / name), format="csv")
 
 
 def test_write_jsonl_roundtrip(tmp_path):
@@ -440,14 +444,6 @@ def test_make_batches_sizes():
     assert [len(b) for b in batches] == [4, 4, 2]
 
 
-def test_make_batches_no_shuffle_preserves_order():
-    examples = _examples(7)
-    batches = make_batches(examples, batch_size=3, seed=9, shuffle=False)
-    flattened = np.concatenate([b.indices for b in batches])
-    assert np.array_equal(flattened, np.concatenate([ex.features() for ex in examples]))
-    assert [int(y) for b in batches for y in b.labels] == [ex.label for ex in examples]
-
-
 def test_make_batches_same_seed_same_permutation():
     examples = _examples(23)
     a = make_batches(examples, batch_size=5, seed=11)
@@ -466,8 +462,8 @@ def test_make_batches_partition_property():
         assert sum(len(b) for b in batches) == len(examples)
 
 
-def _reference_batches(examples, batch_size, seed, shuffle):
-    order = np.random.default_rng(seed).permutation(len(examples)) if shuffle else range(len(examples))
+def _reference_batches(examples, batch_size, seed):
+    order = np.random.default_rng(seed).permutation(len(examples))
     ordered = [examples[i] for i in order]
     return [pack_examples(ordered[start : start + batch_size]) for start in range(0, len(ordered), batch_size)]
 
@@ -488,19 +484,17 @@ def assert_same_batches(got, want):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_make_batches_equal_per_batch_packing(shuffle):
+def test_make_batches_equal_per_batch_packing():
     rng = np.random.default_rng(12)
     for trial in range(40):
         examples = _random_corpus(rng)
         n = len(examples)
         for batch_size in (1, 7, int(rng.integers(2, 9)), n, n + 3):
-            got = make_batches(examples, batch_size, seed=trial, shuffle=shuffle)
-            assert_same_batches(got, _reference_batches(examples, batch_size, trial, shuffle))
+            got = make_batches(examples, batch_size, seed=trial)
+            assert_same_batches(got, _reference_batches(examples, batch_size, trial))
 
 
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path, shuffle):
+def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path):
     # zero-token texts, and equal texts under both labels
     records = [
         ("good movie", 1), ("!!!", 0), ("good movie", 0), ("bad plot", 0), ("...", 1), ("good movie", 1),
@@ -515,9 +509,9 @@ def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path, shuffle):
     for corpus in (loaded, generated):
         assert any(not ex.features().size for ex in corpus)
         for batch_size in (1, 4, 7, len(corpus), len(corpus) + 3):
-            got = make_batches(corpus, batch_size, seed=3, shuffle=shuffle)
+            got = make_batches(corpus, batch_size, seed=3)
             assert len(got[-1]) == (len(corpus) % batch_size or batch_size)
-            assert_same_batches(got, _reference_batches(list(corpus), batch_size, 3, shuffle))
+            assert_same_batches(got, _reference_batches(list(corpus), batch_size, 3))
 
 
 def assert_read_only_views_of_one_array_per_field(batches):
@@ -642,18 +636,6 @@ def test_a_corpus_keeps_the_partition_of_its_last_key(monkeypatch):
     # seed 1 replaced the seed-0 partition, so seed 0 was gathered again
     assert results[2][0] is not results[0][0]
     assert len(gathered) == 6  # three for the corpus, one for each fresh copy
-
-
-def test_without_shuffle_the_kept_partition_ignores_the_seed(monkeypatch):
-    corpus = generate_toy_corpus(60, duplication=3, seed=8)
-    unshuffled, shuffled = (_reference_batches(list(corpus), 7, 5, shuffle) for shuffle in (False, True))
-    gathered = count_gathers(monkeypatch)
-    first = make_batches(corpus, 7, seed=0, shuffle=False)
-    second = make_batches(corpus, 7, seed=5, shuffle=False)
-    assert all(a is b for a, b in zip(first, second)) and len(gathered) == 1
-    assert_same_batches(second, unshuffled)
-    assert_same_batches(make_batches(corpus, 7, seed=5), shuffled)
-    assert len(gathered) == 2
 
 
 def test_changing_a_returned_list_leaves_the_next_one_whole():

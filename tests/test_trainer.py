@@ -485,6 +485,17 @@ def test_eval_every_epoch_records_curve():
     assert report.epoch_accuracies[-1] == report.accuracy
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_the_first_epochs_of_a_run_are_the_shorter_run(mode):
+    # a budget curve reads the 1- and 2-epoch runs off the 3-epoch run
+    runs = [run_mode(mode, epochs=epochs, eval_every_epoch=True, **MODE_ARGS.get(mode, {})) for epochs in (1, 2, 3)]
+    longest = runs[-1]
+    for epochs, shorter in enumerate(runs[:-1], start=1):
+        assert shorter.traces == longest.traces[: shorter.batches_total]
+        assert shorter.epoch_accuracies == longest.epoch_accuracies[:epochs]
+        assert shorter.accuracy == longest.epoch_accuracies[epochs - 1]
+
+
 def test_energy_fields_track_total_time():
     report = run_mode("three-stage")
     expected_kwh = 1.58 * report.total_time * (100 + 50 + 250) / 1000
