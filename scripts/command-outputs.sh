@@ -78,6 +78,8 @@ lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --smoothing-alpha 0.5 \
 # pass times away from their defaults, so T, T_norm, p_t and co2e are priced by another time model
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --t-forward 1 --t-backward 3.4 \
   --report "$out/time-model.json" --trace "$out/time-model.csv" > /dev/null
+# a given a_full, which the report keeps and scores agot against
+lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --a-full 0.8 --report "$out/a-full.json" > /dev/null
 # the per-epoch accuracy curve
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" > /dev/null
 printf 'mode = three-stage\ndisable_predictor = true\n' > "$out/no-predictor.cfg"

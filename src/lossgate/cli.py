@@ -4,9 +4,9 @@ toy-corpus generation.
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
 output path that resolves to an input or to another output, that is a
 directory or that lies in a directory that does not exist exits 2 before any
-work, as does a --config file that cannot be read or is not UTF-8. A time
-model that prices a run at an infinite T or p_t exits 2 before the first
-pass; sweep and compare check every run's before their first run.
+work, as does a --config file that cannot be read or is not UTF-8. Every
+command checks every run's time model once its data is loaded, and one that
+prices a run at an infinite T or p_t exits 2 before the first run.
 
 TrainerConfig field field_name is flag --field-name, but for two spelled
 otherwise (--n0, --skip-gamma) and two only a --config file sets
@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .data import Corpus, generate_toy_corpus, load_dataset, write_jsonl
-from .trainer import ConfigError, RunReport, TrainerConfig, csv_field, priced_time, random_control, run, write_trace
+from .trainer import RunReport, TrainerConfig, csv_field, priced_time, random_control, run, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
 DEFAULT_WINDOW_GRID = [4, 8, 16]
@@ -218,7 +218,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         cfg = replace(cfg, record_trace=True)
     train_examples, eval_examples = _load_data(args)
-    report = run(cfg, train_examples, eval_examples)
+    [(cfg, report)] = _run_in_order([cfg], train_examples, eval_examples)
     payload = json.dumps(report.to_json_dict(), indent=2)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -271,19 +271,21 @@ def _variant(base: TrainerConfig, **changes) -> TrainerConfig:
 def _run_in_order(
     configs: list[TrainerConfig], train_examples: Corpus, eval_examples: Corpus | None
 ) -> Iterator[tuple[TrainerConfig, RunReport]]:
-    """Run ``configs`` in order, yielding each run's config and report. Every
-    run's ``a_full`` comes from the run order, whatever the base config says:
-    a train-all run scores against its own accuracy, and any other run takes
-    the accuracy of the earlier train-all run with the same (epochs, seed).
-    Configs appended to the list while it is being run are run too; the time
-    model of each config in it at the start is checked before the first run."""
+    """Check the time model of every config, then run them in order, yielding
+    each run's config and report. A run other than train-all that has no
+    ``a_full`` takes the accuracy of the earlier train-all run with the same
+    (epochs, seed), if there is one; a run that has an ``a_full`` keeps it."""
     for cfg in configs:
-        # a partition's batch count, ceil(examples / batch size), without cutting one
-        priced_time(cfg, -(-len(train_examples) // cfg.batch_size))
+        try:
+            # a partition's batch count, ceil(examples / batch size), without cutting one
+            priced_time(cfg, -(-len(train_examples) // cfg.batch_size))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     a_full: dict[tuple[int, int], float] = {}
     for cfg in configs:
         key = (cfg.epochs, cfg.seed)
-        cfg = replace(cfg, a_full=None if cfg.mode == "train-all" else a_full[key])
+        if cfg.mode != "train-all" and cfg.a_full is None:
+            cfg = replace(cfg, a_full=a_full.get(key))
         report = run(cfg, train_examples, eval_examples)
         if cfg.mode == "train-all":
             a_full[key] = report.accuracy
@@ -409,14 +411,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     configs = [_variant(cfg, seed=seed) for seed in args.seeds for _, cfg in methods]
     train_examples, eval_examples = _load_data(args)
 
+    runs = list(_run_in_order(configs, train_examples, eval_examples))
+    # each gated method's matched-ratio control, built from its run; the controls run after every method
+    gated = [(label, cfg, report) for label, (cfg, report) in zip(labels, runs) if cfg.mode != "train-all"]
+    labels += [f"random@{label}" for label, _, _ in gated]
+    controls = [random_control(cfg, report.alpha_b + report.alpha_fb) for _, cfg, report in gated]
+    runs += _run_in_order(controls, train_examples, eval_examples)
     per_label: dict[str, list[RunReport]] = {}
-    for label, (cfg, report) in zip(labels, _run_in_order(configs, train_examples, eval_examples)):
+    for label, (_, report) in zip(labels, runs):
         per_label.setdefault(label, []).append(report)
-        if cfg.mode in ("train-all", "random-skip"):
-            continue
-        # the method's matched-ratio control, appended so it runs after every method
-        labels.append(f"random@{label}")
-        configs.append(random_control(cfg, report.alpha_b + report.alpha_fb))
 
     rows = []
     for label, reps in per_label.items():
@@ -558,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _reject_clobbering(args)
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

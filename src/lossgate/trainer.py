@@ -49,10 +49,6 @@ DECISION_FORWARD_ONLY = "forward_only"
 DECISION_SKIPPED = "skipped"
 
 
-class ConfigError(ValueError):
-    """A config that cannot run on the given dataset, raised before the first pass."""
-
-
 class Stage(IntEnum):
     WARMUP = 0
     BACKWARD_FILTER = 1
@@ -164,11 +160,11 @@ class RunReport:
 
 def priced_time(config: TrainerConfig, n_batches: int) -> float:
     """T of a run of ``config`` that trains all ``n_batches`` batches of every
-    epoch, the most its time model can price. Raises ``ConfigError`` when that
+    epoch, the most its time model can price. Raises ``ValueError`` when that
     T or its p_t is infinite: the report would write JSON's invalid Infinity."""
     t_all = config.epochs * n_batches * (config.t_forward + config.t_backward)
     if not (t_all < math.inf and metrics.energy_co2(metrics.EnergyParams(hours=t_all))[0] < math.inf):
-        raise ConfigError(
+        raise ValueError(
             f"t_forward and t_backward price {config.epochs} epoch(s) of {n_batches} batch(es) at an infinite T or p_t"
         )
     return t_all

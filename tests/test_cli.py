@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lossgate import cli, data, trainer
+from lossgate import cli, data, metrics, trainer
 from lossgate.cli import COMPARE_COLUMNS, SWEEP_COLUMNS, main
 from lossgate.data import generate_toy_corpus, load_dataset, write_jsonl
 from lossgate.trainer import TrainerConfig
@@ -321,6 +321,20 @@ def test_run_huge_learning_rate_exits_3(corpus_file, tmp_path, capsys):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("mode", ["three-stage", "train-all"])
+def test_run_keeps_a_given_a_full_and_scores_agot_against_it(corpus_file, tmp_path, mode):
+    report_path = tmp_path / "report.json"
+    code = run_cli(
+        "run", "--data", corpus_file, "--mode", mode, "--epochs", "2", "--a-full", "0.8",
+        "--report", str(report_path),
+    )
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["config"]["a_full"] == 0.8
+    params = metrics.AgotParams(a_base=payload["a_base"], a_full=0.8)
+    assert payload["agot"] == metrics.agot(payload["accuracy"], payload["T_norm"], params)
+
+
 def test_run_train_all_reports_zero_skips(corpus_file, tmp_path):
     report_path = tmp_path / "report.json"
     code = run_cli(
@@ -512,10 +526,11 @@ def test_run_a_time_model_priced_at_infinity_exits_2_before_the_first_pass(corpu
 
 
 @pytest.mark.parametrize("command, flags", [
+    ("run", ["--epochs", "1000000000"]),
     ("sweep", ["--epochs-grid", "1,1000000000"]),
     ("compare", ["--epochs", "1000000000"]),
-], ids=["sweep", "compare"])
-def test_sweep_and_compare_refuse_a_time_model_priced_at_infinity_before_the_first_run(
+], ids=["run", "sweep", "compare"])
+def test_every_command_refuses_a_time_model_priced_at_infinity_before_the_first_run(
     corpus_file, tmp_path, capsys, monkeypatch, command, flags
 ):
     # one epoch at 1e300 per forward prices finitely, a billion epochs do not
@@ -527,7 +542,8 @@ def test_sweep_and_compare_refuse_a_time_model_priced_at_infinity_before_the_fir
 
     monkeypatch.setattr(cli, "run", no_run)
     out = tmp_path / "out.csv"
-    assert run_cli(command, "--data", corpus_file, "--out", str(out), "--t-forward", "1e300", *flags) == 2
+    out_flag = "--report" if command == "run" else "--out"
+    assert run_cli(command, "--data", corpus_file, out_flag, str(out), "--t-forward", "1e300", *flags) == 2
     assert "error: t_forward and t_backward price 1000000000 epoch(s)" in capsys.readouterr().err
     assert started == []
     assert not out.exists()

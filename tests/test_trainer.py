@@ -17,7 +17,6 @@ from lossgate.trainer import (
     DECISION_FULL,
     DECISION_SKIPPED,
     MODES,
-    ConfigError,
     Stage,
     Trainer,
     TrainerConfig,
@@ -531,7 +530,7 @@ def test_a_time_model_priced_at_infinity_is_refused_before_the_first_pass(epochs
 def test_priced_time_refuses_an_infinite_T_or_p_t(epochs, n_batches, t_forward, t_backward):
     cfg = replace(BASE, epochs=epochs, t_forward=t_forward, t_backward=t_backward)
     message = f"^t_forward and t_backward price {epochs} epoch\\(s\\) of {n_batches} batch"
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ValueError, match=message):
         priced_time(cfg, n_batches)
 
 
@@ -565,7 +564,7 @@ def test_priced_time_is_the_T_of_a_run_that_trains_every_batch(epochs, batch_siz
     (1, 1), (1, 16), (15, 16), (16, 16), (17, 16), (33, 16), (100, 7), (7, 100),
 ])
 def test_a_partition_has_the_ceiling_of_examples_over_batch_size_batches(n_examples, batch_size):
-    # sweep and compare price every run by this count before a partition is cut
+    # every command prices each run by this count before a partition is cut
     cfg = replace(BASE, batch_size=batch_size)
     assert len(build_epoch_batches(CORPUS[:n_examples], cfg)) == -(-n_examples // batch_size)
 
