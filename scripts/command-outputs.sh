@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Write the command outputs of a lossgate source tree: reports, traces, CSVs,
-# and the exit code and message of each refused input.
+# Write the command outputs of a lossgate source tree: each command's --help,
+# reports, traces, CSVs, and the exit code and message of each refused input.
 #
 #   scripts/command-outputs.sh TREE OUT INPUTS
 #
@@ -53,6 +53,12 @@ printf 'power_cpu_watts = 100\n' > "$inputs/power-cpu-watts.cfg"
 printf 'epochs = 3\n' > "$inputs/sweep-epochs.cfg"
 printf '# a comment\n\n  # an indented comment\nnot a pair\n' > "$inputs/not-a-pair.cfg"
 
+# each command's flags, with their types, choices and metavars; the top-level --help
+# prints the cli module docstring, which is documentation and not an output
+for cmd in run sweep compare gen-toy; do
+  COLUMNS=100 lg "$cmd" --help > "$out/help-$cmd.txt"
+done
+
 lg gen-toy --out "$out/toy.jsonl" --num-examples 3000 --eval-out "$out/eval.jsonl" --eval-size 500 --seed 1
 # the acceptance configuration, under which three-stage reaches stage 2
 data=(--data "$out/toy.jsonl" --eval-data "$out/eval.jsonl" --batch-size 8 --threshold-window 64 --skip-gamma 0.87)
@@ -82,8 +88,8 @@ lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --t-forward 1 --t-backward 3.4
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --a-full 0.8 --report "$out/a-full.json" > /dev/null
 # the per-epoch accuracy curve
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" > /dev/null
-printf 'mode = three-stage\ndisable_predictor = true\n' > "$out/no-predictor.cfg"
-lg run "${data[@]}" --n0 0.2 --alt 0.5 --config "$out/no-predictor.cfg" --epochs 2 \
+# a predictor window that never fills, so the run never leaves stage 1
+lg run "${data[@]}" --n0 0.2 --alt 0.5 --mode three-stage --predictor-window 4611686018427387904 --epochs 2 \
   --report "$out/no-predictor.json" > /dev/null
 lg sweep "${data[@]}" --n0-grid 0.1,0.2 --alt-grid 0.5 --window-grid 8 --out "$out/sweep.csv" > /dev/null
 # several seeds and epoch counts: runs go seed-major and rows epochs-major

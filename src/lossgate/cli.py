@@ -9,15 +9,15 @@ command checks every run's time model once its data is loaded, and one that
 prices a run at an infinite T or p_t exits 2 before the first run.
 
 TrainerConfig field field_name is flag --field-name, but for two spelled
-otherwise (--n0, --skip-gamma) and two only a --config file sets
-(record_trace, which run's --trace also sets, and disable_predictor). gen-toy's
-flags are generate_toy_corpus's parameters, with its defaults. sweep and
-compare exit 2 before loading on a flag or a --config key of a field they set
-for each run (sweep: mode, epochs, seed, fixed_threshold, n0_fraction,
-predictor_window, alt, a_full; compare: mode, seed, fixed_threshold,
-random_skip_ratio, a_full), and sweep checks --max-runs before it builds a
-run's config. A negative number may follow its flag after a space, -inf and
--1e-3 too.
+otherwise (--n0, --skip-gamma); a --config key is a field that has a flag.
+run's --trace sets record_trace, and disable_predictor is a library diagnostic.
+gen-toy's flags are generate_toy_corpus's parameters, with its defaults. sweep
+and compare exit 2 before loading on a flag or a --config key of a field they
+set for each run or whose per-epoch curve they discard (sweep: mode, epochs,
+seed, fixed_threshold, n0_fraction, predictor_window, alt, a_full; compare:
+mode, seed, fixed_threshold, random_skip_ratio, a_full; both:
+eval_every_epoch), and sweep checks --max-runs before it builds a run's
+config. A negative number may follow its flag after a space, -inf and -1e-3 too.
 """
 
 from __future__ import annotations
@@ -56,9 +56,11 @@ COMPARE_COLUMNS = [
     "t_norm_mean", "t_norm_std", "skip_ratio_mean", "matched_target_mean",
 ]
 
-# the TrainerConfig fields each command sets for every run it makes
-SWEEP_SETS = ("mode", "epochs", "seed", "fixed_threshold", "n0_fraction", "predictor_window", "alt", "a_full")
-COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full")
+# the TrainerConfig fields each command sets for every run, and eval_every_epoch, whose curve neither writes
+SWEEP_SETS = (
+    "mode", "epochs", "seed", "fixed_threshold", "n0_fraction", "predictor_window", "alt", "a_full", "eval_every_epoch"
+)
+COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full", "eval_every_epoch")
 
 
 class UsageError(Exception):
@@ -98,11 +100,11 @@ def _load_data(args: argparse.Namespace) -> tuple[Corpus, Corpus | None]:
     return train, held_out
 
 
-_CONFIG_FIELDS = {f.name: f for f in fields(TrainerConfig)}
+# the --config keys, each a field with a flag; record_trace and disable_predictor have neither
+_CONFIG_FIELDS = {f.name: f for f in fields(TrainerConfig) if f.name not in ("record_trace", "disable_predictor")}
 
-# the flags not spelled --field-name, and the fields only a --config file sets
+# the flags not spelled --field-name
 _FLAG_SPELLINGS = {"n0_fraction": "--n0", "skip_margin_gamma": "--skip-gamma"}
-_FILE_ONLY_FIELDS = ("record_trace", "disable_predictor")
 
 # the argparse type of a flag, by the annotation of what it sets
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
@@ -154,13 +156,11 @@ def _parsed_as_flag(name: str, raw: str):
 
 
 def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per TrainerConfig field, in field order; a flag left out
+    """One flag per --config key, in field order; a flag left out
     parses to None, so the config file or the field default stands."""
     g = parser.add_argument_group("trainer options")
     g.add_argument("--config", help="flat key=value config file; flags override it")
-    for f in fields(TrainerConfig):
-        if f.name in _FILE_ONLY_FIELDS:
-            continue
+    for f in _CONFIG_FIELDS.values():
         flag = _flag(f.name)
         kind = f.type.partition(" | ")[0]
         if kind == "bool":  # every bool field defaults to False

@@ -144,13 +144,14 @@ class Corpus(Sequence):
       distinct buckets are ``buckets[ptr[c]:ptr[c + 1]]``.
 
     The arrays are read-only int64 views; the arrays a caller passes keep
-    their flags. The constructor raises ValueError unless every content id
-    names a text and ``ptr`` holds ``len(texts) + 1`` non-decreasing offsets
-    from 0 to ``len(buckets)``. Indexing or iterating builds an
-    ``Example`` on demand, which shares its content's ``text`` string and one
-    read-only bucket view with the other examples of that content. A slice
-    is a corpus over the same texts and CSR block. A corpus equals a list,
-    tuple or corpus of equal examples.
+    their flags. The constructor raises ValueError unless ``content``,
+    ``ptr`` and ``buckets`` are integer arrays, every content id names a
+    text, ``ptr`` holds ``len(texts) + 1`` non-decreasing offsets from 0 to
+    ``len(buckets)`` and every bucket lies in ``[0, HASH_BUCKETS)``.
+    Indexing or iterating builds an ``Example`` on demand, which shares its
+    content's ``text`` string and one read-only bucket view with the other
+    examples of that content. A slice is a corpus over the same texts and
+    CSR block. A corpus equals a list, tuple or corpus of equal examples.
 
     A corpus keeps the latest partition ``make_batches`` cut from it, until
     the corpus is freed or a call with another key replaces it: about 4.4 MB
@@ -163,12 +164,16 @@ class Corpus(Sequence):
     def __init__(self, texts, content: np.ndarray, labels, ptr: np.ndarray, buckets: np.ndarray):
         self.texts = tuple(texts)
         n = len(self.texts)
+        if any(array.dtype.kind not in "iu" for array in (content, ptr, buckets)):
+            raise ValueError("content, ptr and buckets must be integer arrays")
         if content.size and not 0 <= content.min() <= content.max() < n:
             raise ValueError(f"content ids must lie in [0, {n})")
         if not (ptr.shape == (n + 1,) and ptr[0] == 0 and ptr[-1] == buckets.size and (ptr[1:] >= ptr[:-1]).all()):
             raise ValueError("ptr must hold len(texts) + 1 non-decreasing offsets from 0 to len(buckets)")
-        self.content, self.labels = content.view(), _labels(labels, content.size)
-        self.ptr, self.buckets = ptr.view(), buckets.view()
+        if buckets.size and not (0 <= buckets.min() and buckets.max() < HASH_BUCKETS):
+            raise ValueError(f"buckets must lie in [0, {HASH_BUCKETS})")
+        self.content, self.ptr, self.buckets = (np.asarray(a, dtype=np.int64).view() for a in (content, ptr, buckets))
+        self.labels = _labels(labels, content.size)
         for array in (self.content, self.labels, self.ptr, self.buckets):
             array.flags.writeable = False
         self._views: list[np.ndarray] | None = None

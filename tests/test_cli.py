@@ -68,10 +68,25 @@ def test_option_strings_in_help_order(command):
     assert [option for action in parser._actions for option in action.option_strings] == OPTION_STRINGS[command]
 
 
-def test_every_trainer_config_field_has_a_flag_or_is_file_only():
-    dests = {action.dest for action in subparsers()["run"]._actions}
-    for f in fields(TrainerConfig):
-        assert (f.name in dests) != (f.name in cli._FILE_ONLY_FIELDS), f.name
+def test_the_config_keys_are_the_fields_with_a_trainer_flag():
+    [group] = [g for g in subparsers()["run"]._action_groups if g.title == "trainer options"]
+    assert {action.dest for action in group._group_actions} - {"config"} == set(cli._CONFIG_FIELDS)
+    # run's --trace sets record_trace, and disable_predictor is a library diagnostic
+    assert {f.name for f in fields(TrainerConfig)} - set(cli._CONFIG_FIELDS) == {"record_trace", "disable_predictor"}
+
+
+# the fields that have no flag, so no --config key either
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+@pytest.mark.parametrize("line", ["record_trace = true", "disable_predictor = true"])
+def test_a_config_key_of_a_field_without_a_flag_is_unknown(corpus_file, tmp_path, capsys, monkeypatch, command, line):
+    refuse_loading(monkeypatch)
+    cfg_path, out = tmp_path / "cmd.cfg", tmp_path / "out"
+    cfg_path.write_text(line + "\n")
+    out_flag = "--report" if command == "run" else "--out"
+    assert run_cli(command, "--data", corpus_file, out_flag, str(out), "--config", str(cfg_path)) == 2
+    key = line.partition(" ")[0]
+    assert capsys.readouterr().err == f"error: {cfg_path}:1: unknown config key {key!r}\n"
+    assert not out.exists()
 
 
 # the flags of the fields that went with the fixed cost model and the always-shuffled epoch
@@ -104,7 +119,7 @@ def sample_value(f):
     return f.default + 1 if kind == "int" else f.default / 2
 
 
-FLAGGED_FIELDS = [f for f in fields(TrainerConfig) if f.name not in cli._FILE_ONLY_FIELDS]
+FLAGGED_FIELDS = list(cli._CONFIG_FIELDS.values())
 
 # the fields only one mode takes, with that mode
 MODE_FIELDS = {"fixed_threshold": "fixed-threshold", "random_skip_ratio": "random-skip"}
@@ -740,10 +755,11 @@ OVERRIDDEN_FLAGS = [
     *(("sweep", flag, value) for flag, value in [
         ("--mode", "random-skip"), ("--epochs", "2"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
         ("--n0", "0.3"), ("--predictor-window", "6"), ("--alt", "0.2"), ("--a-full", "0.9"),
+        ("--eval-every-epoch", None),
     ]),
     *(("compare", flag, value) for flag, value in [
         ("--mode", "train-all"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
-        ("--random-skip-ratio", "0.5"), ("--a-full", "0.9"),
+        ("--random-skip-ratio", "0.5"), ("--a-full", "0.9"), ("--eval-every-epoch", None),
     ]),
 ]
 
@@ -756,7 +772,8 @@ def test_sweep_and_compare_refuse_the_flags_they_override(
 ):
     refuse_loading(monkeypatch)
     out = tmp_path / "out.csv"
-    assert run_cli(command, "--data", corpus_file, "--out", str(out), flag, value) == 2
+    given = [flag] if value is None else [flag, value]  # a store_true flag takes no value
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), *given) == 2
     assert f"{command} sets these fields for each run, so it refuses their flags: {flag}" in capsys.readouterr().err
     assert not out.exists()
 

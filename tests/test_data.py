@@ -574,6 +574,29 @@ def test_corpus_rejects_ptr_that_does_not_span_buckets(ptr):
         _corpus(ptr=ptr)
 
 
+@pytest.mark.parametrize("name, array", [
+    ("content", [0.0, 1.0, 0.0]), ("ptr", [0.0, 2.0, 3.0]), ("buckets", [5.0, 9.0, 7.0]),
+    ("buckets", [True, False, True]),
+], ids=["float-content", "float-ptr", "float-buckets", "bool-buckets"])
+def test_corpus_rejects_arrays_that_are_not_integer(name, array):
+    # a float content id or bucket builds, then fails when iterated or batched
+    with pytest.raises(ValueError, match="content, ptr and buckets must be integer arrays"):
+        _corpus(**{name: array})
+
+
+@pytest.mark.parametrize("buckets", [(5, 9, -3), (5, 9, HASH_BUCKETS), (300000, 9, 7)])
+def test_corpus_rejects_buckets_outside_the_hash_space(buckets):
+    # a negative bucket would index the weights from their end and train silently
+    with pytest.raises(ValueError, match=rf"buckets must lie in \[0, {HASH_BUCKETS}\)"):
+        _corpus(buckets=buckets)
+
+
+def test_corpus_holds_int64_views_of_narrower_integer_arrays():
+    corpus = _corpus(content=np.array([0, 1, 0], dtype=np.int32), ptr=np.array([0, 2, 3], dtype=np.uint8))
+    assert corpus.content.dtype == corpus.ptr.dtype == corpus.buckets.dtype == np.int64
+    assert [ex.features().tolist() for ex in corpus] == [[5, 9], [7], [5, 9]]
+
+
 def test_corpus_keeps_read_only_views_and_leaves_the_callers_arrays_writeable():
     content, ptr, buckets = np.array([0, 1, 0]), np.array([0, 2, 3]), np.array([5, 9, 7])
     corpus = Corpus(["a b", "c"], content, [1, 0, 1], ptr, buckets)

@@ -289,19 +289,24 @@ def test_every_gated_forward_labels_its_loss_through_make_label(monkeypatch, mod
 
 def test_stage_one_learning_never_touches_training():
     """Three-stage that never leaves stage 1 trains exactly as
-    auto-threshold-only, although its predictor learns every stage-1 batch."""
+    auto-threshold-only, although its predictor learns every stage-1 batch.
+    A predictor window longer than the run never fills, so it keeps the run
+    in stage 1 as disable_predictor does, with the same predictor."""
     learning = Trainer(replace(BASE, mode="three-stage", disable_predictor=True), CORPUS, EVAL)
+    unfilled = Trainer(replace(BASE, mode="three-stage", predictor_window=2**62), CORPUS, EVAL)
     plain = Trainer(replace(BASE, mode="auto-threshold-only"), CORPUS, EVAL)
-    r_learning, r_plain = learning.run(), plain.run()
+    r_learning, r_unfilled, r_plain = learning.run(), unfilled.run(), plain.run()
     assert learning.predictor.total_examples > 0
-    assert np.array_equal(learning.model.weights, plain.model.weights)
-    assert learning.model.bias == plain.model.bias
-    d_learning, d_plain = r_learning.to_json_dict(), r_plain.to_json_dict()
-    for d in (d_learning, d_plain):
+    assert unfilled.predictor.class_counts == learning.predictor.class_counts
+    dicts = [r.to_json_dict() for r in (r_learning, r_unfilled, r_plain)]
+    for d in dicts:
         d.pop("config")
         d.pop("overhead_wall_seconds")
-    assert d_learning == d_plain
-    assert r_learning.traces == r_plain.traces
+    for trainer, report, d in ((unfilled, r_unfilled, dicts[1]), (plain, r_plain, dicts[2])):
+        assert np.array_equal(learning.model.weights, trainer.model.weights)
+        assert learning.model.bias == trainer.model.bias
+        assert d == dicts[0]
+        assert report.traces == r_learning.traces
 
 
 def test_three_stage_with_gate_forced_open_matches_train_all():
