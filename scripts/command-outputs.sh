@@ -133,15 +133,20 @@ config_error not-a-pair --config "$inputs/not-a-pair.cfg"
 config_error missing-file --config "$inputs/absent.cfg"
 config_error batch-size-huge --batch-size 9223372036854775808
 config_error fixed-threshold-train-all --fixed-threshold 0.05
-# a --config key for a field sweep sets for each run is refused, as its flag is
-lg sweep "${data[@]}" --n0-grid 0.2 --alt-grid 0.5 --window-grid 8 --fixed-thresholds '' \
-  --config "$inputs/sweep-epochs.cfg" --out "$out/sweep-config.csv" > /dev/null 2> "$out/sweep-config.err" \
-  && code=0 || code=$?
-echo "exit $code" >> "$out/sweep-config.err"
-# a time model that prices the billion-epoch runs at an infinite T: the exit code and the message
-lg sweep "${data[@]}" --n0-grid 0.2 --alt-grid 0.5 --window-grid 8 --fixed-thresholds '' \
-  --t-forward 1e300 --epochs-grid 1,1000000000 --out "$out/sweep-infinite-t.csv" \
-  > /dev/null 2> "$out/sweep-infinite-t.err" && code=0 || code=$?
-echo "exit $code" >> "$out/sweep-infinite-t.err"
+# a refused sweep or compare: the exit code and the message
+refused() {  # refused NAME COMMAND FLAG...
+  local err="$out/$1.err"
+  shift
+  lg "$@" > /dev/null 2> "$err" && code=0 || code=$?
+  echo "exit $code" >> "$err"
+}
+# a flag or a --config key of a field sweep or compare sets for each run
+refused sweep-config sweep "${data[@]}" --n0-grid 0.2 --alt-grid 0.5 --window-grid 8 --fixed-thresholds '' \
+  --config "$inputs/sweep-epochs.cfg" --out "$out/sweep-config.csv"
+refused sweep-mode sweep "${data[@]}" --mode three-stage --out "$out/sweep-mode.csv"
+refused compare-seed compare "${data[@]}" --seed 3 --out "$out/compare-seed.csv"
+# a time model that prices the billion-epoch runs at an infinite T
+refused sweep-infinite-t sweep "${data[@]}" --n0-grid 0.2 --alt-grid 0.5 --window-grid 8 --fixed-thresholds '' \
+  --t-forward 1e300 --epochs-grid 1,1000000000 --out "$out/sweep-infinite-t.csv"
 # the measured wall time of gate and predictor differs from run to run
 sed -i '/"overhead_wall_seconds"/d' "$out"/*.json

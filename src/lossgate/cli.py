@@ -13,10 +13,10 @@ otherwise (--n0, --skip-gamma); a --config key is a field that has a flag.
 run's --trace sets record_trace, and disable_predictor is a library diagnostic.
 gen-toy's flags are generate_toy_corpus's parameters, with its defaults. sweep
 and compare exit 2 before loading on a flag or a --config key of a field they
-set for each run or whose per-epoch curve they discard (sweep: mode, epochs,
-seed, fixed_threshold, n0_fraction, predictor_window, alt, a_full; compare:
-mode, seed, fixed_threshold, random_skip_ratio, a_full; both:
-eval_every_epoch), and sweep checks --max-runs before it builds a run's
+set for each run (sweep: mode, epochs, seed, fixed_threshold, n0_fraction,
+predictor_window, alt, a_full; compare: mode, seed, fixed_threshold,
+random_skip_ratio, a_full), and on --eval-every-epoch or its key, as neither
+writes a per-epoch curve; sweep checks --max-runs before it builds a run's
 config. A negative number may follow its flag after a space, -inf and -1e-3 too.
 """
 
@@ -56,11 +56,9 @@ COMPARE_COLUMNS = [
     "t_norm_mean", "t_norm_std", "skip_ratio_mean", "matched_target_mean",
 ]
 
-# the TrainerConfig fields each command sets for every run, and eval_every_epoch, whose curve neither writes
-SWEEP_SETS = (
-    "mode", "epochs", "seed", "fixed_threshold", "n0_fraction", "predictor_window", "alt", "a_full", "eval_every_epoch"
-)
-COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full", "eval_every_epoch")
+# the TrainerConfig fields each command sets for every run
+SWEEP_SETS = ("mode", "epochs", "seed", "fixed_threshold", "n0_fraction", "predictor_window", "alt", "a_full")
+COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full")
 
 
 class UsageError(Exception):
@@ -172,9 +170,12 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace, sets: tuple[str, ...] = ()) -> TrainerConfig:
     """The --config file's values with the flags given over them. ``sets``
     names the fields the command sets for each run, whose flags and keys it
-    refuses."""
+    refuses; a command that sets any writes no per-epoch curve, and refuses
+    eval_every_epoch too."""
     values = _read_config_file(args.config) if args.config else {}
-    _reject_overridden(args, sets, values)
+    if sets:
+        _reject_overridden(args, sets, values, "sets these fields for each run")
+        _reject_overridden(args, ("eval_every_epoch",), values, "writes no per-epoch curve")
     for name in _CONFIG_FIELDS:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
@@ -241,15 +242,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- sweep and compare ---------------------------------------------------------
 
 
-def _reject_overridden(args: argparse.Namespace, names: tuple[str, ...], file_values: dict) -> None:
-    """A flag or a --config key of a field the command sets for each run
-    would be ignored."""
+def _reject_overridden(args: argparse.Namespace, names: tuple[str, ...], file_values: dict, reason: str) -> None:
+    """A flag or a --config key of these fields would be ignored, for
+    ``reason``, which the refusal gives after the command's name."""
     flags = [_flag(name) for name in names if getattr(args, name) is not None]
     keys = [name for name in names if name in file_values]
     for what, given in (("flags", flags), ("config keys", keys)):
         if given:
-            given = ", ".join(given)
-            raise UsageError(f"{args.command} sets these fields for each run, so it refuses their {what}: {given}")
+            raise UsageError(f"{args.command} {reason}, so it refuses their {what}: {', '.join(given)}")
 
 
 def _reject_repeats(name: str, values: list) -> None:
@@ -334,7 +334,7 @@ def _grid_values(cfg: TrainerConfig) -> tuple:
         cfg.n0_fraction if staged else None,
         cfg.predictor_window if staged else None,
         cfg.alt if staged else None,
-        cfg.fixed_threshold if cfg.mode == "fixed-threshold" else None,
+        cfg.fixed_threshold,
     )
 
 

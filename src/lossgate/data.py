@@ -297,15 +297,15 @@ def pack_examples(examples: Sequence[Example]) -> MiniBatch:
     return _gathered(corpus.ptr, corpus.buckets, corpus.content, corpus.labels, len(corpus) or 1)[0]
 
 
-def pack(buckets, labels=None, dimension: int = HASH_BUCKETS) -> MiniBatch:
+def pack(buckets, labels=None) -> MiniBatch:
     """Pack caller-supplied bucket collections, one per example.
 
     Each collection is reduced to its sorted distinct buckets; every bucket
-    must lie in ``[0, dimension)``. ``labels`` default to 0, for batches
+    must lie in ``[0, HASH_BUCKETS)``. ``labels`` default to 0, for batches
     only the predictor reads.
     """
     features = [np.unique(np.asarray(list(b), dtype=np.int64)) for b in buckets]
-    if any(f.size and (f[0] < 0 or f[-1] >= dimension) for f in features):
+    if any(f.size and (f[0] < 0 or f[-1] >= HASH_BUCKETS) for f in features):
         raise ValueError("bucket index out of range")
     n = len(features)
     labels = np.zeros(n, dtype=np.int64) if labels is None else _labels(labels, n)

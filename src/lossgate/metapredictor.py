@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, checked_positive, checked_size, is_int, pack
+from .data import HASH_BUCKETS, MiniBatch, checked_positive, is_int, pack
 
 # entries a model's log table and count histogram start with; each is
 # rebuilt at twice the size once a class total or count reaches its end
@@ -68,14 +68,12 @@ def _check_label(label) -> None:
 
 
 class NaiveBayesModel:
-    def __init__(self, smoothing_alpha: float = 1.0, dimension: int = HASH_BUCKETS):
-        # the one check of both parameters
+    def __init__(self, smoothing_alpha: float = 1.0):
         self.smoothing_alpha = checked_positive("smoothing_alpha", smoothing_alpha)
-        self.dimension = checked_size("dimension", dimension)
         # examples counted under class 0 and class 1
         self.class_counts = [0, 0]
         # count + 1 of a bucket either class has counted (the vocabulary), 0 elsewhere
-        self._bucket_counts = np.zeros((2, self.dimension), dtype=np.int64)
+        self._bucket_counts = np.zeros((2, HASH_BUCKETS), dtype=np.int64)
         # _hist[c, k + 1] = vocabulary buckets class c has counted k times, for
         # k up to _top[c], the largest count; indexed like _bucket_counts
         self._hist = np.zeros((2, _LOG_TABLE_SIZE), dtype=np.int64)
@@ -87,14 +85,6 @@ class NaiveBayesModel:
         self._gain = [None, None]
         self._absent = [None, None]
         self._bias = None
-
-    @property
-    def total_examples(self) -> int:
-        return self.class_counts[0] + self.class_counts[1]
-
-    @property
-    def queryable(self) -> bool:
-        return self.total_examples > 0
 
     @property
     def has_both_classes(self) -> bool:
@@ -152,7 +142,7 @@ class NaiveBayesModel:
 
     def _rebuild_bias(self) -> None:
         """Rebuild ``b``, and ``G_c`` and ``absent_c`` of each class an update changed."""
-        if not self.queryable:
+        if self.class_counts == [0, 0]:
             raise ValueError("untrained predictor: no examples seen")
         totals = self.class_counts
         largest = max(totals)
@@ -180,7 +170,7 @@ class NaiveBayesModel:
 
     def posterior(self, features) -> float:
         """P(train-worthy | features) for one example's buckets, strictly inside (0, 1)."""
-        return float(np.exp(-self._neg_log_posteriors(pack([features], dimension=self.dimension), 1)[0]))
+        return float(np.exp(-self._neg_log_posteriors(pack([features]), 1)[0]))
 
     def predict_batch(self, batch: MiniBatch) -> tuple[int, float | None]:
         """Batch-level decision: 1 iff the mean per-example posterior is at

@@ -56,6 +56,11 @@ class AgotParams:
             raise ValueError("a_full must differ from a_base")
 
 
+# power usage effectiveness and pounds of CO2e per kWh, fixed as in Strubell et al. 2019 (arXiv:1906.02243)
+PUE = 1.58
+CO2_LB_PER_KWH = 0.954
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Average power draws (watts), GPU count, and training time in hours."""
@@ -65,11 +70,9 @@ class EnergyParams:
     p_gpu: float = 250.0
     gpu_count: int = 1
     hours: float = 0.0
-    pue: float = 1.58
-    co2_lb_per_kwh: float = 0.954
 
     def __post_init__(self):
-        values = (self.p_cpu, self.p_dram, self.p_gpu, self.gpu_count, self.hours, self.pue, self.co2_lb_per_kwh)
+        values = (self.p_cpu, self.p_dram, self.p_gpu, self.gpu_count, self.hours)
         if not (is_int(self.gpu_count) and all(is_real(v) and 0 <= v < math.inf for v in values)):
             raise ValueError("energy parameters must be non-negative finite numbers and gpu_count an integer")
 
@@ -101,5 +104,5 @@ def agot(accuracy: float, time_norm: float, params: AgotParams) -> float:
 
 def energy_co2(params: EnergyParams) -> tuple[float, float]:
     """Total energy in kWh and its CO2-equivalent in pounds."""
-    kwh = params.pue * params.hours * (params.p_cpu + params.p_dram + params.gpu_count * params.p_gpu) / 1000.0
-    return kwh, params.co2_lb_per_kwh * kwh
+    kwh = PUE * params.hours * (params.p_cpu + params.p_dram + params.gpu_count * params.p_gpu) / 1000.0
+    return kwh, CO2_LB_PER_KWH * kwh

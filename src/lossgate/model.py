@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, checked_positive, checked_size
+from .data import HASH_BUCKETS, MiniBatch, checked_positive
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
@@ -73,9 +73,9 @@ class BatchGradient:
 class TargetModel:
     """Binary logistic regression with a dense weight per hash bucket."""
 
-    def __init__(self, learning_rate: float = 0.5, dimension: int = HASH_BUCKETS):
+    def __init__(self, learning_rate: float = 0.5):
         self.learning_rate = checked_positive("learning_rate", learning_rate)
-        self.weights = np.zeros(checked_size("dimension", dimension), dtype=np.float64)
+        self.weights = np.zeros(HASH_BUCKETS, dtype=np.float64)
         self.bias = 0.0
         self.step_count = 0
 

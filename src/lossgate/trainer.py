@@ -1,10 +1,11 @@
 """Three-stage training loop plus the baseline modes.
 
 Every mode runs one per-batch sequence, ``Trainer._pass``, and only picks
-its three arguments: a forward screen that drops the batch before any pass,
-a gate (backward runs iff the loss is at or above it) and a learner fed each
-forward batch's loss and label. ``Trainer`` keeps a run's whole state as
-plain attributes and builds a ``StepTrace`` only when ``record_trace`` is set.
+three things: a forward screen that drops the batch before any pass, the
+gate ``Trainer.gate`` (backward runs iff the loss is at or above it) and a
+learner fed each forward batch's loss and label. ``Trainer`` keeps a run's
+whole state as plain attributes and builds a ``StepTrace`` only when
+``record_trace`` is set.
 
 - train-all: no screen, no gate, no learner.
 - fixed-threshold: gate ``config.fixed_threshold`` from the first batch.
@@ -206,8 +207,8 @@ class Trainer:
         if config.mode in ("three-stage", "auto-threshold-only"):
             self.threshold = ThresholdState(config.threshold_window, config.skip_margin_gamma)
         # the loss a forward batch's backward is gated on: fixed-threshold's from
-        # the first batch, a staged run's from freeze on, None otherwise
-        self.gate = config.fixed_threshold if config.mode == "fixed-threshold" else None
+        # the first batch (None in every other mode), a staged run's from freeze on
+        self.gate = config.fixed_threshold
         self.predictor = None
         if config.mode == "three-stage":
             self.predictor = NaiveBayesModel(smoothing_alpha=config.smoothing_alpha)
@@ -221,11 +222,9 @@ class Trainer:
 
     # -- single-batch steps ------------------------------------------------
 
-    def _pass(
-        self, batch: MiniBatch, gate: float | None = None, learn=None, skip: bool = False, predictor_p1=None
-    ) -> None:
+    def _pass(self, batch: MiniBatch, learn=None, skip: bool = False, predictor_p1=None) -> None:
         """Count the batch; unless ``skip``, forward it, label the loss against
-        ``gate`` (none trains every batch), time ``learn(batch, loss, label)``
+        ``self.gate`` (none trains every batch), time ``learn(batch, loss, label)``
         as overhead and backward iff the label is 1. Trace it iff ``record_trace``."""
         self.batches_seen += 1
         loss = None
@@ -234,7 +233,7 @@ class Trainer:
             decision = DECISION_SKIPPED
         else:
             fr = self.model.forward(batch)
-            loss = fr.batch_loss
+            loss, gate = fr.batch_loss, self.gate
             label = 1 if gate is None else make_label(loss, gate)
             if learn is not None:
                 t0 = time.perf_counter()
@@ -273,7 +272,7 @@ class Trainer:
         predictor is on, labels it one training example (loss measured on the
         batch before the update)."""
         learn = None if self.predictor is None else self._score_and_update_predictor
-        self._pass(batch, self.gate, learn)
+        self._pass(batch, learn)
 
     def step_full_filter(self, batch: MiniBatch) -> None:
         """Stage 2: the predictor screens first; accepted batches run forward,
@@ -281,7 +280,7 @@ class Trainer:
         t0 = time.perf_counter()
         decision, mean_p1 = self.predictor.predict_batch(batch)
         self._overhead += time.perf_counter() - t0
-        self._pass(batch, self.gate, self._update_predictor, decision == 0, mean_p1)
+        self._pass(batch, self._update_predictor, decision == 0, mean_p1)
 
     # -- stage transitions ---------------------------------------------------
 
@@ -309,7 +308,7 @@ class Trainer:
         if self.config.mode == "random-skip":
             self._pass(batch, skip=self._skip_rng.random() < self.config.random_skip_ratio)
         elif self.threshold is None:
-            self._pass(batch, self.gate)  # train-all and fixed-threshold
+            self._pass(batch)  # train-all and fixed-threshold
         else:
             if self.stage == Stage.WARMUP:
                 self.step_warmup(batch)

@@ -755,11 +755,10 @@ OVERRIDDEN_FLAGS = [
     *(("sweep", flag, value) for flag, value in [
         ("--mode", "random-skip"), ("--epochs", "2"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
         ("--n0", "0.3"), ("--predictor-window", "6"), ("--alt", "0.2"), ("--a-full", "0.9"),
-        ("--eval-every-epoch", None),
     ]),
     *(("compare", flag, value) for flag, value in [
         ("--mode", "train-all"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
-        ("--random-skip-ratio", "0.5"), ("--a-full", "0.9"), ("--eval-every-epoch", None),
+        ("--random-skip-ratio", "0.5"), ("--a-full", "0.9"),
     ]),
 ]
 
@@ -772,8 +771,7 @@ def test_sweep_and_compare_refuse_the_flags_they_override(
 ):
     refuse_loading(monkeypatch)
     out = tmp_path / "out.csv"
-    given = [flag] if value is None else [flag, value]  # a store_true flag takes no value
-    assert run_cli(command, "--data", corpus_file, "--out", str(out), *given) == 2
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), flag, value) == 2
     assert f"{command} sets these fields for each run, so it refuses their flags: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -791,6 +789,21 @@ def test_sweep_and_compare_refuse_the_config_keys_they_override(
     assert run_cli(command, "--data", corpus_file, "--out", str(out), "--config", str(cfg_path)) == 2
     refusal = f"{command} sets these fields for each run, so it refuses their config keys: {name}"
     assert refusal in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", ["flag", "key"])
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_sweep_and_compare_refuse_eval_every_epoch_as_they_write_no_curve(
+    corpus_file, tmp_path, capsys, monkeypatch, command, given
+):
+    refuse_loading(monkeypatch)
+    cfg_path, out = tmp_path / "cmd.cfg", tmp_path / "out.csv"
+    cfg_path.write_text("eval_every_epoch = true\n")
+    args = ["--eval-every-epoch"] if given == "flag" else ["--config", str(cfg_path)]
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), *args) == 2
+    what = "flags: --eval-every-epoch" if given == "flag" else "config keys: eval_every_epoch"
+    assert f"{command} writes no per-epoch curve, so it refuses their {what}" in capsys.readouterr().err
     assert not out.exists()
 
 

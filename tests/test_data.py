@@ -88,7 +88,7 @@ def test_vectorize_stable_across_calls():
     assert np.array_equal(a, b)
 
 
-def test_bow_vector_indices_sorted_in_range():
+def test_vectorize_gives_sorted_distinct_buckets_in_the_hash_space():
     rng = np.random.default_rng(7)
     for _ in range(50):
         tokens = [f"t{rng.integers(10_000)}" for _ in range(rng.integers(0, 30))]
@@ -97,7 +97,7 @@ def test_bow_vector_indices_sorted_in_range():
         assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < HASH_BUCKETS)
 
 
-def test_bow_vector_rejects_out_of_range():
+def test_pack_rejects_buckets_outside_the_hash_space():
     with pytest.raises(ValueError):
         pack([[1, 2], [HASH_BUCKETS]])
     with pytest.raises(ValueError):

@@ -160,13 +160,7 @@ def test_energy_linear_in_each_power_term():
     assert energy_co2(doubled)[0] == pytest.approx(2 * energy_co2(base)[0], rel=1e-12)
 
 
-def test_energy_constants_overridable():
-    kwh, co2 = energy_co2(EnergyParams(p_cpu=1000, p_dram=0, p_gpu=0, gpu_count=0, hours=1, pue=1.0, co2_lb_per_kwh=2.0))
-    assert kwh == pytest.approx(1.0, abs=1e-12)
-    assert co2 == pytest.approx(2.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("field", ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours", "pue", "co2_lb_per_kwh"])
+@pytest.mark.parametrize("field", ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours"])
 @pytest.mark.parametrize("value", [-1.0, NAN, INF])
 def test_energy_params_reject_negative_and_non_finite(field, value):
     with pytest.raises(ValueError, match="energy parameters"):

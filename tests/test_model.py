@@ -5,7 +5,8 @@ import pytest
 
 from scipy.special import expit
 
-from lossgate.data import Example, pack, pack_examples, tokenize, vectorize
+from lossgate.data import HASH_BUCKETS, Example, pack, pack_examples, tokenize, vectorize
+from lossgate.metapredictor import NaiveBayesModel
 from lossgate.model import ForwardResult, TargetModel, _sigmoid
 
 
@@ -148,12 +149,12 @@ def test_forward_matches_two_branch_loss_bit_for_bit():
     rng = np.random.default_rng(10)
     for scale in (1.0, 30.0, 700.0):
         for _ in range(30):
-            model = TargetModel(dimension=64)
-            model.weights[:] = rng.uniform(-scale, scale, size=64) / 4
+            model = TargetModel()
+            model.weights[:64] = rng.uniform(-scale, scale, size=64) / 4
             model.bias = rng.uniform(-scale, scale) / 4
             n = int(rng.integers(1, 10))
             buckets = [rng.choice(64, size=rng.integers(0, 4), replace=False) for _ in range(n - 1)] + [[]]
-            b = pack(buckets, labels=rng.integers(0, 2, size=n), dimension=64)
+            b = pack(buckets, labels=rng.integers(0, 2, size=n))
             scores = model.bias + np.bincount(b.rows, weights=model.weights[b.indices], minlength=n)
             assert np.abs(scores).max() <= scale
             old = np.where(b.labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
@@ -335,14 +336,15 @@ def test_model_rejects_bad_learning_rate(learning_rate):
         TargetModel(learning_rate=learning_rate)
 
 
-@pytest.mark.parametrize("dimension", [0, -1, 8.9, 8.0, True, np.int64(0)])
-def test_model_rejects_dimension_that_is_not_an_integer_of_at_least_1(dimension):
-    # 0 would build a model with no weights
-    with pytest.raises(ValueError, match="dimension"):
-        TargetModel(dimension=dimension)
-
-
-def test_model_accepts_a_numpy_integer_dimension():
-    model = TargetModel(dimension=np.int64(8))
-    assert model.weights.shape == (8,)
-    assert model.forward(pack([[1, 7]], labels=[1], dimension=8)).batch_loss == math.log(2.0)
+def test_both_models_span_the_hash_space_to_its_last_bucket():
+    # the hash space is the one size of the model's weights and the predictor's counts
+    assert TargetModel().weights.size == HASH_BUCKETS
+    assert NaiveBayesModel()._bucket_counts.shape == (2, HASH_BUCKETS)
+    last = HASH_BUCKETS - 1
+    b = pack([[last], [last]], labels=[1, 1])
+    model = TargetModel()
+    model.backward(model.forward(b))
+    assert np.flatnonzero(model.weights).tolist() == [last]
+    predictor = NaiveBayesModel()
+    predictor.update(b, 1)
+    assert predictor.bucket_count(1, last) == 2 and predictor.bucket_count(0, last) == 0

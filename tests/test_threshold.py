@@ -78,7 +78,7 @@ def test_observe_rejects_bad_losses():
 # -- window variance ----------------------------------------------------------------
 
 
-def test_constant_window_is_stable_at_zero_tolerance():
+def test_constant_window_variance_is_zero():
     state = filled([0.5, 0.5, 0.5], window_size=3)
     assert state.variance() == 0.0
 
@@ -88,14 +88,14 @@ def test_two_point_window_variance():
     assert state.variance() == pytest.approx(0.5, abs=1e-15)
 
 
-def test_stability_at_reference_variation():
+def test_symmetric_pair_variance_is_twice_the_squared_half_spread():
     # sample variance of {c - d, c + d} is 2 d^2; pick d for 4.3e-5
     d = math.sqrt(4.3e-5 / 2)
     state = filled([0.6 - d, 0.6 + d], window_size=2)
     assert state.variance() == pytest.approx(4.3e-5, rel=1e-9)
 
 
-def test_partial_window_never_stable():
+def test_partial_window_has_no_variance():
     state = ThresholdState(5)
     state.observe(0.2)
     assert state.variance() is None
@@ -146,14 +146,14 @@ def test_double_freeze_idempotent():
 # -- skip decisions -----------------------------------------------------------------
 
 
-def test_should_skip_strict_comparison():
+def test_make_label_against_skip_boundary_is_strict():
     state = filled([0.4, 0.4], window_size=2)
     assert make_label(0.1, state.skip_boundary) == 0
     assert make_label(0.4, state.skip_boundary) == 1  # boundary stays trainable
     assert make_label(0.9, state.skip_boundary) == 1
 
 
-def test_should_skip_before_window_full_raises():
+def test_make_label_against_skip_boundary_before_window_full_raises():
     state = ThresholdState(2)
     state.observe(0.3)
     with pytest.raises(ValueError, match="undefined"):
