@@ -807,10 +807,44 @@ def test_sweep_and_compare_refuse_eval_every_epoch_as_they_write_no_curve(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_sweep_and_compare_name_the_fields_they_set_before_eval_every_epoch(
+    corpus_file, tmp_path, capsys, monkeypatch, command
+):
+    # both refusals apply; the fields the command sets for each run come first
+    refuse_loading(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--data", corpus_file, "--out", str(out), "--seed", "9", "--eval-every-epoch") == 2
+    err = capsys.readouterr().err
+    assert f"{command} sets these fields for each run, so it refuses their flags: --seed" in err
+    assert "per-epoch curve" not in err
+    assert not out.exists()
+
+
 def test_overridden_flags_cover_every_field_each_command_sets():
     sets = {"sweep": cli.SWEEP_SETS, "compare": cli.COMPARE_SETS}
     expected = {(command, cli._flag(name)) for command, names in sets.items() for name in names}
     assert {(command, flag) for command, flag, _ in OVERRIDDEN_FLAGS} == expected
+
+
+GRID_CONFIGS = {
+    "train-all": (TrainerConfig(mode="train-all"), (None, None, None, None)),
+    "random-skip": (TrainerConfig(mode="random-skip", random_skip_ratio=0.3), (None, None, None, None)),
+    "fixed-threshold": (TrainerConfig(mode="fixed-threshold", fixed_threshold=0.4), (None, None, None, 0.4)),
+    "auto-threshold-only": (TrainerConfig(mode="auto-threshold-only"), (None, None, None, None)),
+    "three-stage": (TrainerConfig(mode="three-stage", n0_fraction=0.2, predictor_window=6, alt=0.3), (0.2, 6, 0.3, None)),
+}
+
+
+@pytest.mark.parametrize("mode", GRID_CONFIGS)
+def test_grid_values_name_only_the_parameters_of_the_mode(mode):
+    # a fixed threshold is None outside its mode, which TrainerConfig keeps so
+    cfg, expected = GRID_CONFIGS[mode]
+    assert cli._grid_values(cfg) == expected
+
+
+def test_grid_configs_cover_every_mode():
+    assert set(GRID_CONFIGS) == set(trainer.MODES)
 
 
 def test_sweep_over_cap_exits_2(corpus_file, tmp_path, capsys):

@@ -1,12 +1,21 @@
-"""The package's import surface: its export list names only what exists, and
-it runs on numpy alone."""
+"""The package's import surface: its export list names only what exists, its
+library objects take only the options a caller sets, and it runs on numpy
+alone."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lossgate
+from lossgate.data import pack
+from lossgate.metapredictor import NaiveBayesModel
+from lossgate.metrics import EnergyParams
+from lossgate.model import TargetModel
+from lossgate.trainer import Trainer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,6 +30,23 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from lossgate import *", namespace)
     assert set(lossgate.__all__) <= set(namespace)
+
+
+# each object's parameters; every one is set by a command, a demo, the
+# benchmark or the acceptance suite, and the hash space sizes both models
+PARAMETERS = {
+    "TargetModel": (TargetModel, ["learning_rate"]),
+    "NaiveBayesModel": (NaiveBayesModel, ["smoothing_alpha"]),
+    "pack": (pack, ["buckets", "labels"]),
+    "EnergyParams": (EnergyParams, ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours"]),
+    "Trainer._pass": (Trainer._pass, ["self", "batch", "learn", "skip", "predictor_p1"]),
+}
+
+
+@pytest.mark.parametrize("name", PARAMETERS)
+def test_each_library_object_takes_only_the_options_a_caller_sets(name):
+    obj, expected = PARAMETERS[name]
+    assert list(inspect.signature(obj).parameters) == expected
 
 
 # generates a corpus, runs it end to end and prints every scipy module loaded

@@ -228,6 +228,23 @@ def test_posterior_defined_for_single_class_model():
     assert 0.0 < model.posterior(bow(4)) < 1.0
 
 
+def test_posterior_reads_the_last_bucket_of_the_hash_space():
+    last = HASH_BUCKETS - 1
+    model = NaiveBayesModel(smoothing_alpha=1.0)
+    model.update(pack([bow()]), 0)
+    model.update(pack([bow(last)]), 1)
+    expected = oracle_posterior([1, 1], [{}, {last: 1}], 1.0, {last})
+    assert model.posterior(bow(last)) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("bucket", [-1, HASH_BUCKETS])
+def test_posterior_rejects_a_bucket_outside_the_hash_space(bucket):
+    model = NaiveBayesModel()
+    model.update(pack([bow(3)]), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        model.posterior(bow(3, bucket))
+
+
 def test_posterior_empty_model_raises():
     with pytest.raises(ValueError, match="untrained"):
         NaiveBayesModel().posterior(bow(1))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lossgate.metrics import (
+    CO2_LB_PER_KWH,
+    PUE,
     AgotParams,
     EnergyParams,
     SkipFractions,
@@ -158,6 +160,14 @@ def test_energy_linear_in_each_power_term():
     base = EnergyParams(p_cpu=100, p_dram=0, p_gpu=0, gpu_count=0, hours=2)
     doubled = EnergyParams(p_cpu=200, p_dram=0, p_gpu=0, gpu_count=0, hours=2)
     assert energy_co2(doubled)[0] == pytest.approx(2 * energy_co2(base)[0], rel=1e-12)
+
+
+def test_energy_applies_the_fixed_pue_and_co2_rate():
+    # Strubell et al. 2019's constants, multiplied in the formula's order
+    assert (PUE, CO2_LB_PER_KWH) == (1.58, 0.954)
+    kwh, co2 = energy_co2(EnergyParams(p_cpu=1000, p_dram=0, p_gpu=0, gpu_count=0, hours=1))
+    assert kwh == PUE * 1 * 1000 / 1000.0 == 1.58
+    assert co2 == CO2_LB_PER_KWH * kwh
 
 
 @pytest.mark.parametrize("field", ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours"])

@@ -388,6 +388,13 @@ def test_a_field_one_mode_reads_is_refused_under_every_other(name, mode):
                 replace(BASE, mode=other, **MODE_ARGS.get(other, {}), **{name: 0.5})
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_new_trainer_gates_on_the_fixed_threshold_alone(mode):
+    # fixed-threshold gates from the first batch; no other mode has a gate before freeze
+    trainer = Trainer(replace(BASE, mode=mode, **MODE_ARGS.get(mode, {})), CORPUS, EVAL)
+    assert trainer.gate == (0.5 if mode == "fixed-threshold" else None)
+
+
 def test_run_random_skip_drops_a_fixed_threshold():
     fixed = replace(BASE, mode="fixed-threshold", fixed_threshold=0.5)
     assert run_random_skip(fixed, CORPUS, 0.3, EVAL).config == run_random_skip(BASE, CORPUS, 0.3, EVAL).config
