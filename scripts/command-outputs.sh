@@ -52,6 +52,10 @@ printf 'force_l_low = -inf\n' > "$inputs/force-l-low.cfg"
 printf 'power_cpu_watts = 100\n' > "$inputs/power-cpu-watts.cfg"
 printf 'epochs = 3\n' > "$inputs/sweep-epochs.cfg"
 printf '# a comment\n\n  # an indented comment\nnot a pair\n' > "$inputs/not-a-pair.cfg"
+# an accepted config file: comments, a blank line, a bare string, JSON numbers,
+# and -inf, which only the flag's parser reads
+printf '# fixed-threshold, read from a file\n\nmode = fixed-threshold  # a bare string\nepochs = 2\nlearning_rate = 0.25\nfixed_threshold = -inf\n' \
+  > "$inputs/fixed-threshold.cfg"
 
 # each command's flags, with their types, choices and metavars; the top-level --help
 # prints the cli module docstring, which is documentation and not an output
@@ -86,6 +90,8 @@ lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --t-forward 1 --t-backward 3.4
   --report "$out/time-model.json" --trace "$out/time-model.csv" > /dev/null
 # a given a_full, which the report keeps and scores agot against
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --a-full 0.8 --report "$out/a-full.json" > /dev/null
+# a run read from a config file, with a flag over one of its values
+lg run "${data[@]}" --config "$inputs/fixed-threshold.cfg" --epochs 1 --report "$out/config-file.json" > /dev/null
 # the per-epoch accuracy curve
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" > /dev/null
 # a predictor window that never fills, so the run never leaves stage 1

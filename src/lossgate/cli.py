@@ -77,11 +77,11 @@ def _parse_list(kind: type, raw: str) -> list:
 _parse_floats, _parse_ints = partial(_parse_list, float), partial(_parse_list, int)
 
 
-def _load_examples(path: str, format: str | None, header: bool) -> Corpus:
+def _load_examples(path: str, header: bool) -> Corpus:
     if not os.path.exists(path):
         raise UsageError(f"dataset not found: {path}")
     try:
-        examples = load_dataset(path, format=format, header=header)
+        examples = load_dataset(path, header=header)
     except OSError as exc:  # a directory, or a file this process may not read
         raise UsageError(f"cannot read dataset {path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -93,8 +93,8 @@ def _load_examples(path: str, format: str | None, header: bool) -> Corpus:
 
 def _load_data(args: argparse.Namespace) -> tuple[Corpus, Corpus | None]:
     """The training set and the optional held-out set named by the data flags."""
-    train = _load_examples(args.data, args.format, args.header)
-    held_out = _load_examples(args.eval_data, args.format, args.header) if args.eval_data else None
+    train = _load_examples(args.data, args.header)
+    held_out = _load_examples(args.eval_data, args.header) if args.eval_data else None
     return train, held_out
 
 
@@ -207,7 +207,6 @@ def _reject_clobbering(args: argparse.Namespace) -> None:
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="training set (.jsonl or .tsv)")
     parser.add_argument("--eval-data", help="held-out set for accuracy")
-    parser.add_argument("--format", choices=("jsonl", "tsv"))
     parser.add_argument("--header", action="store_true", help="TSV only: skip the first line")
 
 

@@ -10,11 +10,11 @@ sorted, distinct buckets. ``load_dataset`` parses and checks each distinct
 line once; then the distinct texts are featurized in one pass: each is
 tokenized once, its tokens' buckets are streamed into one array of ``(text,
 bucket)`` keys as they are read, each distinct token is hashed once and the
-keys are sorted once. No token list outlives its text. Indexing or iterating
-a corpus builds an ``Example`` on demand: it shares its content's ``text``
-string and bucket view and tokenizes its text only when ``tokens`` is first
-read. An ``Example`` built directly runs ``vectorize``, the one-example
-definition, and ``Corpus.from_examples`` turns a list of them into a corpus.
+keys are sorted once. No token list outlives its text. An ``Example`` is its
+text, its label and its buckets; indexing or iterating a corpus builds one on
+demand, sharing its content's ``text`` string and bucket view. An ``Example``
+built directly runs ``vectorize``, the one-example definition, on its tokens,
+and ``Corpus.from_examples`` turns a list of them into an equal corpus.
 ``Example`` and ``MiniBatch`` are slotted.
 
 Batching is one gather: the examples' CSR rows, in the seeded permutation's
@@ -72,26 +72,23 @@ def vectorize(tokens: list[str]) -> np.ndarray:
 
 
 class Example:
-    """One labelled text: the unit every filtering decision is made over.
+    """One labelled text: the unit every filtering decision is made over. An
+    example is its text, its label and its sorted, distinct buckets.
 
-    ``Example(text, tokens, label)`` hashes its tokens at once. An example
-    taken from a ``Corpus`` has no token list until ``tokens`` is first read;
-    it then tokenizes its text and keeps that list as its own.
+    ``Example(text, tokens, label)`` hashes its tokens at once and keeps
+    only their buckets. ``tokens`` is ``tokenize(text)``, made on each read;
+    the benchmark's tracing test rebuilds examples from it.
     """
 
-    __slots__ = ("text", "_tokens", "label", "_buckets")
+    __slots__ = ("text", "label", "_buckets")
 
     def __init__(self, text: str, tokens: list[str], label: int):
-        self.text, self._tokens, self.label = text, tokens, label
+        self.text, self.label = text, label
         self._buckets = vectorize(tokens)
 
     @property
     def tokens(self) -> list[str]:
-        try:
-            return self._tokens
-        except AttributeError:  # a corpus example's first read
-            self._tokens = tokens = tokenize(self.text)
-            return tokens
+        return tokenize(self.text)
 
     def features(self) -> np.ndarray:
         """Sorted distinct hash buckets of the tokens, computed at construction."""
@@ -100,14 +97,14 @@ class Example:
     def __eq__(self, other):
         if other.__class__ is not Example:
             return NotImplemented
-        return (self.text, self.tokens, self.label) == (other.text, other.tokens, other.label)
+        return (self.text, self.label) == (other.text, other.label) and np.array_equal(self._buckets, other._buckets)
 
     def __repr__(self) -> str:
-        return f"Example(text={self.text!r}, tokens={self.tokens!r}, label={self.label!r})"
+        return f"Example(text={self.text!r}, label={self.label!r})"
 
 
 def _example(text: str, label: int, buckets: np.ndarray) -> Example:
-    """A corpus example, which tokenizes its text only when asked."""
+    """A corpus example, which shares its content's text and bucket view."""
     example = Example.__new__(Example)
     example.text, example.label, example._buckets = text, label, buckets
     return example
@@ -164,7 +161,7 @@ class Corpus(Sequence):
     def __init__(self, texts, content: np.ndarray, labels, ptr: np.ndarray, buckets: np.ndarray):
         self.texts = tuple(texts)
         n = len(self.texts)
-        if any(array.dtype.kind not in "iu" for array in (content, ptr, buckets)):
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in (content, ptr, buckets)):
             raise ValueError("content, ptr and buckets must be integer arrays")
         if content.size and not 0 <= content.min() <= content.max() < n:
             raise ValueError(f"content ids must lie in [0, {n})")
@@ -183,8 +180,8 @@ class Corpus(Sequence):
     @classmethod
     def from_examples(cls, examples: Sequence[Example]) -> Corpus:
         """The examples as a corpus with one content per example, holding
-        each example's text, label and buckets; a corpus is returned as it
-        is. Its examples' tokens are ``tokenize`` of their text."""
+        each example's text, label and buckets, so it equals ``examples``; a
+        corpus is returned as it is."""
         if isinstance(examples, Corpus):
             return examples
         ptr, buckets = _csr([ex.features() for ex in examples])
@@ -301,12 +298,16 @@ def pack(buckets, labels=None) -> MiniBatch:
     """Pack caller-supplied bucket collections, one per example.
 
     Each collection is reduced to its sorted distinct buckets; every bucket
-    must lie in ``[0, HASH_BUCKETS)``. ``labels`` default to 0, for batches
-    only the predictor reads.
+    must be an integer (``is_int``) in ``[0, HASH_BUCKETS)``. ``labels``
+    default to 0, for batches only the predictor reads.
     """
-    features = [np.unique(np.asarray(list(b), dtype=np.int64)) for b in buckets]
-    if any(f.size and (f[0] < 0 or f[-1] >= HASH_BUCKETS) for f in features):
-        raise ValueError("bucket index out of range")
+    given = [list(b) for b in buckets]
+    for bucket in chain.from_iterable(given):
+        if not is_int(bucket):
+            raise ValueError(f"buckets must be integers, got {bucket!r}")
+        if not 0 <= bucket < HASH_BUCKETS:
+            raise ValueError("bucket index out of range")
+    features = [np.unique(np.array(b, dtype=np.int64)) for b in given]
     n = len(features)
     labels = np.zeros(n, dtype=np.int64) if labels is None else _labels(labels, n)
     return _gathered(*_csr(features), np.arange(n), labels, n or 1)[0]
@@ -407,25 +408,20 @@ def _parsed(line: str, format: str, line_no: int) -> tuple[str, int] | None:
     return text, _checked_label(label, line_no)
 
 
-def load_dataset(path: str, format: str | None = None, header: bool = False) -> Corpus:
+def load_dataset(path: str, header: bool = False) -> Corpus:
     """Read a JSONL or TSV dataset into a corpus, preserving file order.
 
+    The extension names the format: ``.jsonl`` or ``.tsv``, in any case.
     JSONL records need a string ``text`` and an integer ``label`` in {0, 1};
     an optional ``text2`` string (absent or null means none) is appended to
     ``text`` with a space. TSV rows are ``text<TAB>label``; ``header=True``
-    skips the first line. ``format`` defaults to the file extension. A UTF-8
-    byte-order mark at the start of the file is dropped. Each distinct line
-    is parsed and checked once, and every line is checked before the distinct
-    texts are featurized, in one pass.
+    skips the first line. A UTF-8 byte-order mark at the start of the file
+    is dropped. Each distinct line is parsed and checked once, and every line
+    is checked before the distinct texts are featurized, in one pass.
     """
-    if format is None:
-        suffix = str(path).rsplit(".", 1)[-1].lower()
-        if suffix in ("jsonl", "tsv"):
-            format = suffix
-        else:
-            raise ValueError(f"cannot infer format from {path!r}; pass format='jsonl' or 'tsv'")
+    format = str(path).rsplit(".", 1)[-1].lower()
     if format not in ("jsonl", "tsv"):
-        raise ValueError(f"unknown format: {format!r}")
+        raise ValueError(f"cannot tell the format of {path!r}: name it .jsonl or .tsv")
 
     # each distinct line is a row of (line_content, line_label), and each
     # example names its line's row; equal texts share one content id

@@ -37,7 +37,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import metrics
+from . import data, metrics
 from .data import Corpus, Example, MiniBatch, checked_positive, checked_size, make_batches, pack_examples
 from .metapredictor import NaiveBayesModel
 from .model import TargetModel
@@ -103,6 +103,8 @@ class TrainerConfig:
                 continue
             if not isinstance(value, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
+            if isinstance(value, np.generic):  # stored as the Python number it is, which JSON can write
+                object.__setattr__(self, f.name, value.item())
             if value != value:
                 raise ValueError(f"{f.name} must not be NaN")
             choices = f.metadata.get("choices")
@@ -112,8 +114,7 @@ class TrainerConfig:
             checked_size(name, getattr(self, name))
         for name in ("learning_rate", "alt", "skip_margin_gamma", "smoothing_alpha", "t_forward", "t_backward"):
             checked_positive(name, getattr(self, name))
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0 and finite")
+        data._checked_seed(self.seed)
         if not 0.0 < self.n0_fraction <= 1.0:
             raise ValueError("n0_fraction must lie in (0, 1]")
         if self.a_full is not None and not 0.0 <= self.a_full <= 1.0:

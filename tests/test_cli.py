@@ -44,7 +44,7 @@ TRAINER_OPTIONS = [
     "--threshold-window", "--predictor-window", "--alt", "--skip-gamma", "--smoothing-alpha",
     "--fixed-threshold", "--random-skip-ratio", "--t-forward", "--t-backward", "--a-full", "--eval-every-epoch",
 ]
-DATA_OPTIONS = ["--data", "--eval-data", "--format", "--header"]
+DATA_OPTIONS = ["--data", "--eval-data", "--header"]
 
 # each subcommand's option strings in --help order, as the hand-written parser had them
 OPTION_STRINGS = {
@@ -922,7 +922,7 @@ BAD_SWEEP_GRIDS = [
     ("window-grid", "4,0", "predictor_window must be >= 1"),
     ("alt-grid", "0.4,-1", "alt must be positive and finite"),
     ("epochs-grid", "1,0", "epochs must be >= 1"),
-    ("seeds", "0,-1", "seed must be >= 0"),
+    ("seeds", "0,-1", "seed must be an integer >= 0"),
     ("fixed-thresholds", "0.3,nan", "fixed_threshold must not be NaN"),
 ]
 
@@ -1015,7 +1015,7 @@ def test_compare_repeated_value_exits_2_before_training(corpus_file, tmp_path, c
 
 @pytest.mark.parametrize("flags, message", [
     (["--seeds", "0", "--fixed-thresholds", "0.3,nan"], "fixed_threshold must not be NaN"),
-    (["--seeds", "0,-1"], "seed must be >= 0"),
+    (["--seeds", "0,-1"], "seed must be an integer >= 0"),
 ], ids=["nan-threshold", "negative-seed"])
 def test_compare_bad_value_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, flags, message):
     runs = record_runs(monkeypatch)

@@ -675,6 +675,18 @@ def test_a_config_field_and_the_component_it_feeds_take_the_same_values(name, va
     assert type(kept) is type(value.item()) and kept == value
 
 
+def test_a_config_of_numpy_numbers_writes_the_report_of_python_numbers():
+    corpus = CORPUS[:200]
+    reports = []
+    for kind, real in ((int, float), (np.int64, np.float64)):
+        config = TrainerConfig(mode="train-all", seed=kind(3), epochs=kind(2), batch_size=kind(16), alt=real(0.5))
+        report = run(config, corpus).to_json_dict()
+        report.pop("overhead_wall_seconds")
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
+    assert type(TrainerConfig(learning_rate=np.float32(0.5)).learning_rate) is float
+
+
 def test_a_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
         BASE.epochs = 5
