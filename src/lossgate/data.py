@@ -18,8 +18,9 @@ and ``Corpus.from_examples`` turns a list of them into an equal corpus.
 ``Example`` and ``MiniBatch`` are slotted.
 
 Batching is one gather: the examples' CSR rows, in the seeded permutation's
-order, are taken from ``buckets`` into three read-only arrays (buckets,
-in-batch rows, labels), and every ``MiniBatch`` is a slice of them. A corpus
+order, are taken from ``buckets`` into four read-only arrays (buckets,
+in-batch rows, labels and ``positions``, the examples' corpus positions), and
+every ``MiniBatch`` is a slice of them. A corpus
 keeps the partition ``make_batches`` last cut from it, so consecutive runs
 that share a batch size and seed gather it once; it is freed with the corpus
 or replaced by the next partition cut under another key. A corpus rejects a
@@ -151,8 +152,8 @@ class Corpus(Sequence):
     CSR block. A corpus equals a list, tuple or corpus of equal examples.
 
     A corpus keeps the latest partition ``make_batches`` cut from it, until
-    the corpus is freed or a call with another key replaces it: about 4.4 MB
-    (3.3 MB of arrays) for the 20000-example benchmark corpus at batch size
+    the corpus is freed or a call with another key replaces it: about 4.8 MB
+    (3.5 MB of arrays) for the 20000-example benchmark corpus at batch size
     8. A slice starts without one.
     """
 
@@ -251,47 +252,50 @@ class MiniBatch:
 
     ``indices`` concatenates every example's sorted, distinct buckets and
     ``rows`` names the example each index belongs to, so per-example sums are
-    one ``np.bincount(rows, weights, minlength=len(batch))``. The arrays are
-    read-only views, shared with the other batches packed alongside. A batch
-    compares and hashes by identity.
+    one ``np.bincount(rows, weights, minlength=len(batch))``. ``labels`` and
+    ``positions`` hold each example's label and its position in the corpus
+    it was cut from. The arrays are read-only views, shared with the other
+    batches packed alongside. A batch compares and hashes by identity.
     """
 
     indices: np.ndarray
     rows: np.ndarray
     labels: np.ndarray
+    positions: np.ndarray
 
     def __len__(self) -> int:
         return self.labels.size
 
 
-def _gathered(ptr: np.ndarray, buckets: np.ndarray, content: np.ndarray, labels: np.ndarray, batch_size: int):
-    """Cut the examples ``content`` names, with their ``labels``, in order,
-    into batches of ``batch_size`` (the last may be short; no examples give
-    one empty batch), each a slice of the same three read-only arrays. The
-    examples' buckets are one ``take`` from the CSR block ``(ptr, buckets)``."""
+def _gathered(corpus: Corpus, positions: np.ndarray, batch_size: int):
+    """Cut the corpus's examples at ``positions``, in order, into batches of
+    ``batch_size`` (the last may be short; no examples give one empty batch),
+    each a slice of the same four read-only arrays. The examples' buckets are
+    one ``take`` from the corpus's CSR block."""
+    content, labels, ptr = corpus.content[positions], corpus.labels[positions], corpus.ptr
     starts = ptr[content]
     lengths = ptr[content + 1] - starts
     ends = np.cumsum(lengths)
     # bucket k of an example that packs from offset o sits at its start + k - o
-    positions = np.repeat(starts - ends + lengths, lengths)
-    positions += np.arange(positions.size)
-    indices = buckets.take(positions)
+    offsets = np.repeat(starts - ends + lengths, lengths)
+    offsets += np.arange(offsets.size)
+    indices = corpus.buckets.take(offsets)
     n = content.size
     rows = np.repeat(np.arange(n) % batch_size, lengths)
-    for array in (indices, rows, labels):
+    for array in (indices, rows, labels, positions):
         array.flags.writeable = False
     edges = [*range(0, max(n, 1), batch_size), n]
-    offsets = np.concatenate(([0], ends))[edges].tolist()
+    cuts = np.concatenate(([0], ends))[edges].tolist()
     return [
-        MiniBatch(indices[start:end], rows[start:end], labels[a:b])
-        for a, b, start, end in zip(edges, edges[1:], offsets, offsets[1:])
+        MiniBatch(indices[start:end], rows[start:end], labels[a:b], positions[a:b])
+        for a, b, start, end in zip(edges, edges[1:], cuts, cuts[1:])
     ]
 
 
 def pack_examples(examples: Sequence[Example]) -> MiniBatch:
     """Pack examples, in order, with their class labels."""
     corpus = Corpus.from_examples(examples)
-    return _gathered(corpus.ptr, corpus.buckets, corpus.content, corpus.labels, len(corpus) or 1)[0]
+    return _gathered(corpus, np.arange(len(corpus)), len(corpus) or 1)[0]
 
 
 def pack(buckets, labels=None) -> MiniBatch:
@@ -307,10 +311,10 @@ def pack(buckets, labels=None) -> MiniBatch:
             raise ValueError(f"buckets must be integers, got {bucket!r}")
         if not 0 <= bucket < HASH_BUCKETS:
             raise ValueError("bucket index out of range")
-    features = [np.unique(np.array(b, dtype=np.int64)) for b in given]
-    n = len(features)
-    labels = np.zeros(n, dtype=np.int64) if labels is None else _labels(labels, n)
-    return _gathered(*_csr(features), np.arange(n), labels, n or 1)[0]
+    n = len(given)
+    labels = np.zeros(n, dtype=np.int64) if labels is None else labels
+    corpus = Corpus([""] * n, np.arange(n), labels, *_csr([np.unique(np.array(b, dtype=np.int64)) for b in given]))
+    return _gathered(corpus, np.arange(n), n or 1)[0]
 
 
 def is_int(value) -> bool:
@@ -459,12 +463,12 @@ def make_batches(examples: Sequence[Example], batch_size: int, seed: int = 0) ->
     """Partition examples into minibatches, in the order of the permutation
     ``seed`` fully determines; the final one may be short.
 
-    Every batch is a view of the same three arrays, gathered from the
-    corpus's CSR block through the permutation in one ``take``. The
-    arguments are checked on every call; a corpus then returns a new list
-    over the batches it kept from the last call with the same ``batch_size``
-    and ``seed``, and otherwise keeps the partition it gathers in their
-    place. Sharing is safe: a batch is frozen and its arrays are read-only.
+    Every batch is a view of the same four arrays, gathered from the
+    corpus's CSR block through the permutation in one ``take``; the
+    permutation itself is the fourth, ``positions``. The arguments are
+    checked on every call; a corpus then returns a new list over the batches
+    it kept from the last call with the same ``batch_size`` and ``seed``, and
+    otherwise keeps the partition it gathers in their place. Sharing is safe: a batch is frozen and its arrays are read-only.
     """
     corpus = Corpus.from_examples(examples)
     if not corpus:
@@ -472,8 +476,7 @@ def make_batches(examples: Sequence[Example], batch_size: int, seed: int = 0) ->
     batch_size, seed = checked_size("batch_size", batch_size), _checked_seed(seed)
     if corpus._batches is None or corpus._batches[0] != (batch_size, seed):
         order = np.random.default_rng(seed).permutation(len(corpus))
-        batches = _gathered(corpus.ptr, corpus.buckets, corpus.content[order], corpus.labels[order], batch_size)
-        corpus._batches = (batch_size, seed), batches
+        corpus._batches = (batch_size, seed), _gathered(corpus, order, batch_size)
     return list(corpus._batches[1])
 
 

@@ -3,8 +3,8 @@
 Every mode runs one per-batch sequence, ``Trainer._pass``, and only picks
 three things: a forward screen that drops the batch before any pass, the
 gate ``Trainer.gate`` (backward runs iff the loss is at or above it) and a
-learner fed each forward batch's loss and label. ``Trainer`` keeps a run's
-whole state as plain attributes and builds a ``StepTrace`` only when
+learner fed each forward's ``ForwardResult`` and label. ``Trainer`` keeps a
+run's whole state as plain attributes and builds a ``StepTrace`` only when
 ``record_trace`` is set.
 
 - train-all: no screen, no gate, no learner.
@@ -40,7 +40,7 @@ import numpy as np
 from . import data, metrics
 from .data import Corpus, Example, MiniBatch, checked_positive, checked_size, make_batches, pack_examples
 from .metapredictor import NaiveBayesModel
-from .model import TargetModel
+from .model import ForwardResult, TargetModel
 from .threshold import ThresholdState, make_label
 
 MODES = ("three-stage", "train-all", "fixed-threshold", "auto-threshold-only", "random-skip")
@@ -225,7 +225,7 @@ class Trainer:
 
     def _pass(self, batch: MiniBatch, learn=None, skip: bool = False, predictor_p1=None) -> None:
         """Count the batch; unless ``skip``, forward it, label the loss against
-        ``self.gate`` (none trains every batch), time ``learn(batch, loss, label)``
+        ``self.gate`` (none trains every batch), time ``learn(result, label)``
         as overhead and backward iff the label is 1. Trace it iff ``record_trace``."""
         self.batches_seen += 1
         loss = None
@@ -238,7 +238,7 @@ class Trainer:
             label = 1 if gate is None else make_label(loss, gate)
             if learn is not None:
                 t0 = time.perf_counter()
-                learn(batch, loss, label)
+                learn(fr, label)
                 self._overhead += time.perf_counter() - t0
             if label == 1:
                 self.model.backward(fr)
@@ -251,18 +251,18 @@ class Trainer:
             stage = None if self.threshold is None else int(self.stage)
             self.traces.append(StepTrace(self.epoch_index, self.batches_seen - 1, stage, decision, loss, predictor_p1))
 
-    def _observe_loss(self, batch: MiniBatch, loss: float, label: int) -> None:
-        self.threshold.observe(loss)
+    def _observe_loss(self, result: ForwardResult, label: int) -> None:
+        self.threshold.observe(result.batch_loss)
 
-    def _score_and_update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
+    def _score_and_update_predictor(self, result: ForwardResult, label: int) -> None:
         # a single-class predictor is degenerate (its smoothed posteriors
         # saturate), so its loss only counts once both classes are seen
         if self.predictor.has_both_classes:
-            self.predictor_losses.append(self.predictor.loss(batch, label))
-        self.predictor.update(batch, label)
+            self.predictor_losses.append(self.predictor.loss(result.batch, label))
+        self.predictor.update(result.batch, label)
 
-    def _update_predictor(self, batch: MiniBatch, loss: float, label: int) -> None:
-        self.predictor.update(batch, label)
+    def _update_predictor(self, result: ForwardResult, label: int) -> None:
+        self.predictor.update(result.batch, label)
 
     def step_warmup(self, batch: MiniBatch) -> None:
         """Stage 0: always forward + backward, feeding the loss window."""

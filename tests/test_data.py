@@ -124,6 +124,11 @@ def test_pack_sorts_dedups_and_names_rows():
     assert batch.rows.tolist() == [0, 0, 2]
     assert batch.labels.tolist() == [1, 0, 1]
     assert len(batch) == 3
+    # packed in the given order, every example sits at its own position
+    examples = [Example(text, tokenize(text), 0) for text in ("b", "a", "", "a")]
+    for packed in (batch, pack([[1], [2], [3], [4]]), pack_examples(examples), pack([]), pack_examples([])):
+        assert packed.positions.dtype == np.int64
+        assert packed.positions.tolist() == list(range(len(packed)))
 
 
 def test_records_are_slotted():
@@ -502,6 +507,18 @@ def assert_same_batches(got, want):
             assert np.array_equal(a, b)
 
 
+def assert_batches_name_their_positions(corpus, batches, seed):
+    """The batches' positions, joined in order, are the seed's permutation,
+    and each names its row's label and buckets in ``corpus``."""
+    positions = np.concatenate([batch.positions for batch in batches])
+    assert positions.dtype == np.int64
+    assert np.array_equal(positions, np.random.default_rng(seed).permutation(len(corpus)))
+    for batch in batches:
+        assert np.array_equal(corpus.labels[batch.positions], batch.labels)
+        for row, i in enumerate(batch.positions):
+            assert np.array_equal(corpus[int(i)].features(), batch.indices[batch.rows == row])
+
+
 def test_make_batches_equal_per_batch_packing():
     rng = np.random.default_rng(12)
     for trial in range(40):
@@ -510,6 +527,7 @@ def test_make_batches_equal_per_batch_packing():
         for batch_size in (1, 7, int(rng.integers(2, 9)), n, n + 3):
             got = make_batches(examples, batch_size, seed=trial)
             assert_same_batches(got, _reference_batches(examples, batch_size, trial))
+            assert_batches_name_their_positions(Corpus.from_examples(examples), got, trial)
 
 
 def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path):
@@ -530,10 +548,11 @@ def test_corpus_batches_equal_packing_its_permuted_examples(tmp_path):
             got = make_batches(corpus, batch_size, seed=3)
             assert len(got[-1]) == (len(corpus) % batch_size or batch_size)
             assert_same_batches(got, _reference_batches(list(corpus), batch_size, 3))
+            assert_batches_name_their_positions(corpus, got, 3)
 
 
 def assert_read_only_views_of_one_array_per_field(batches):
-    for name in ("indices", "rows", "labels"):
+    for name in ("indices", "rows", "labels", "positions"):
         arrays = [getattr(batch, name) for batch in batches]
         base = arrays[0].base
         assert base is not None and not base.flags.writeable

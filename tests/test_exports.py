@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lossgate
-from lossgate.data import pack
+from lossgate.data import MiniBatch, pack
 from lossgate.metapredictor import NaiveBayesModel
 from lossgate.metrics import EnergyParams
 from lossgate.model import TargetModel
@@ -40,6 +40,8 @@ PARAMETERS = {
     "pack": (pack, ["buckets", "labels"]),
     "EnergyParams": (EnergyParams, ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours"]),
     "Trainer._pass": (Trainer._pass, ["self", "batch", "learn", "skip", "predictor_p1"]),
+    # a batch's fields: what every consumer of a batch reads
+    "MiniBatch": (MiniBatch, ["indices", "rows", "labels", "positions"]),
 }
 
 

@@ -287,6 +287,42 @@ def test_every_gated_forward_labels_its_loss_through_make_label(monkeypatch, mod
     assert {g for _, g in calls} == {gate}
 
 
+LEARNERS = ("_observe_loss", "_score_and_update_predictor", "_update_predictor")
+
+
+def test_each_learner_gets_the_whole_forward_of_its_step():
+    """A learner gets the step's ``ForwardResult``: the step's batch, the
+    per-example losses whose mean is the batch loss, and the label that loss
+    takes against the gate in force (none trains every batch)."""
+    trainer = Trainer(replace(BASE, mode="three-stage"), CORPUS, EVAL)
+    steps, calls = [], []
+
+    def stepped(batch, step=trainer._step):
+        steps.append(batch)
+        step(batch)
+
+    def recording(name, learn):
+        def wrapper(result, label):
+            calls.append((name, steps[-1], trainer.gate, result, label))
+            learn(result, label)
+
+        return wrapper
+
+    trainer._step = stepped
+    for name in LEARNERS:
+        setattr(trainer, name, recording(name, getattr(trainer, name)))
+    report = trainer.run()
+    assert report.stage_boundaries["full_filter_start"] is not None
+    assert {name for name, *_ in calls} == set(LEARNERS)
+    assert len(calls) == report.batches_total - report.forward_skipped
+    for _, batch, gate, result, label in calls:
+        assert result.batch is batch
+        n = len(batch)
+        assert result.per_example_losses.shape == (n,)
+        assert np.add.reduce(result.per_example_losses) / n == result.batch_loss
+        assert label == (1 if gate is None else make_label(result.batch_loss, gate))
+
+
 def test_stage_one_learning_never_touches_training():
     """Three-stage that never leaves stage 1 trains exactly as
     auto-threshold-only, although its predictor learns every stage-1 batch.
