@@ -45,16 +45,18 @@ printf '%s\n{"text": "a b", "label": true}\n' "$ok" > "$bad/label-bool.jsonl"
 printf 'good movie\t1\na b\tx\n' > "$bad/label-text.tsv"
 printf '\n   \n\n' > "$bad/blank.jsonl"
 # config files: a value of the wrong type, a key that is no longer a field,
-# a key that sweep sets for each run, and a line that is not a pair
+# a key that sweep sets for each run, a line that is not a pair and an
+# infinite fixed threshold
 printf 'learning_rate = true\n' > "$inputs/learning-rate-true.cfg"
 printf 'epochs = abc\n' > "$inputs/epochs-abc.cfg"
 printf 'force_l_low = -inf\n' > "$inputs/force-l-low.cfg"
 printf 'power_cpu_watts = 100\n' > "$inputs/power-cpu-watts.cfg"
 printf 'epochs = 3\n' > "$inputs/sweep-epochs.cfg"
 printf '# a comment\n\n  # an indented comment\nnot a pair\n' > "$inputs/not-a-pair.cfg"
+printf 'fixed_threshold = -inf\n' > "$inputs/fixed-threshold-inf.cfg"
 # an accepted config file: comments, a blank line, a bare string, JSON numbers,
-# and -inf, which only the flag's parser reads
-printf '# fixed-threshold, read from a file\n\nmode = fixed-threshold  # a bare string\nepochs = 2\nlearning_rate = 0.25\nfixed_threshold = -inf\n' \
+# and .5, which json.loads refuses, so only the flag's parser reads it
+printf '# fixed-threshold, read from a file\n\nmode = fixed-threshold  # a bare string\nepochs = 2\nlearning_rate = 0.25\nfixed_threshold = .5\n' \
   > "$inputs/fixed-threshold.cfg"
 
 # each command's flags, with their types, choices and metavars; the top-level --help
@@ -139,6 +141,8 @@ config_error not-a-pair --config "$inputs/not-a-pair.cfg"
 config_error missing-file --config "$inputs/absent.cfg"
 config_error batch-size-huge --batch-size 9223372036854775808
 config_error fixed-threshold-train-all --fixed-threshold 0.05
+# an infinite gate, which no report could write as valid JSON
+config_error fixed-threshold-inf --mode fixed-threshold --config "$inputs/fixed-threshold-inf.cfg"
 # a refused sweep or compare: the exit code and the message
 refused() {  # refused NAME COMMAND FLAG...
   local err="$out/$1.err"

@@ -219,7 +219,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = replace(cfg, record_trace=True)
     train_examples, eval_examples = _load_data(args)
     [(cfg, report)] = _run_in_order([cfg], train_examples, eval_examples)
-    payload = json.dumps(report.to_json_dict(), indent=2)
+    # a non-finite float fails here rather than write JSON's invalid Infinity or NaN
+    payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

@@ -127,6 +127,9 @@ class TrainerConfig:
                 raise ValueError(f"{name} is for {mode} mode only")
         if self.random_skip_ratio is not None and not 0.0 <= self.random_skip_ratio < 1.0:
             raise ValueError("random_skip_ratio must lie in [0, 1)")
+        # an infinite gate trains every batch or none, and JSON has no infinity to report it in
+        if self.fixed_threshold is not None and not math.isfinite(self.fixed_threshold):
+            raise ValueError("fixed_threshold must be finite")
 
 
 # the report JSON names these fields as in the paper; the rest keep their own
