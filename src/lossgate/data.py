@@ -20,11 +20,11 @@ and ``Corpus.from_examples`` turns a list of them into an equal corpus.
 Batching is one gather: the examples' CSR rows, in the seeded permutation's
 order, are taken from ``buckets`` into four read-only arrays (buckets,
 in-batch rows, labels and ``positions``, the examples' corpus positions), and
-every ``MiniBatch`` is a slice of them. A corpus
-keeps the partition ``make_batches`` last cut from it, so consecutive runs
-that share a batch size and seed gather it once; it is freed with the corpus
-or replaced by the next partition cut under another key. A corpus rejects a
-label other than 0 or 1.
+every ``MiniBatch`` is a slice of them. A corpus keeps the partition
+``make_batches`` last cut from it, so consecutive runs that share a batch
+size and seed gather it once; it is freed with the corpus or replaced by the
+next partition cut under another key. A corpus rejects a label other than 0
+or 1.
 """
 
 from __future__ import annotations
@@ -468,7 +468,8 @@ def make_batches(examples: Sequence[Example], batch_size: int, seed: int = 0) ->
     permutation itself is the fourth, ``positions``. The arguments are
     checked on every call; a corpus then returns a new list over the batches
     it kept from the last call with the same ``batch_size`` and ``seed``, and
-    otherwise keeps the partition it gathers in their place. Sharing is safe: a batch is frozen and its arrays are read-only.
+    otherwise keeps the partition it gathers in their place. Sharing is safe:
+    a batch is frozen and its arrays are read-only.
     """
     corpus = Corpus.from_examples(examples)
     if not corpus:
