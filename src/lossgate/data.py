@@ -298,12 +298,12 @@ def pack_examples(examples: Sequence[Example]) -> MiniBatch:
     return _gathered(corpus, np.arange(len(corpus)), len(corpus) or 1)[0]
 
 
-def pack(buckets, labels=None) -> MiniBatch:
-    """Pack caller-supplied bucket collections, one per example.
+def pack(buckets) -> MiniBatch:
+    """Pack caller-supplied bucket collections, one per example, into a
+    batch only the predictor reads: every label is 0.
 
     Each collection is reduced to its sorted distinct buckets; every bucket
-    must be an integer (``is_int``) in ``[0, HASH_BUCKETS)``. ``labels``
-    default to 0, for batches only the predictor reads.
+    must be an integer (``is_int``) in ``[0, HASH_BUCKETS)``.
     """
     given = [list(b) for b in buckets]
     for bucket in chain.from_iterable(given):
@@ -312,7 +312,7 @@ def pack(buckets, labels=None) -> MiniBatch:
         if not 0 <= bucket < HASH_BUCKETS:
             raise ValueError("bucket index out of range")
     n = len(given)
-    labels = np.zeros(n, dtype=np.int64) if labels is None else labels
+    labels = np.zeros(n, dtype=np.int64)
     corpus = Corpus([""] * n, np.arange(n), labels, *_csr([np.unique(np.array(b, dtype=np.int64)) for b in given]))
     return _gathered(corpus, np.arange(n), n or 1)[0]
 

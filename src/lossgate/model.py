@@ -10,15 +10,16 @@ The per-example loss is ``log(1 + exp(-y s))`` on the label-signed score
 On small batches each numpy call costs more than its arithmetic, so a pass
 makes only the calls its math needs. ``forward`` is a ``take`` and a
 ``bincount`` for the scores, one finiteness check, the label-signed
-``logaddexp`` in place, the sigmoid over the scores and one
-``np.add.reduce``. ``backward`` shares the per-example coefficient
-``(p - y) / n`` with ``batch_gradient``, sums it for the bias gradient (whose
-finiteness covers every coefficient, so it is the one check), scales it by
-``-learning_rate`` in place and scatters it onto each example's buckets with
-``np.add.at``.
+``logaddexp`` in place and one ``np.add.reduce``; it returns the scores, and
+computes no probability. ``backward`` shares the per-example coefficient
+``(p - y) / n`` with ``batch_gradient``: one Python loop over the scores
+computes the sigmoid ``p`` and the coefficient. It sums the coefficients for
+the bias gradient (whose finiteness covers every coefficient, so it is the
+one check), scales them by ``-learning_rate`` in place and scatters them onto
+each example's buckets with ``np.add.at``.
 Every float is the same IEEE operation, in the same order, as in the plain
-formulas (``losses.mean()``, ``-learning_rate * values``), which the tests
-check bit for bit.
+formulas (``losses.mean()``, ``(p - y) / n``, ``-learning_rate * values``),
+which the tests check bit for bit.
 
 The sigmoid is ``1 / (1 + exp(-s))`` per score through ``math.exp``, the C
 library's ``exp``, so the package needs numpy alone. That is the formula and
@@ -37,26 +38,28 @@ import numpy as np
 from .data import HASH_BUCKETS, MiniBatch, checked_positive
 
 
-def _sigmoid(scores: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-s))`` for each score, in a new array. Where ``-s``
-    exceeds about 709.78 ``math.exp`` raises instead of returning inf, and
-    the probability is 0.0, as the formula gives with an infinite ``exp``."""
-    probs = []
-    for s in scores.tolist():
+def _score_gradients(scores: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """``(p - y) / n`` for each score and label, with ``p = 1 / (1 + exp(-s))``,
+    in a new array. Where ``-s`` exceeds about 709.78 ``math.exp`` raises
+    instead of returning inf, and ``p`` is 0.0, as the formula gives with an
+    infinite ``exp``."""
+    coef = []
+    for s, y in zip(scores.tolist(), labels.tolist()):
         try:
-            probs.append(1.0 / (1.0 + math.exp(-s)))
+            p = 1.0 / (1.0 + math.exp(-s))
         except OverflowError:
-            probs.append(0.0)
-    return np.array(probs)
+            p = 0.0
+        coef.append((p - y) / n)
+    return np.array(coef)
 
 
 @dataclass
 class ForwardResult:
-    """Losses and probabilities for one batch, plus what backward needs."""
+    """Losses and scores for one batch, plus what backward needs."""
 
     per_example_losses: np.ndarray
     batch_loss: float
-    per_example_probs: np.ndarray
+    scores: np.ndarray
     batch: MiniBatch
     model_step: int
 
@@ -99,7 +102,7 @@ class TargetModel:
         return ForwardResult(
             per_example_losses=losses,
             batch_loss=float(np.add.reduce(losses)) / n,  # losses.mean(), bit for bit
-            per_example_probs=_sigmoid(scores),
+            scores=scores,
             batch=batch,
             model_step=self.step_count,
         )
@@ -108,9 +111,7 @@ class TargetModel:
     def _coefficients(result: ForwardResult) -> tuple[np.ndarray, float]:
         """d(batch loss) / d(score) per example, ``(p - y) / n``, in a new
         array, and their sum, the bias gradient."""
-        labels = result.batch.labels
-        coef = np.subtract(result.per_example_probs, labels)
-        coef /= labels.size
+        coef = _score_gradients(result.scores, result.batch.labels, len(result.batch))
         return coef, float(np.add.reduce(coef))
 
     def batch_gradient(self, result: ForwardResult) -> BatchGradient:

@@ -31,10 +31,6 @@ class ThresholdState:
         self._frozen_value: float | None = None
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen_value is not None
-
-    @property
     def window_full(self) -> bool:
         return len(self._window) == self.window_size
 
@@ -49,7 +45,7 @@ class ThresholdState:
 
     def observe(self, loss: float) -> None:
         """Push one batch loss, evicting the oldest once the window is full."""
-        if self.frozen:
+        if self._frozen_value is not None:
             raise ValueError("threshold frozen: no further losses accepted")
         if not (is_real(loss) and 0 <= loss < math.inf):
             raise ValueError(f"loss must be finite and non-negative, got {loss!r}")
@@ -77,7 +73,7 @@ class ThresholdState:
         The window's variance is checked first, so a diverged window raises
         and leaves the state unfrozen.
         """
-        if self.frozen:
+        if self._frozen_value is not None:
             return
         if not self.window_full:
             raise ValueError("cannot freeze with a partial window")

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lossgate.model
 from lossgate.cli import main as cli_main
 from lossgate.data import Example, generate_toy_corpus, pack, pack_examples, vectorize, write_jsonl
 from lossgate.metapredictor import NaiveBayesModel
@@ -272,6 +273,23 @@ def test_criterion_09_threshold_only_mode_skips_backward_only(toy_corpus):
         assert report.alpha_b > 0.0, f"seed {seed}: threshold mechanism inactive"
         alphas.append(report.alpha_b)
     print(f"\nACCEPTANCE 9 PASS: alpha_fb always 0, alpha_b in [{min(alphas):.3f}, {max(alphas):.3f}]")
+
+
+def test_only_a_full_step_computes_the_sigmoid(monkeypatch, toy_corpus):
+    """A forward-only or skipped batch saves the backward's whole work: the
+    sigmoid runs once per full step and never in a forward."""
+    calls = []
+    score_gradients = lossgate.model._score_gradients
+
+    def counted(scores, labels, n):
+        calls.append(n)
+        return score_gradients(scores, labels, n)
+
+    monkeypatch.setattr(lossgate.model, "_score_gradients", counted)
+    report = run(ACCEPT_CFG, *toy_corpus)
+    assert report.alpha_b > 0.0 and report.alpha_fb > 0.0
+    assert len(calls) == report.full_steps
+    print(f"\nPASS: {len(calls)} sigmoid passes for {report.full_steps} full steps of {report.batches_total} batches")
 
 
 def test_criterion_10_sweep_rerun_is_byte_identical(tmp_path):

@@ -119,10 +119,10 @@ def test_pack_takes_numpy_integer_buckets():
 
 
 def test_pack_sorts_dedups_and_names_rows():
-    batch = pack([[5, 3, 5], [], [7]], labels=[1, 0, 1])
+    batch = pack([[5, 3, 5], [], [7]])
     assert batch.indices.tolist() == [3, 5, 7]
     assert batch.rows.tolist() == [0, 0, 2]
-    assert batch.labels.tolist() == [1, 0, 1]
+    assert batch.labels.tolist() == [0, 0, 0]
     assert len(batch) == 3
     # packed in the given order, every example sits at its own position
     examples = [Example(text, tokenize(text), 0) for text in ("b", "a", "", "a")]
@@ -573,21 +573,22 @@ def test_batch_arrays_are_read_only_views_of_one_array_per_field():
 def test_packing_rejects_labels_other_than_0_or_1():
     for label in (5, -1, True, 1.0):
         bad = [Example("a b", tokenize("a b"), 1), Example("c", tokenize("c"), label)]
-        for packed in (
-            lambda: make_batches(bad, 1),
-            lambda: pack_examples(bad),
-            lambda: pack([[1], [2]], labels=[0, label]),
-        ):
+        for packed in (lambda: make_batches(bad, 1), lambda: pack_examples(bad)):
             with pytest.raises(ValueError, match="labels must be 0 or 1"):
                 packed()
     for labels in (np.array([True, False]), np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            pack([[1], [2]], labels=labels)
+            _two_examples(labels)
 
 
 def test_packing_accepts_numpy_integer_labels():
     for labels in ([np.int64(1), np.uint8(0)], np.array([1, 0], dtype=np.uint8)):
-        assert pack([[1], [2]], labels=labels).labels.tolist() == [1, 0]
+        assert pack_examples(_two_examples(labels)).labels.tolist() == [1, 0]
+
+
+def _two_examples(labels):
+    """A corpus of the texts "a" and "b", with buckets 1 and 2, under these labels."""
+    return Corpus(["a", "b"], np.arange(2), labels, np.array([0, 1, 2]), np.array([1, 2]))
 
 
 def _corpus(content=(0, 1, 0), ptr=(0, 2, 3), buckets=(5, 9, 7)):

@@ -14,7 +14,7 @@ import lossgate
 from lossgate.data import MiniBatch, pack
 from lossgate.metapredictor import NaiveBayesModel
 from lossgate.metrics import EnergyParams
-from lossgate.model import TargetModel
+from lossgate.model import ForwardResult, TargetModel
 from lossgate.trainer import Trainer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,11 +37,13 @@ def test_star_import_succeeds():
 PARAMETERS = {
     "TargetModel": (TargetModel, ["learning_rate"]),
     "NaiveBayesModel": (NaiveBayesModel, ["smoothing_alpha"]),
-    "pack": (pack, ["buckets", "labels"]),
+    "pack": (pack, ["buckets"]),
     "EnergyParams": (EnergyParams, ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours"]),
     "Trainer._pass": (Trainer._pass, ["self", "batch", "learn", "skip", "predictor_p1"]),
     # a batch's fields: what every consumer of a batch reads
     "MiniBatch": (MiniBatch, ["indices", "rows", "labels", "positions"]),
+    # a forward's fields: the scores and no probability, which only a backward computes
+    "ForwardResult": (ForwardResult, ["per_example_losses", "batch_loss", "scores", "batch", "model_step"]),
 }
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from scipy.special import expit
 
-from lossgate.data import HASH_BUCKETS, Example, pack, pack_examples, tokenize, vectorize
+import lossgate.model
+from lossgate.data import HASH_BUCKETS, Example, MiniBatch, pack, pack_examples, tokenize, vectorize
 from lossgate.metapredictor import NaiveBayesModel
-from lossgate.model import ForwardResult, TargetModel, _sigmoid
+from lossgate.model import ForwardResult, TargetModel, _score_gradients
 
 
 def ex(tokens, label):
@@ -34,6 +35,11 @@ def random_case(rng, n_examples=6, vocab=30):
     return model, batch(pairs)
 
 
+def probabilities(result):
+    """The sigmoid of each score, as the backward computes it: ``(p - 0) / 1`` is ``p``."""
+    return _score_gradients(result.scores, np.zeros(result.scores.size, dtype=np.int64), 1)
+
+
 # -- forward ---------------------------------------------------------------------
 
 
@@ -41,7 +47,8 @@ def test_forward_zero_model_loss_is_ln2():
     model = TargetModel()
     result = model.forward(batch([(["a"], 1), (["b"], 0)]))
     assert result.batch_loss == pytest.approx(math.log(2), abs=1e-12)
-    assert np.allclose(result.per_example_probs, 0.5)
+    assert result.scores.tolist() == [0.0, 0.0]
+    assert np.array_equal(probabilities(result), [0.5, 0.5])
 
 
 def test_forward_perfect_prediction_zero_loss():
@@ -50,7 +57,7 @@ def test_forward_perfect_prediction_zero_loss():
     # large enough that exp(-score) underflows: probability is exactly 1.0
     model.weights[b.indices[0]] = 800.0
     result = model.forward(b)
-    assert result.per_example_probs[0] == 1.0
+    assert model.batch_gradient(result).bias_grad == 0.0  # (1.0 - 1) / 1
     assert result.batch_loss == 0.0
 
 
@@ -64,10 +71,12 @@ def test_forward_probability_is_zero_where_exp_overflows():
     scores = model.bias + np.bincount(b.rows, weights=model.weights[b.indices], minlength=3)
     assert scores.tolist() == [-710.5, -1010.5, -709.0]
     result = model.forward(b)
+    assert np.array_equal(result.scores, scores)
+    probs = probabilities(result)
     with np.errstate(over="ignore"):
-        assert np.array_equal(result.per_example_probs.view(np.int64), expit(scores).view(np.int64))
-    assert np.count_nonzero(result.per_example_probs == 0.0) == 2
-    assert result.per_example_probs[2] > 0.0  # -709 does not overflow
+        assert np.array_equal(probs.view(np.int64), expit(scores).view(np.int64))
+    assert np.count_nonzero(probs == 0.0) == 2
+    assert probs[2] > 0.0  # -709 does not overflow
 
 
 def test_sigmoid_is_expit_bit_for_bit():
@@ -81,7 +90,7 @@ def test_sigmoid_is_expit_bit_for_bit():
     ])
     with np.errstate(over="ignore"):
         reference = expit(scores)
-    probs = _sigmoid(scores)
+    probs = _score_gradients(scores, np.zeros(scores.size, dtype=np.int64), 1)
     assert scores.size > 1_000_000
     assert probs.dtype == np.float64
     assert np.array_equal(probs.view(np.int64), reference.view(np.int64))
@@ -103,7 +112,8 @@ def test_forward_batch_loss_is_mean_and_nonnegative():
         result = model.forward(b)
         assert result.batch_loss == pytest.approx(result.per_example_losses.mean(), rel=1e-12)
         assert np.all(result.per_example_losses >= 0)
-        assert np.all((result.per_example_probs > 0) & (result.per_example_probs < 1))
+        probs = probabilities(result)
+        assert np.all((probs > 0) & (probs < 1))
 
 
 def test_forward_does_not_touch_model():
@@ -140,7 +150,7 @@ def test_forward_matches_per_example_sums():
         examples = [ex([f"w{rng.integers(40)}" for _ in range(rng.integers(0, 15))], 1) for _ in range(6)]
         scores = [model.bias + sum(model.weights[e.features()].tolist()) for e in examples]
         result = model.forward(pack_examples(examples))
-        assert np.allclose(result.per_example_probs, expit(scores), rtol=1e-12, atol=0.0)
+        assert np.allclose(probabilities(result), expit(scores), rtol=1e-12, atol=0.0)
 
 
 def test_forward_matches_two_branch_loss_bit_for_bit():
@@ -154,14 +164,17 @@ def test_forward_matches_two_branch_loss_bit_for_bit():
             model.bias = rng.uniform(-scale, scale) / 4
             n = int(rng.integers(1, 10))
             buckets = [rng.choice(64, size=rng.integers(0, 4), replace=False) for _ in range(n - 1)] + [[]]
-            b = pack(buckets, labels=rng.integers(0, 2, size=n))
+            labels = rng.integers(0, 2, size=n)
+            b = pack(buckets)
+            b = MiniBatch(b.indices, b.rows, labels, b.positions)
             scores = model.bias + np.bincount(b.rows, weights=model.weights[b.indices], minlength=n)
             assert np.abs(scores).max() <= scale
             old = np.where(b.labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
             result = model.forward(b)
             assert np.array_equal(result.per_example_losses, old)
             assert result.batch_loss == float(old.mean())
-            assert np.array_equal(result.per_example_probs, expit(scores))
+            assert np.array_equal(result.scores, scores)
+            assert np.array_equal(probabilities(result), expit(scores))
 
 
 def test_zero_bucket_example_last_in_batch():
@@ -174,11 +187,12 @@ def test_zero_bucket_example_last_in_batch():
     examples = [ex(["tok1", "tok2"], 0), ex(["tok3"], 1), empty]
     b = pack_examples(examples)
     result = model.forward(b)
-    assert result.per_example_probs[-1] == expit(model.bias)
+    assert result.scores[-1] == model.bias
+    assert probabilities(result)[-1] == expit(model.bias)
     assert result.per_example_losses[-1] == np.logaddexp(0.0, -model.bias)
     grad = model.batch_gradient(result)
     assert np.array_equal(grad.indices, np.concatenate([e.features() for e in examples[:2]]))
-    coef = (result.per_example_probs - [0, 1, 1]) / 3
+    coef = (expit(result.scores) - [0, 1, 1]) / 3
     assert np.array_equal(grad.values, np.repeat(coef[:2], [2, 1]))
     assert grad.bias_grad == pytest.approx(coef.sum(), abs=1e-15)
 
@@ -247,23 +261,32 @@ def test_backward_zero_gradient_leaves_weights_bit_identical():
     assert model.step_count == 1
 
 
-@pytest.mark.parametrize("prob", [float("nan"), float("inf")])
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("row", [0, 1], ids=["with-buckets", "zero-buckets"])
-def test_backward_rejects_non_finite_gradient(prob, row):
+def test_backward_rejects_non_finite_gradient(score, row):
+    # a NaN score makes a NaN coefficient, which the backward refuses; an
+    # infinite one makes the limit coefficient, with p 1.0 or 0.0, and trains
     rng = np.random.default_rng(11)
     model, _ = random_case(rng)
     empty = Example("!!!", tokenize("!!!"), 1)
     b = pack_examples([ex(["tok1", "tok2"], 0), empty])
     result = model.forward(b)
-    probs = result.per_example_probs.copy()
-    probs[row] = prob
-    bad = ForwardResult(result.per_example_losses, result.batch_loss, probs, b, model.step_count)
+    scores = result.scores.copy()
+    scores[row] = score
+    bad = ForwardResult(result.per_example_losses, result.batch_loss, scores, b, model.step_count)
     before_w, before_bias = model.weights.copy(), model.bias
-    with pytest.raises(RuntimeError, match="non-finite gradient"):
+    if math.isnan(score):
+        with pytest.raises(RuntimeError, match="non-finite gradient"):
+            model.backward(bad)
+        assert np.array_equal(model.weights, before_w)
+        assert model.bias == before_bias
+        assert model.step_count == 0
+    else:
+        coef = (expit(scores) - [0, 1]) / 2
         model.backward(bad)
-    assert np.array_equal(model.weights, before_w)
-    assert model.bias == before_bias
-    assert model.step_count == 0
+        assert model.bias == before_bias - model.learning_rate * (coef[0] + coef[1])
+        assert np.isfinite(model.weights).all()
+        assert model.step_count == 1
 
 
 def test_backward_descent_on_repeated_batch():
@@ -283,6 +306,26 @@ def test_backward_rejects_stale_result():
     model.backward(result)
     with pytest.raises(RuntimeError, match="stale"):
         model.backward(result)
+
+
+def test_only_a_backward_computes_the_sigmoid(monkeypatch):
+    # a skipped backward saves the sigmoid too: forward returns the scores,
+    # and each backward or batch_gradient turns them into coefficients once
+    calls = []
+
+    def counted(scores, labels, n):
+        calls.append(n)
+        return _score_gradients(scores, labels, n)
+
+    monkeypatch.setattr(lossgate.model, "_score_gradients", counted)
+    model, b = random_case(np.random.default_rng(13))
+    result = model.forward(b)
+    model.forward(b)
+    assert calls == []
+    model.batch_gradient(result)
+    assert calls == [len(b)]
+    model.backward(result)
+    assert calls == [len(b)] * 2
 
 
 def test_skipping_backward_leaves_weights_bit_identical():
@@ -341,7 +384,7 @@ def test_both_models_span_the_hash_space_to_its_last_bucket():
     assert TargetModel().weights.size == HASH_BUCKETS
     assert NaiveBayesModel()._bucket_counts.shape == (2, HASH_BUCKETS)
     last = HASH_BUCKETS - 1
-    b = pack([[last], [last]], labels=[1, 1])
+    b = pack([[last], [last]])
     model = TargetModel()
     model.backward(model.forward(b))
     assert np.flatnonzero(model.weights).tolist() == [last]

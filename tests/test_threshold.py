@@ -108,7 +108,7 @@ def test_overflowing_window_variance_raises():
         state.variance()
     with pytest.raises(RuntimeError, match="non-finite loss window variance"):
         state.freeze()
-    assert not state.frozen
+    state.observe(0.5)  # still unfrozen: the state accepts a loss
 
 
 def test_single_slot_window_has_zero_variance():
