@@ -13,10 +13,10 @@ otherwise (--n0, --skip-gamma); a --config key is a field that has a flag.
 run's --trace sets record_trace, and disable_predictor is a library diagnostic.
 gen-toy's flags are generate_toy_corpus's parameters, with its defaults. sweep
 and compare exit 2 before loading on a flag or a --config key of a field they
-set for each run (sweep: mode, epochs, seed, fixed_threshold, n0_fraction,
-predictor_window, alt, a_full; compare: mode, seed, fixed_threshold,
-random_skip_ratio, a_full), and on --eval-every-epoch or its key, as neither
-writes a per-epoch curve; sweep checks --max-runs before it builds a run's
+set for each run (compare: mode, seed, fixed_threshold, random_skip_ratio,
+a_full; sweep: these and epochs, n0_fraction, predictor_window, alt), and on
+--eval-every-epoch or its key, as neither writes a per-epoch curve; neither
+--help lists those flags. sweep checks --max-runs before it builds a run's
 config. A negative number may follow its flag after a space, -inf and -1e-3 too.
 """
 
@@ -56,9 +56,9 @@ COMPARE_COLUMNS = [
     "t_norm_mean", "t_norm_std", "skip_ratio_mean", "matched_target_mean",
 ]
 
-# the TrainerConfig fields each command sets for every run
-SWEEP_SETS = ("mode", "epochs", "seed", "fixed_threshold", "n0_fraction", "predictor_window", "alt", "a_full")
+# the TrainerConfig fields each command sets for every run; no sweep run reads random_skip_ratio
 COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full")
+SWEEP_SETS = (*COMPARE_SETS, "epochs", "n0_fraction", "predictor_window", "alt")
 
 
 class UsageError(Exception):
@@ -153,18 +153,20 @@ def _parsed_as_flag(name: str, raw: str):
         return raw
 
 
-def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
+def _add_trainer_flags(parser: argparse.ArgumentParser, refused: tuple[str, ...] = ()) -> None:
     """One flag per --config key, in field order; a flag left out
-    parses to None, so the config file or the field default stands."""
+    parses to None, so the config file or the field default stands. --help
+    leaves out the ``refused`` fields' flags, which parse for the command to refuse."""
     g = parser.add_argument_group("trainer options")
     g.add_argument("--config", help="flat key=value config file; flags override it")
     for f in _CONFIG_FIELDS.values():
         flag = _flag(f.name)
         kind = f.type.partition(" | ")[0]
+        shown = argparse.SUPPRESS if f.name in refused else None
         if kind == "bool":  # every bool field defaults to False
-            g.add_argument(flag, action="store_true", default=None, dest=f.name)
+            g.add_argument(flag, action="store_true", default=None, dest=f.name, help=shown)
         else:
-            g.add_argument(flag, type=_FLAG_TYPES[kind], choices=f.metadata.get("choices"), dest=f.name)
+            g.add_argument(flag, type=_FLAG_TYPES[kind], choices=f.metadata.get("choices"), dest=f.name, help=shown)
 
 
 def _config_from_args(args: argparse.Namespace, sets: tuple[str, ...] = ()) -> TrainerConfig:
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, CSV out, AGOT-optimal marked")
     _add_data_flags(p_sweep)
-    _add_trainer_flags(p_sweep)
+    _add_trainer_flags(p_sweep, (*SWEEP_SETS, "eval_every_epoch"))
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.add_argument("--n0-grid", type=_parse_floats, default=DEFAULT_N0_GRID)
     p_sweep.add_argument("--window-grid", type=_parse_ints, default=DEFAULT_WINDOW_GRID)
@@ -508,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="all methods vs matched-ratio random skipping")
     _add_data_flags(p_cmp)
-    _add_trainer_flags(p_cmp)
+    _add_trainer_flags(p_cmp, (*COMPARE_SETS, "eval_every_epoch"))
     p_cmp.add_argument("--seeds", type=_parse_ints, default=[0])
     p_cmp.add_argument("--fixed-thresholds", type=_parse_floats, default=DEFAULT_FIXED_THRESHOLDS)
     p_cmp.add_argument("--out", help="CSV output path")

@@ -3,6 +3,7 @@ import functools
 import inspect
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -65,6 +66,16 @@ OPTION_STRINGS = {
 def test_option_strings_in_help_order(command):
     parser = subparsers()[command]
     assert [option for action in parser._actions for option in action.option_strings] == OPTION_STRINGS[command]
+
+
+@pytest.mark.parametrize("command", list(OPTION_STRINGS))
+def test_help_lists_every_accepted_flag_and_no_refused_one(command):
+    # sweep and compare refuse the flags of the fields they set and --eval-every-epoch
+    sets = {"sweep": cli.SWEEP_SETS, "compare": cli.COMPARE_SETS}.get(command)
+    refused = {cli._flag(name) for name in (*sets, "eval_every_epoch")} if sets else set()
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", subparsers()[command].format_help()))
+    assert listed == set(OPTION_STRINGS[command]) - refused
+    assert len(refused) == {"sweep": 10, "compare": 6}.get(command, 0)
 
 
 def test_the_config_keys_are_the_fields_with_a_trainer_flag():
@@ -757,6 +768,8 @@ OVERRIDDEN_FLAGS = [
     *(("sweep", flag, value) for flag, value in [
         ("--mode", "random-skip"), ("--epochs", "2"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
         ("--n0", "0.3"), ("--predictor-window", "6"), ("--alt", "0.2"), ("--a-full", "0.9"),
+        # no sweep run reads it, whatever the mode
+        ("--random-skip-ratio", "0.5"),
     ]),
     *(("compare", flag, value) for flag, value in [
         ("--mode", "train-all"), ("--seed", "9"), ("--fixed-threshold", "0.4"),
