@@ -275,9 +275,10 @@ def test_criterion_09_threshold_only_mode_skips_backward_only(toy_corpus):
     print(f"\nACCEPTANCE 9 PASS: alpha_fb always 0, alpha_b in [{min(alphas):.3f}, {max(alphas):.3f}]")
 
 
-def test_only_a_full_step_computes_the_sigmoid(monkeypatch, toy_corpus):
+def test_only_a_backward_computes_the_sigmoid(monkeypatch, toy_corpus):
     """A forward-only or skipped batch saves the backward's whole work: the
-    sigmoid runs once per full step and never in a forward."""
+    sigmoid runs once per backward or batch_gradient, never in a forward,
+    so once per full step of a run."""
     calls = []
     score_gradients = lossgate.model._score_gradients
 
@@ -286,6 +287,14 @@ def test_only_a_full_step_computes_the_sigmoid(monkeypatch, toy_corpus):
         return score_gradients(scores, labels, n)
 
     monkeypatch.setattr(lossgate.model, "_score_gradients", counted)
+    model, batch = TargetModel(), pack_examples(toy_corpus[0][:8])
+    result = model.forward(batch)
+    model.forward(batch)
+    assert calls == []
+    model.batch_gradient(result)
+    model.backward(result)
+    assert calls == [8, 8]
+    calls.clear()
     report = run(ACCEPT_CFG, *toy_corpus)
     assert report.alpha_b > 0.0 and report.alpha_fb > 0.0
     assert len(calls) == report.full_steps

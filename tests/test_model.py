@@ -5,7 +5,6 @@ import pytest
 
 from scipy.special import expit
 
-import lossgate.model
 from lossgate.data import HASH_BUCKETS, Example, MiniBatch, pack, pack_examples, tokenize, vectorize
 from lossgate.metapredictor import NaiveBayesModel
 from lossgate.model import ForwardResult, TargetModel, _score_gradients
@@ -306,26 +305,6 @@ def test_backward_rejects_stale_result():
     model.backward(result)
     with pytest.raises(RuntimeError, match="stale"):
         model.backward(result)
-
-
-def test_only_a_backward_computes_the_sigmoid(monkeypatch):
-    # a skipped backward saves the sigmoid too: forward returns the scores,
-    # and each backward or batch_gradient turns them into coefficients once
-    calls = []
-
-    def counted(scores, labels, n):
-        calls.append(n)
-        return _score_gradients(scores, labels, n)
-
-    monkeypatch.setattr(lossgate.model, "_score_gradients", counted)
-    model, b = random_case(np.random.default_rng(13))
-    result = model.forward(b)
-    model.forward(b)
-    assert calls == []
-    model.batch_gradient(result)
-    assert calls == [len(b)]
-    model.backward(result)
-    assert calls == [len(b)] * 2
 
 
 def test_skipping_backward_leaves_weights_bit_identical():
