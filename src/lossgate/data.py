@@ -23,8 +23,11 @@ in-batch rows, labels and ``positions``, the examples' corpus positions), and
 every ``MiniBatch`` is a slice of them. A corpus keeps the partition
 ``make_batches`` last cut from it, so consecutive runs that share a batch
 size and seed gather it once; it is freed with the corpus or replaced by the
-next partition cut under another key. A corpus rejects a label other than 0
-or 1.
+next partition cut under another key. ``pack`` is ``pack_examples`` of
+bucket-only examples. The value rules are written here once: ``checked_size``,
+``checked_positive`` and ``checked_label``, the integer 0 or 1 that
+``load_dataset`` and the predictor require of a label, as a corpus does of
+each of its labels.
 """
 
 from __future__ import annotations
@@ -124,14 +127,6 @@ def _labels(labels, n: int) -> np.ndarray:
     return array.reshape(n).astype(np.int64)
 
 
-def _csr(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, buckets)``: the bucket arrays concatenated, with the offset
-    where each begins and, last, where the final one ends."""
-    ptr = np.zeros(len(features) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, features), dtype=np.int64, count=len(features)), out=ptr[1:])
-    return ptr, np.concatenate(features) if features else np.empty(0, dtype=np.int64)
-
-
 class Corpus(Sequence):
     """An immutable sequence of examples, held as arrays:
 
@@ -185,8 +180,11 @@ class Corpus(Sequence):
         corpus is returned as it is."""
         if isinstance(examples, Corpus):
             return examples
-        ptr, buckets = _csr([ex.features() for ex in examples])
         n = len(examples)
+        features = [ex.features() for ex in examples]
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, features), dtype=np.int64, count=n), out=ptr[1:])
+        buckets = np.concatenate(features) if features else np.empty(0, dtype=np.int64)
         return cls([ex.text for ex in examples], np.arange(n), [ex.label for ex in examples], ptr, buckets)
 
     def _bucket_views(self) -> list[np.ndarray]:
@@ -300,10 +298,10 @@ def pack_examples(examples: Sequence[Example]) -> MiniBatch:
 
 def pack(buckets) -> MiniBatch:
     """Pack caller-supplied bucket collections, one per example, into a
-    batch only the predictor reads: every label is 0.
+    batch only the predictor reads: ``pack_examples`` of examples with an
+    empty text, label 0 and the collection's sorted distinct buckets.
 
-    Each collection is reduced to its sorted distinct buckets; every bucket
-    must be an integer (``is_int``) in ``[0, HASH_BUCKETS)``.
+    Every bucket must be an integer (``is_int``) in ``[0, HASH_BUCKETS)``.
     """
     given = [list(b) for b in buckets]
     for bucket in chain.from_iterable(given):
@@ -311,10 +309,7 @@ def pack(buckets) -> MiniBatch:
             raise ValueError(f"buckets must be integers, got {bucket!r}")
         if not 0 <= bucket < HASH_BUCKETS:
             raise ValueError("bucket index out of range")
-    n = len(given)
-    labels = np.zeros(n, dtype=np.int64)
-    corpus = Corpus([""] * n, np.arange(n), labels, *_csr([np.unique(np.array(b, dtype=np.int64)) for b in given]))
-    return _gathered(corpus, np.arange(n), n or 1)[0]
+    return pack_examples([_example("", 0, np.unique(np.array(b, dtype=np.int64))) for b in given])
 
 
 def is_int(value) -> bool:
@@ -355,11 +350,13 @@ def _checked_seed(seed) -> int:
     return seed
 
 
-def _checked_label(label, line_no: int) -> int:
+def checked_label(label) -> int:
+    """``label`` if it is the integer (``is_int``) 0 or 1, else ValueError: a
+    numpy integer passes, a bool or a float does not."""
     if not is_int(label):
-        raise ValueError(f"line {line_no}: label must be an integer, got {label!r}")
+        raise ValueError(f"label must be an integer, got {label!r}")
     if label not in (0, 1):
-        raise ValueError(f"line {line_no}: label out of range: {label}")
+        raise ValueError(f"label out of range: {label}")
     return label
 
 
@@ -409,7 +406,10 @@ def _parsed(line: str, format: str, line_no: int) -> tuple[str, int] | None:
             label = int(raw_label)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: label not an integer: {raw_label!r}") from exc
-    return text, _checked_label(label, line_no)
+    try:
+        return text, checked_label(label)
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: {exc}") from None
 
 
 def load_dataset(path: str, header: bool = False) -> Corpus:

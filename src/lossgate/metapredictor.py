@@ -31,8 +31,9 @@ An observed bucket's count is stored as count + 1 and an unseen bucket's as
 0, so a query is one gather of the batch's stored counts plus one lookup per
 class, and an unseen bucket adds exactly 0 to ``s``.
 
-A batch has one label, the integer 0 or 1: ``update(batch, label)`` counts
-it, ``loss(batch, label)`` is its mean negative log posterior and
+A batch has one label, the integer 0 or 1 by ``data.checked_label``, the
+rule a dataset's labels are loaded by: ``update(batch, label)`` counts it,
+``loss(batch, label)`` is its mean negative log posterior and
 ``predict_batch(batch)`` decides whether it is worth a forward pass.
 ``loss``, ``predict_batch`` and ``posterior`` share one negative log
 posterior, ``log(1 + e^-s)`` for label 1 and ``log(1 + e^s)`` for 0. On a
@@ -53,18 +54,11 @@ import math
 
 import numpy as np
 
-from .data import HASH_BUCKETS, MiniBatch, checked_positive, is_int, pack
+from .data import HASH_BUCKETS, MiniBatch, checked_label, checked_positive, pack
 
 # entries a model's log table and count histogram start with; each is
 # rebuilt at twice the size once a class total or count reaches its end
 _LOG_TABLE_SIZE = 256
-
-
-def _check_label(label) -> None:
-    """Raise unless ``label`` is the integer 0 or 1; a numpy integer passes,
-    a bool or a float does not."""
-    if not (is_int(label) and label in (0, 1)):
-        raise ValueError("label must be the integer 0 or 1")
 
 
 class NaiveBayesModel:
@@ -96,7 +90,7 @@ class NaiveBayesModel:
     def update(self, batch: MiniBatch, label: int) -> None:
         """Count one batch of examples under ``label``, the integer 0 or 1 (a bool
         or float raises before any count changes). Pure accumulation."""
-        _check_label(label)
+        checked_label(label)
         n = batch.labels.size
         if n == 0:
             return
@@ -195,7 +189,7 @@ class NaiveBayesModel:
     def loss(self, batch: MiniBatch, label: int) -> float:
         """Mean negative log posterior of ``label``, the batch's one label: the
         integer 0 or 1, checked as ``update`` checks it, before any scoring."""
-        _check_label(label)
+        checked_label(label)
         n = batch.labels.size
         if n == 0:
             raise ValueError("empty batch")

@@ -21,8 +21,8 @@ class TimingModel:
     t_backward: float = 2.0
 
     def __post_init__(self):
-        if not all(is_real(t) and 0 < t < math.inf for t in (self.t_forward, self.t_backward)):
-            raise ValueError("pass times must be positive finite numbers")
+        checked_positive("t_forward", self.t_forward)
+        checked_positive("t_backward", self.t_backward)
 
 
 @dataclass(frozen=True)

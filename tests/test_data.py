@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -131,6 +132,33 @@ def test_pack_sorts_dedups_and_names_rows():
         assert packed.positions.tolist() == list(range(len(packed)))
 
 
+@pytest.mark.parametrize("texts", [[], [""], ["good movie", "", "bad plot plot"]], ids=["none", "zero-buckets", "mixed"])
+def test_pack_is_pack_examples_of_bucket_only_examples(texts):
+    # label-0 examples whose buckets pack takes as given, unsorted and repeated
+    examples = [Example(text, tokenize(text), 0) for text in texts]
+    given = [list(ex.features()[::-1]) * 2 for ex in examples]
+    packed, expected = pack(given), pack_examples(examples)
+    for name in ("indices", "rows", "labels", "positions"):
+        a, b = getattr(packed, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("label, message", [
+    (2, "label out of range: 2"), (np.int64(-1), "label out of range: -1"),
+    (True, "label must be an integer, got True"), (1.0, "label must be an integer, got 1.0"),
+    ("1", "label must be an integer, got '1'"), (None, "label must be an integer, got None"),
+], ids=["2", "numpy-minus-1", "True", "1.0", "'1'", "None"])
+def test_checked_label_refuses_all_but_the_integers_0_and_1(label, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        data.checked_label(label)
+
+
+@pytest.mark.parametrize("label", [0, 1, np.int64(1), np.uint8(0)], ids=["0", "1", "int64-1", "uint8-0"])
+def test_checked_label_returns_the_integers_0_and_1(label):
+    assert data.checked_label(label) is label
+
+
 def test_records_are_slotted():
     example = Example("good movie", tokenize("good movie"), 1)
     for record in (example, pack_examples([example])):
@@ -200,11 +228,16 @@ def test_load_malformed_json_names_line(tmp_path):
     ("data.jsonl", '{"text": "good movie", "label": 1}', '{"text": "so so", "label": 7}', "label out of range: 7"),
     ("data.jsonl", '{"text": "good movie", "label": 1}', "{oops", "malformed JSON record"),
     ("data.tsv", "good movie\t1", "no tab here", "expected 'text<TAB>label'"),
+    # the label refusals are data.checked_label's messages after the line number
+    ("data.jsonl", '{"text": "good movie", "label": 1}', '{"text": "a b", "label": "1"}', "label must be an integer, got '1'"),
+    ("data.jsonl", '{"text": "good movie", "label": 1}', '{"text": "a b", "label": 1.0}', "label must be an integer, got 1.0"),
+    ("data.jsonl", '{"text": "good movie", "label": 1}', '{"text": "a b", "label": true}', "label must be an integer, got True"),
+    ("data.tsv", "good movie\t1", "a b\t-1", "label out of range: -1"),
 ])
 def test_a_bad_line_is_named_though_a_valid_line_repeats_after_it(tmp_path, name, ok, bad, message):
     path = tmp_path / name
     path.write_text("\n".join([ok, ok, bad, ok, bad, ok]) + "\n")
-    with pytest.raises(ValueError, match=f"^line 3: {message}"):
+    with pytest.raises(ValueError, match=f"^line 3: {re.escape(message)}"):
         load_dataset(str(path))
 
 

@@ -101,12 +101,16 @@ def test_update_order_does_not_matter():
     assert np.array_equal(a._bucket_counts, b._bucket_counts)
 
 
+LABEL_REFUSAL = r"^label (must be an integer, got .+|out of range: -?\d+)$"
+
+
 @pytest.mark.parametrize("label", [True, False, np.True_, 1.0, 0.0, np.float64(1.0), 2, -1, "1", None])
 def test_update_rejects_a_non_integer_label_before_counting(label):
     model = NaiveBayesModel()
     model.update(pack([bow(3, 7), bow(7)]), 0)
     before = (list(model.class_counts), model._bucket_counts.copy(), model._hist.copy(), list(model._top))
-    with pytest.raises(ValueError, match="label"):
+    # data.checked_label's refusal, which load_dataset gives after the line number
+    with pytest.raises(ValueError, match=LABEL_REFUSAL):
         model.update(pack([bow(3, 9), bow(9)]), label)
     assert model.class_counts == before[0]
     assert np.array_equal(model._bucket_counts, before[1])
@@ -378,7 +382,7 @@ def test_loss_rejects_a_label_update_rejects(label):
     model.update(pack([bow(1, 2)]), 0)
     model.update(pack([bow(1)]), 1)
     for m, batch in ((model, pack([bow(1), bow(2)])), (NaiveBayesModel(), pack([bow(1)])), (model, pack([]))):
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ValueError, match=LABEL_REFUSAL):
             m.loss(batch, label)
 
 

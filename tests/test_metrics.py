@@ -55,7 +55,8 @@ def test_total_time_monotone_in_skip_fractions():
 
 @pytest.mark.parametrize("times", [(0.0, 2.0), (1.0, -1.0), (NAN, 2.0), (1.0, NAN), (INF, 2.0), (1.0, INF)])
 def test_timing_model_rejects_bad_pass_times(times):
-    with pytest.raises(ValueError, match="pass times"):
+    bad = "t_backward" if times[0] == 1.0 else "t_forward"
+    with pytest.raises(ValueError, match=f"^{bad} must be positive and finite$"):
         TimingModel(*times)
 
 
@@ -180,8 +181,8 @@ def test_energy_params_reject_negative_and_non_finite(field, value):
 # -- the number rules -------------------------------------------------------------------
 
 BAD_NUMBERS = {
-    "pass-time-bool": (TimingModel, {"t_forward": True}, "pass times"),
-    "pass-time-string": (TimingModel, {"t_backward": "2"}, "pass times"),
+    "pass-time-bool": (TimingModel, {"t_forward": True}, "t_forward must be a number, got True"),
+    "pass-time-string": (TimingModel, {"t_backward": "2"}, "t_backward must be a number, got '2'"),
     "skip-fraction-bool": (SkipFractions, {"alpha_b": True, "alpha_fb": 0.0}, "skip fractions"),
     "skip-fraction-string": (SkipFractions, {"alpha_b": 0.0, "alpha_fb": "0.5"}, "skip fractions"),
     "epsilon-bool": (AgotParams, {"epsilon": True}, "epsilon"),
