@@ -4,9 +4,10 @@ toy-corpus generation.
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime error. An
 output path that resolves to an input or to another output, that is a
 directory or that lies in a directory that does not exist exits 2 before any
-work, as does a --config file that cannot be read or is not UTF-8. Every
-command checks every run's time model once its data is loaded, and one that
-prices a run at an infinite T or p_t exits 2 before the first run.
+work, as does a --config file that cannot be read, is not UTF-8 (a leading
+byte-order mark is dropped) or gives a key twice. Every command checks every
+run's time model once its data is loaded, and one that prices a run at an
+infinite T or p_t exits 2 before the first run.
 
 TrainerConfig field field_name is flag --field-name, but for two spelled
 otherwise (--n0, --skip-gamma); a --config key is a field that has a flag.
@@ -17,7 +18,9 @@ set for each run (compare: mode, seed, fixed_threshold, random_skip_ratio,
 a_full; sweep: these and epochs, n0_fraction, predictor_window, alt), and on
 --eval-every-epoch or its key, as neither writes a per-epoch curve; neither
 --help lists those flags. sweep checks --max-runs before it builds a run's
-config. A negative number may follow its flag after a space, -inf and -1e-3 too.
+config. compare names a fixed threshold's method fixed-threshold-{t}, with t
+written as the sweep CSV writes it. A negative number may follow its flag
+after a space, -inf and -1e-3 too.
 """
 
 from __future__ import annotations
@@ -78,10 +81,10 @@ _parse_floats, _parse_ints = partial(_parse_list, float), partial(_parse_list, i
 
 
 def _load_examples(path: str, header: bool) -> Corpus:
-    if not os.path.exists(path):
-        raise UsageError(f"dataset not found: {path}")
     try:
         examples = load_dataset(path, header=header)
+    except FileNotFoundError:
+        raise UsageError(f"dataset not found: {path}") from None
     except OSError as exc:  # a directory, or a file this process may not read
         raise UsageError(f"cannot read dataset {path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -114,13 +117,14 @@ def _flag(name: str) -> str:
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat ``key = value`` pairs; keys are TrainerConfig field names. A
-    value is JSON, or else what the field's flag makes of it."""
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    """Flat ``key = value`` pairs; keys are TrainerConfig field names, each
+    given once. A value is JSON, or else what the field's flag makes of it.
+    A UTF-8 byte-order mark at the start of the file is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, or a file this process may not read
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -135,6 +139,8 @@ def _read_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}:{line_no}: repeated config key {key!r}")
         try:
             values[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -402,12 +408,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.seeds:
         raise UsageError("need at least one seed")
     _reject_repeats("--seeds", args.seeds)
+    _reject_repeats("--fixed-thresholds", args.fixed_thresholds)
     methods = [(mode, _variant(base, mode=mode)) for mode in ("train-all", "three-stage", "auto-threshold-only")]
     methods += [
-        (f"fixed-threshold-{t:g}", _variant(base, mode="fixed-threshold", fixed_threshold=t))
+        (f"fixed-threshold-{csv_field(t)}", _variant(base, mode="fixed-threshold", fixed_threshold=t))
         for t in args.fixed_thresholds
     ]
-    _reject_repeats("--fixed-thresholds", [label for label, _ in methods])
     # seed-major, so the runs of one seed share the partition the training corpus keeps
     labels = [label for _ in args.seeds for label, _ in methods]
     configs = [_variant(cfg, seed=seed) for seed in args.seeds for _, cfg in methods]

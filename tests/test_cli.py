@@ -379,7 +379,7 @@ def test_run_train_all_reports_zero_skips(corpus_file, tmp_path):
 def test_run_missing_dataset_exits_2(capsys, tmp_path):
     code = run_cli("run", "--data", str(tmp_path / "absent.jsonl"), "--mode", "train-all")
     assert code == 2
-    assert "dataset not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: dataset not found: {tmp_path / 'absent.jsonl'}\n"
 
 
 @pytest.mark.parametrize("flag", ["--data", "--eval-data"])
@@ -477,6 +477,26 @@ def test_run_config_file_refusal_exits_2_before_any_work(corpus_file, tmp_path, 
         path.write_text(text)
     assert run_cli("run", "--data", corpus_file, "--config", str(path)) == 2
     assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_a_config_key_given_twice_exits_2_before_loading(corpus_file, tmp_path, capsys, monkeypatch, command):
+    # the later value would silently win, as a repeated grid value would run twice
+    refuse_work(monkeypatch)
+    cfg_path = tmp_path / "twice.cfg"
+    cfg_path.write_text("learning_rate = 0.5\nlearning_rate = 0.5\nbatch_size = 16\n")
+    out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
+    assert run_cli(command, "--data", corpus_file, "--config", str(cfg_path), *out) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}:2: repeated config key 'learning_rate'\n"
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read_without_it(corpus_file, tmp_path):
+    cfg_path = tmp_path / "bom.cfg"
+    cfg_path.write_text("\ufeffmode = train-all\nepochs = 1\n", encoding="utf-8")
+    assert cli._read_config_file(str(cfg_path)) == {"mode": "train-all", "epochs": 1}
+    report_path = tmp_path / "report.json"
+    assert run_cli("run", "--data", corpus_file, "--config", str(cfg_path), "--report", str(report_path)) == 0
+    assert json.loads(report_path.read_text())["config"]["mode"] == "train-all"
 
 
 def test_run_unknown_config_key_exits_2(corpus_file, tmp_path, capsys):
@@ -1016,9 +1036,9 @@ def test_compare_requires_seed(corpus_file, tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--seeds", "0,0"],
     ["--seeds", "0,1", "--fixed-thresholds", "0.3,0.3"],
-    # distinct values with the same fixed-threshold-0.3 label
-    ["--seeds", "0", "--fixed-thresholds", "0.3,0.3000001"],
-], ids=["seeds", "thresholds", "threshold-labels"])
+    # equal values, as sweep refuses them, though their reprs differ
+    ["--seeds", "0", "--fixed-thresholds", "0,-0"],
+], ids=["seeds", "thresholds", "signed-zeros"])
 def test_compare_repeated_value_exits_2_before_training(corpus_file, tmp_path, capsys, monkeypatch, flags):
     runs = record_runs(monkeypatch)
     out = tmp_path / "c.csv"
@@ -1026,6 +1046,16 @@ def test_compare_repeated_value_exits_2_before_training(corpus_file, tmp_path, c
     assert "repeated value" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
+
+
+def test_compare_runs_two_close_thresholds_as_two_methods(corpus_file, tmp_path):
+    # each method is named by its threshold's repr, as the sweep CSV writes it, so no two values share a name
+    out = tmp_path / "c.csv"
+    flags = ["--seeds", "0", "--batch-size", "16", "--threshold-window", "8", "--fixed-thresholds", "0.3,0.3000001"]
+    assert run_cli("compare", "--data", corpus_file, "--out", str(out), *flags) == 0
+    methods = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    for name in ("fixed-threshold-0.3", "fixed-threshold-0.3000001"):
+        assert methods.count(name) == 1 and methods.count(f"random@{name}") == 1
 
 
 @pytest.mark.parametrize("flags, message", [
