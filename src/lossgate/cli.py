@@ -21,6 +21,15 @@ a_full; sweep: these and epochs, n0_fraction, predictor_window, alt), and on
 config. compare names a fixed threshold's method fixed-threshold-{t}, with t
 written as the sweep CSV writes it. A negative number may follow its flag
 after a space, -inf and -1e-3 too.
+
+sweep and compare deal their runs over one process per CPU this process may
+run on, and no more processes than runs: run i goes to process i mod P. The
+command's own process runs its share, from run 0, and forks the others, so
+one CPU or one run (as in run) forks nothing. The outputs do not depend on
+P. Each process stops at its first failure, and the command reports that of
+the first failing run in list order, once every child has ended; a child
+that ends without sending its results is a runtime error. No child outlives
+the command.
 """
 
 from __future__ import annotations
@@ -29,11 +38,14 @@ import argparse
 import inspect
 import json
 import os
+import pickle
 import re
+import signal
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import fields, replace
 from functools import partial
+from typing import BinaryIO
 
 import numpy as np
 
@@ -276,28 +288,122 @@ def _variant(base: TrainerConfig, **changes) -> TrainerConfig:
         raise UsageError(f"{named}: {exc}") from exc
 
 
+def _process_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _a_full_filled(
+    configs: Iterable[tuple[int, TrainerConfig]], report_of: Callable[[int, TrainerConfig], RunReport]
+) -> Iterator[tuple[TrainerConfig, RunReport]]:
+    """Each ``(i, cfg)``'s config and ``report_of(i, cfg)``, in order. A run
+    other than train-all that has no ``a_full`` takes the accuracy of the
+    earlier train-all run with the same (epochs, seed), if there is one; a
+    run that has an ``a_full`` keeps it."""
+    a_full: dict[tuple[int, int], float] = {}
+    for i, cfg in configs:
+        key = (cfg.epochs, cfg.seed)
+        if cfg.mode != "train-all" and cfg.a_full is None:
+            cfg = replace(cfg, a_full=a_full.get(key))
+        report = report_of(i, cfg)
+        if cfg.mode == "train-all":
+            a_full[key] = report.accuracy
+        yield cfg, report
+
+
+def _run_share(
+    configs: list[TrainerConfig], share: range, train_examples: Corpus, eval_examples: Corpus | None
+) -> tuple[list[RunReport], tuple[int, Exception] | None]:
+    """Run ``configs[i]`` for each ``i`` in ``share``, in order, each filled
+    from the train-all runs of the share before it. Stop at the first that
+    raises: the reports so far, and that run's index and exception."""
+    reports: list[RunReport] = []
+    try:
+        for _, report in _a_full_filled(
+            ((i, configs[i]) for i in share), lambda _, cfg: run(cfg, train_examples, eval_examples)
+        ):
+            reports.append(report)
+    except Exception as exc:  # noqa: BLE001 - the caller raises the first failure of all shares
+        return reports, (share[len(reports)], exc)
+    return reports, None
+
+
+def _fork_share(
+    configs: list[TrainerConfig], share: range, train_examples: Corpus, eval_examples: Corpus | None
+) -> tuple[int, BinaryIO]:
+    """Run ``share`` in a forked child, which pickles what ``_run_share``
+    returns onto a pipe: the child's pid and the pipe's reading end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(_run_share(configs, share, train_examples, eval_examples), pipe)
+            status = 0
+        finally:
+            # never back into the caller's stack, and no exit handlers or buffered output of the caller's
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
 def _run_in_order(
     configs: list[TrainerConfig], train_examples: Corpus, eval_examples: Corpus | None
-) -> Iterator[tuple[TrainerConfig, RunReport]]:
-    """Check the time model of every config, then run them in order, yielding
-    each run's config and report. A run other than train-all that has no
-    ``a_full`` takes the accuracy of the earlier train-all run with the same
-    (epochs, seed), if there is one; a run that has an ``a_full`` keeps it."""
+) -> list[tuple[TrainerConfig, RunReport]]:
+    """Check the time model of every config, run them, and return each run's
+    config and report in config order, the configs filled as
+    ``_a_full_filled`` fills them and the reports scored against that.
+
+    The runs are dealt over ``_process_count()`` processes, at most one per
+    config: config ``i`` runs in process ``i mod P``. The caller is process 0
+    and forks the others, so with one process nothing is forked. Each process
+    runs its share in order and stops at its first failure; the failure of the
+    first failing config in list order is raised, after every child has ended.
+    A child that ends without sending its results raises ``RuntimeError``."""
     for cfg in configs:
         try:
             # a partition's batch count, ceil(examples / batch size), without cutting one
             priced_time(cfg, -(-len(train_examples) // cfg.batch_size))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    a_full: dict[tuple[int, int], float] = {}
-    for cfg in configs:
-        key = (cfg.epochs, cfg.seed)
-        if cfg.mode != "train-all" and cfg.a_full is None:
-            cfg = replace(cfg, a_full=a_full.get(key))
-        report = run(cfg, train_examples, eval_examples)
-        if cfg.mode == "train-all":
-            a_full[key] = report.accuracy
-        yield cfg, report
+    n_procs = max(1, min(_process_count(), len(configs)))
+    shares = [range(k, len(configs), n_procs) for k in range(n_procs)]
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        if n_procs > 1:  # what the caller's streams hold is written by the caller alone
+            sys.stdout.flush()
+            sys.stderr.flush()
+        children.extend(_fork_share(configs, share, train_examples, eval_examples) for share in shares[1:])
+        results = [_run_share(configs, shares[0], train_examples, eval_examples)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a run process ended with exit code {code} before sending its results")
+            results.append(pickle.loads(payload))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    reports: list[RunReport | None] = [None] * len(configs)
+    failures = []
+    for share, (share_reports, failure) in zip(shares, results):
+        for i, report in zip(share, share_reports):
+            reports[i] = report
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return list(_a_full_filled(enumerate(configs), lambda i, cfg: reports[i].with_a_full(cfg.a_full)))
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -363,7 +469,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"grid has {n_runs} runs, over the cap of {args.max_runs}")
     configs = _sweep_grid(args, base)
     train_examples, eval_examples = _load_data(args)
-    runs = list(_run_in_order(configs, train_examples, eval_examples))
+    runs = _run_in_order(configs, train_examples, eval_examples)
     # rows, summaries and the optimum's ties go epochs-major, seeds inside
     runs.sort(key=lambda run: args.epochs_grid.index(run[0].epochs))
 
@@ -419,7 +525,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     configs = [_variant(cfg, seed=seed) for seed in args.seeds for _, cfg in methods]
     train_examples, eval_examples = _load_data(args)
 
-    runs = list(_run_in_order(configs, train_examples, eval_examples))
+    runs = _run_in_order(configs, train_examples, eval_examples)
     # each gated method's matched-ratio control, built from its run; the controls run after every method
     gated = [(label, cfg, report) for label, (cfg, report) in zip(labels, runs) if cfg.mode != "train-all"]
     labels += [f"random@{label}" for label, _, _ in gated]

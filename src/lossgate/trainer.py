@@ -162,6 +162,25 @@ class RunReport:
     def to_json_dict(self) -> dict:
         return {_REPORT_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "traces"}
 
+    def with_a_full(self, a_full: float | None) -> RunReport:
+        """The report the run would have given with config ``a_full``: only
+        the config's ``a_full`` and ``agot`` depend on it."""
+        config = {**self.config, "a_full": a_full}
+        agot = _run_agot(config["mode"], a_full, self.accuracy, self.t_norm, self.a_base)
+        return replace(self, config=config, agot=agot)
+
+
+def _run_agot(mode: str, a_full: float | None, accuracy: float, time_norm: float, a_base: float) -> float | None:
+    """A run's AGOT against ``a_full``, or against its own accuracy for a
+    train-all run that has none. None without such a reference, when it
+    equals ``a_base``, or when every batch was skipped, as AGOT divides by a
+    power of T_norm."""
+    if a_full is None and mode == "train-all":
+        a_full = accuracy
+    if a_full is None or a_full == a_base or not time_norm > 0:
+        return None
+    return metrics.agot(accuracy, time_norm, metrics.AgotParams(a_base=a_base, a_full=a_full))
+
 
 def priced_time(config: TrainerConfig, n_batches: int) -> float:
     """T of a run of ``config`` that trains all ``n_batches`` batches of every
@@ -346,13 +365,6 @@ class Trainer:
         t_ours = metrics.total_time(fractions, timing, total)
         time_norm = metrics.t_norm(t_ours, self._t_all)
 
-        a_full_ref = cfg.a_full
-        if a_full_ref is None and cfg.mode == "train-all":
-            a_full_ref = accuracy
-        # AGOT divides by a power of T_norm: undefined when every batch was skipped
-        agot_value = None
-        if a_full_ref is not None and a_full_ref != a_base and time_norm > 0:
-            agot_value = metrics.agot(accuracy, time_norm, metrics.AgotParams(a_base=a_base, a_full=a_full_ref))
         kwh, co2 = metrics.energy_co2(metrics.EnergyParams(hours=t_ours))
 
         boundaries = {
@@ -367,7 +379,7 @@ class Trainer:
             alpha_fb=fractions.alpha_fb,
             total_time=t_ours,
             t_norm=time_norm,
-            agot=agot_value,
+            agot=_run_agot(cfg.mode, cfg.a_full, accuracy, time_norm, a_base),
             energy_kwh=kwh,
             co2e_lb=co2,
             batches_total=total,

@@ -4,7 +4,9 @@ import inspect
 import json
 import os
 import re
-from dataclasses import fields
+import signal
+import time
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -714,6 +716,11 @@ def test_sweep_rerun_is_byte_identical(corpus_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def pin_processes(monkeypatch, count: int) -> None:
+    """Deal the runs of sweep and compare over ``count`` processes."""
+    monkeypatch.setattr(cli, "_process_count", lambda: count)
+
+
 def record_runs(monkeypatch):
     """Make every run the CLI starts append its (config, report) to the
     returned list."""
@@ -743,6 +750,7 @@ def assert_a_full_from_train_all(runs):
 
 
 def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkeypatch):
+    pin_processes(monkeypatch, 1)  # a spy in the caller sees only the runs the caller makes
     runs = record_runs(monkeypatch)
     args = [*SWEEP_ARGS, "--epochs-grid", "1,2"]
     out = tmp_path / "s.csv"
@@ -772,6 +780,7 @@ def count_gathers(monkeypatch) -> list[int]:
 
 
 def test_sweep_gathers_one_partition_per_seed(corpus_file, tmp_path, monkeypatch):
+    pin_processes(monkeypatch, 1)  # a spy in the caller sees only the runs the caller makes
     # the loaded corpus keeps its last partition, which depends on the seed
     # and not on the epoch count, and the grid runs seeds outside epochs
     runs = record_runs(monkeypatch)
@@ -1018,6 +1027,7 @@ def test_compare_outputs_matched_random_rows(corpus_file, tmp_path, capsys):
 
 
 def test_compare_gathers_one_partition_per_seed_for_methods_and_for_controls(corpus_file, tmp_path, monkeypatch):
+    pin_processes(monkeypatch, 1)  # a spy in the caller sees only the runs the caller makes
     # methods and then controls run seed-major, so each seed's runs share its partition
     runs = record_runs(monkeypatch)
     gathered = count_gathers(monkeypatch)
@@ -1072,6 +1082,7 @@ def test_compare_bad_value_exits_2_before_training(corpus_file, tmp_path, capsys
 
 
 def test_compare_fills_a_full_and_survives_a_control_that_skips_everything(corpus_file, tmp_path, monkeypatch):
+    pin_processes(monkeypatch, 1)  # a spy in the caller sees only the runs the caller makes
     runs = record_runs(monkeypatch)
     out = tmp_path / "c.csv"
     # at batch 32 every loss of this corpus is below 0.7, so fixed-threshold-0.7
@@ -1090,3 +1101,177 @@ def test_compare_fills_a_full_and_survives_a_control_that_skips_everything(corpu
     rows = {line.split(",")[0]: line.split(",") for line in out.read_text().strip().split("\n")[1:]}
     assert rows["random@fixed-threshold-0.7"][1] == "2"
     assert float(rows["random@fixed-threshold-0.7"][6]) == 1.0
+
+
+# -- runs dealt over processes -----------------------------------------------------
+
+# sweep flags for 3 seeds of 2 runs each, train-all then three-stage: config 2 * seed + (mode != train-all)
+TWO_RUNS_A_SEED = [
+    "--seeds", "0,1,2", "--fixed-thresholds", "", "--n0-grid", "0.1", "--window-grid", "4", "--alt-grid", "0.4",
+    "--batch-size", "16", "--threshold-window", "8",
+]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fails_after_60_s():
+    """A test that waits on a child raises instead of hanging."""
+    def expired(signum, frame):
+        raise TimeoutError("still waiting after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_process_count_is_the_cpus_this_process_may_run_on(monkeypatch):
+    assert cli._process_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._process_count() == 1
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--report", "report.json"]),
+    ("sweep", ["--out", "s.csv", *SWEEP_ARGS]),
+], ids=["one-config", "one-process"])
+def test_one_config_or_one_process_forks_nothing(corpus_file, tmp_path, monkeypatch, command, flags):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    pin_processes(monkeypatch, 4 if command == "run" else 1)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, "--data", corpus_file, *flags) == 0
+
+
+def outputs_at_1_2_and_3_processes(monkeypatch, capsys, out: Path, *argv) -> list[tuple[int, bytes, str]]:
+    """The exit code, the CSV's bytes and stdout of one command, run at 1, 2 and 3 processes."""
+    outputs = []
+    for count in (1, 2, 3):
+        pin_processes(monkeypatch, count)
+        out.unlink(missing_ok=True)
+        code = run_cli(*argv, "--out", str(out))
+        outputs.append((code, out.read_bytes(), capsys.readouterr().out))
+        assert_no_child_left()
+    return outputs
+
+
+def test_sweep_output_does_not_depend_on_the_process_count(corpus_file, tmp_path, capsys, monkeypatch):
+    # 2 seeds x 2 epoch counts
+    argv = ["sweep", "--data", corpus_file, *SWEEP_ARGS, "--epochs-grid", "1,2"]
+    one, *more = outputs_at_1_2_and_3_processes(monkeypatch, capsys, tmp_path / "s.csv", *argv)
+    assert one[0] == 0 and len(one[1].splitlines()) == 1 + 16 + 8
+    assert more == [one, one]
+
+
+def test_compare_output_does_not_depend_on_the_process_count(corpus_file, tmp_path, capsys, monkeypatch):
+    # fixed-threshold-0.7's matched control skips every batch, as in the test above
+    argv = ["compare", "--data", corpus_file, "--seeds", "0,1", "--fixed-thresholds", "0.3,0.7"]
+    one, *more = outputs_at_1_2_and_3_processes(monkeypatch, capsys, tmp_path / "c.csv", *argv)
+    assert one[0] == 0 and b"random@fixed-threshold-0.7,2," in one[1]
+    assert more == [one, one]
+
+
+def test_runs_come_back_in_config_order_whatever_the_process_count(corpus_file, monkeypatch):
+    base = TrainerConfig(batch_size=16, threshold_window=8)
+    configs = [
+        replace(base, seed=seed, **variant) for seed in (0, 1) for variant in (
+            {"mode": "train-all"}, {"mode": "fixed-threshold", "fixed_threshold": 0.3}, {}, {"a_full": 0.5},
+        )
+    ]
+    corpus = load_dataset(corpus_file)
+    reports = []
+    for count in (1, 2, 3):
+        pin_processes(monkeypatch, count)
+        runs = cli._run_in_order(configs, corpus, None)
+        assert_no_child_left()
+        # each run other than train-all that has no a_full takes its seed's train-all accuracy
+        a_full = {cfg.seed: report.accuracy for cfg, report in runs if cfg.mode == "train-all"}
+        assert [cfg for cfg, _ in runs] == [
+            cfg if cfg.mode == "train-all" or cfg.a_full is not None else replace(cfg, a_full=a_full[cfg.seed])
+            for cfg in configs
+        ]
+        assert all(report.config == asdict(cfg) for cfg, report in runs)
+        reports.append([{**report.to_json_dict(), "overhead_wall_seconds": 0} for _, report in runs])
+    assert reports[1] == reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_run_that_raises_in_a_child_exits_3_with_the_stderr_of_one_process(corpus_file, capsys, monkeypatch, count):
+    # at this step size train-all runs, but three-stage, compare's config 1 and so a child's first, diverges
+    argv = ["compare", "--data", corpus_file, "--seeds", "0", "--batch-size", "8", "--learning-rate", "1e300"]
+    errs = []
+    for processes in (1, count):
+        pin_processes(monkeypatch, processes)
+        assert run_cli(*argv) == 3
+        errs.append(capsys.readouterr().err)
+        assert_no_child_left()
+    assert errs[1] == errs[0] == "runtime error: model diverged: non-finite loss window variance\n"
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("failing", [(1, 4), (2, 5), (3, 4)])
+def test_when_two_runs_fail_the_first_in_config_order_is_reported(
+    corpus_file, tmp_path, capsys, monkeypatch, count, failing
+):
+    # dealt over 2 processes, (2, 5) fails first in the caller; over 3, (3, 4) does; else a child does
+    def failing_run(cfg, *data):
+        index = 2 * cfg.seed + (cfg.mode != "train-all")
+        if index in failing:
+            raise ValueError(f"config {index} failed")
+        return trainer.run(cfg, *data)
+
+    pin_processes(monkeypatch, count)
+    monkeypatch.setattr(cli, "run", failing_run)
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(out), *TWO_RUNS_A_SEED) == 3
+    assert capsys.readouterr().err == f"runtime error: config {failing[0]} failed\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_without_sending_raises_in_the_caller(
+    corpus_file, tmp_path, capsys, monkeypatch, fails_after_60_s
+):
+    caller = os.getpid()
+
+    def dying_run(cfg, *data):
+        if os.getpid() != caller:
+            os._exit(7)
+        return trainer.run(cfg, *data)
+
+    pin_processes(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run", dying_run)
+    configs = [TrainerConfig(mode="train-all", seed=seed) for seed in range(4)]
+    with pytest.raises(RuntimeError, match="^a run process ended with exit code 7 before sending its results$"):
+        cli._run_in_order(configs, load_dataset(corpus_file), None)
+    assert_no_child_left()
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(out), *TWO_RUNS_A_SEED) == 3
+    assert capsys.readouterr().err == "runtime error: a run process ended with exit code 7 before sending its results\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_a_caller_stopped_in_its_own_share_kills_and_reaps_the_children(corpus_file, monkeypatch, fails_after_60_s):
+    class Stopped(BaseException):
+        pass
+
+    caller = os.getpid()
+
+    def stopped_run(cfg, *data):
+        if os.getpid() == caller:
+            raise Stopped
+        time.sleep(120)  # a child still running when the caller stops, and past the alarm
+
+    pin_processes(monkeypatch, 3)
+    monkeypatch.setattr(cli, "run", stopped_run)
+    with pytest.raises(Stopped):
+        cli._run_in_order([TrainerConfig(seed=seed) for seed in range(3)], load_dataset(corpus_file), None)
+    assert_no_child_left()

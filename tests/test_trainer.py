@@ -526,6 +526,31 @@ def test_agot_none_without_reference():
     assert report.agot is None
 
 
+@pytest.mark.parametrize("mode, kw, a_full", [
+    ("three-stage", {}, 0.9),
+    ("train-all", {}, None),
+    ("train-all", {}, 0.9),
+    ("fixed-threshold", {"fixed_threshold": 0.3}, None),
+    # every batch skipped: T_norm 0
+    ("random-skip", {"random_skip_ratio": 0.999999}, 0.9),
+    ("three-stage", {}, "a_base"),
+], ids=["three-stage", "train-all-own", "train-all-given", "no-reference", "t-norm-0", "a_full-is-a_base"])
+def test_a_full_filled_after_a_run_gives_the_report_of_a_run_built_with_it(mode, kw, a_full):
+    unfilled = run_mode(mode, **kw)
+    if a_full == "a_base":
+        a_full = unfilled.a_base
+    filled = unfilled.with_a_full(a_full)
+    built = run_mode(mode, a_full=a_full, **kw)
+    assert filled.config == built.config
+    assert filled.agot == built.agot
+    if a_full == unfilled.a_base or built.t_norm == 0.0:
+        assert built.agot is None
+    # all else is the run's own; the wall clock differs between any two runs
+    wall = "overhead_wall_seconds"
+    assert {**filled.to_json_dict(), wall: 0} == {**built.to_json_dict(), wall: 0}
+    assert filled.traces == built.traces
+
+
 def test_eval_every_epoch_records_curve():
     report = run_mode("three-stage", eval_every_epoch=True)
     assert len(report.epoch_accuracies) == BASE.epochs
