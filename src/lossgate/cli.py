@@ -377,7 +377,8 @@ def _run_in_order(
         if n_procs > 1:  # what the caller's streams hold is written by the caller alone
             sys.stdout.flush()
             sys.stderr.flush()
-        children.extend(_fork_share(configs, share, train_examples, eval_examples) for share in shares[1:])
+        for share in shares[1:]:
+            children.append(_fork_share(configs, share, train_examples, eval_examples))
         results = [_run_share(configs, shares[0], train_examples, eval_examples)]
         while children:
             pid, pipe = children[0]
