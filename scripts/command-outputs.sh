@@ -115,6 +115,19 @@ lg run --data "$out/toy.tsv" --header "${data[@]:2}" --n0 0.2 --alt 0.5 --epochs
 lg gen-toy --out "$out/wide.jsonl" --num-examples 3000 --dup-factor 1 --class-vocab 20000 \
   --shared-vocab 80000 --seed 2
 lg run --data "$out/wide.jsonl" --epochs 2 --report "$out/wide.json" --trace "$out/wide.csv" > /dev/null
+# texts that are not ASCII letters, digits and spaces alone, so tokenize reads them with its pattern:
+# punctuation, underscores, tabs and newlines, uppercase, NBSP, and non-ASCII letters and digits
+printf '%s\n' \
+  '{"text": "Don'"'"'t STOP_believing!!! 3-2-1, go.", "label": 1}' \
+  '{"text": "snake_case\tand\ttabs\nand newlines", "label": 0}' \
+  '{"text": "Café naïve ÉTÉ Straße", "label": 1}' \
+  '{"text": "Arabic-Indic ٣٤ and 12\u00a0NBSP", "label": 0}' \
+  '{"text": "İstanbul and the \u212aelvin sign", "label": 1}' \
+  '{"text": "e-mail: a.b@c.d (URL) http://x.y/z?q=1", "label": 0}' \
+  '{"text": "Good movie, GOOD plot", "label": 1}' \
+  '{"text": "bad_plot__bad—acting…", "label": 0}' > "$out/regex-path.jsonl"
+lg run --data "$out/regex-path.jsonl" --mode train-all --batch-size 2 --epochs 2 \
+  --report "$out/regex-path.json" --trace "$out/regex-path.csv" > /dev/null
 # a bad record: the exit code and the message
 for file in "$bad"/*; do
   lg run --data "$file" --mode train-all > /dev/null 2> "$out/${file##*/}.err" && code=0 || code=$?

@@ -10,11 +10,13 @@ sorted, distinct buckets. ``load_dataset`` parses and checks each distinct
 line once; then the distinct texts are featurized in one pass: each is
 tokenized once, its tokens' buckets are streamed into one array of ``(text,
 bucket)`` keys as they are read, each distinct token is hashed once and the
-keys are sorted once. No token list outlives its text. An ``Example`` is its
-text, its label and its buckets; indexing or iterating a corpus builds one on
-demand, sharing its content's ``text`` string and bucket view. An ``Example``
-built directly runs ``vectorize``, the one-example definition, on its tokens,
-and ``Corpus.from_examples`` turns a list of them into an equal corpus.
+keys are sorted once. No token list outlives its text. A text of ASCII
+letters, digits and spaces is split on its spaces without the token pattern,
+which gives the same tokens. An ``Example`` is its text, its label and its
+buckets; indexing or iterating a corpus builds one on demand, sharing its
+content's ``text`` string and bucket view. An ``Example`` built directly runs
+``vectorize``, the one-example definition, on its tokens, and
+``Corpus.from_examples`` turns a list of them into an equal corpus.
 ``Example`` and ``MiniBatch`` are slotted.
 
 Batching is one gather: the examples' CSR rows, in the seeded permutation's
@@ -50,8 +52,16 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace/punctuation, dropping the punctuation."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split on whitespace/punctuation, dropping the punctuation.
+
+    The tokens are the runs of letters and digits of the lowercased text. A
+    lowercased text of ASCII letters, digits and spaces alone is split on its
+    spaces without the pattern, which gives the same tokens.
+    """
+    lowered = text.lower()
+    if lowered.isascii() and lowered.replace(" ", "").isalnum():
+        return lowered.split()
+    return _TOKEN_RE.findall(lowered)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -214,6 +224,17 @@ class Corpus(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+class _BucketMemo(dict):
+    """Token to ``hash_bucket(token)``, hashed on a token's first lookup, so
+    a repeated token is one dict hit."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = hash_bucket(token)
+        return bucket
+
+
 def _featurized(texts: list[str], content, labels) -> Corpus:
     """The corpus of distinct ``texts`` with these content ids and labels,
     featurized in one pass: each text is tokenized once, and its tokens'
@@ -221,7 +242,7 @@ def _featurized(texts: list[str], content, labels) -> Corpus:
     HASH_BUCKETS + bucket`` into one array, sorted once. ``hash_bucket`` runs
     once per distinct token, and no token list outlives its text. The CSR
     block is each text's ``vectorize``: its sorted, distinct buckets."""
-    bucket = functools.cache(hash_bucket)
+    bucket = _BucketMemo().__getitem__
     lengths: list[int] = []
 
     def buckets_of(text: str):

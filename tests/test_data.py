@@ -51,6 +51,27 @@ def test_tokenize_idempotent_on_random_strings():
         assert tokenize(" ".join(once)) == once
 
 
+def test_tokenize_gives_the_tokens_of_the_pattern():
+    """A text of ASCII letters, digits and spaces is split without the
+    pattern; every text gets the pattern's tokens. Half the random texts are
+    drawn mostly from those characters, so many take the split and many fall
+    just outside it, through punctuation, "_", other whitespace, NBSP,
+    non-ASCII letters and digits, or a character whose lowercase is longer
+    (U+0130) or ASCII (the Kelvin sign)."""
+    alphabet = list("abzAZ09 ,.!?-'_\t\n\u00a0\u00e9\u00df\u0663\u0130\u212a")
+    weights = np.array([20.0 if c.isascii() and (c.isalnum() or c == " ") else 1.0 for c in alphabet])
+    mostly_plain = weights / weights.sum()
+    rng = np.random.default_rng(40)
+    texts = ["", "   ", " a  b ", "a_b", "a-b", "A1 B2"] + [
+        "".join(rng.choice(alphabet, size=rng.integers(0, 30), p=mostly_plain if i % 2 else None))
+        for i in range(2000)
+    ]
+    split = sum(t.isascii() and t.replace(" ", "").isalnum() for t in map(str.lower, texts))
+    assert 300 < split < len(texts) - 300
+    for text in texts:
+        assert tokenize(text) == data._TOKEN_RE.findall(text.lower()), text
+
+
 # -- hashing / vectorize --------------------------------------------------------
 
 
