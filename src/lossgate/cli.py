@@ -14,13 +14,16 @@ otherwise (--n0, --skip-gamma); a --config key is a field that has a flag.
 run's --trace sets record_trace, and disable_predictor is a library diagnostic.
 gen-toy's flags are generate_toy_corpus's parameters, with its defaults. sweep
 and compare exit 2 before loading on a flag or a --config key of a field they
-set for each run (compare: mode, seed, fixed_threshold, random_skip_ratio,
-a_full; sweep: these and epochs, n0_fraction, predictor_window, alt), and on
+set for each run, or leave unread (compare: mode, seed, fixed_threshold,
+random_skip_ratio, a_full; sweep: these and epochs, n0_fraction,
+predictor_window, alt), and on
 --eval-every-epoch or its key, as neither writes a per-epoch curve; neither
 --help lists those flags. sweep checks --max-runs before it builds a run's
 config. compare names a fixed threshold's method fixed-threshold-{t}, with t
 written as the sweep CSV writes it. A negative number may follow its flag
-after a space, -inf and -1e-3 too.
+after a space, -inf and -1e-3 too. sweep scores each run's AGOT, after the
+runs, against the accuracy of the train-all run of its (epochs, seed);
+compare writes no AGOT and leaves every run's a_full unset.
 
 sweep and compare deal their runs over one process per CPU this process may
 run on, and no more processes than runs: run i goes to process i mod P. The
@@ -42,7 +45,6 @@ import pickle
 import re
 import signal
 import sys
-from collections.abc import Callable, Iterable, Iterator
 from dataclasses import fields, replace
 from functools import partial
 from typing import BinaryIO
@@ -71,7 +73,8 @@ COMPARE_COLUMNS = [
     "t_norm_mean", "t_norm_std", "skip_ratio_mean", "matched_target_mean",
 ]
 
-# the TrainerConfig fields each command sets for every run; no sweep run reads random_skip_ratio
+# the TrainerConfig fields each command sets for every run, or leaves unread: compare writes no
+# AGOT, so no output reads a_full, and no sweep run reads random_skip_ratio
 COMPARE_SETS = ("mode", "seed", "fixed_threshold", "random_skip_ratio", "a_full")
 SWEEP_SETS = (*COMPARE_SETS, "epochs", "n0_fraction", "predictor_window", "alt")
 
@@ -238,7 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         cfg = replace(cfg, record_trace=True)
     train_examples, eval_examples = _load_data(args)
-    [(cfg, report)] = _run_in_order([cfg], train_examples, eval_examples)
+    [report] = _run_in_order([cfg], train_examples, eval_examples)
     # a non-finite float fails here rather than write JSON's invalid Infinity or NaN
     payload = json.dumps(report.to_json_dict(), indent=2, allow_nan=False)
     if args.report:
@@ -295,38 +298,17 @@ def _process_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _a_full_filled(
-    configs: Iterable[tuple[int, TrainerConfig]], report_of: Callable[[int, TrainerConfig], RunReport]
-) -> Iterator[tuple[TrainerConfig, RunReport]]:
-    """Each ``(i, cfg)``'s config and ``report_of(i, cfg)``, in order. A run
-    other than train-all that has no ``a_full`` takes the accuracy of the
-    earlier train-all run with the same (epochs, seed), if there is one; a
-    run that has an ``a_full`` keeps it."""
-    a_full: dict[tuple[int, int], float] = {}
-    for i, cfg in configs:
-        key = (cfg.epochs, cfg.seed)
-        if cfg.mode != "train-all" and cfg.a_full is None:
-            cfg = replace(cfg, a_full=a_full.get(key))
-        report = report_of(i, cfg)
-        if cfg.mode == "train-all":
-            a_full[key] = report.accuracy
-        yield cfg, report
-
-
 def _run_share(
     configs: list[TrainerConfig], share: range, train_examples: Corpus, eval_examples: Corpus | None
 ) -> tuple[list[RunReport], tuple[int, Exception] | None]:
-    """Run ``configs[i]`` for each ``i`` in ``share``, in order, each filled
-    from the train-all runs of the share before it. Stop at the first that
-    raises: the reports so far, and that run's index and exception."""
+    """Run ``configs[i]`` for each ``i`` in ``share``, in order. Stop at the
+    first that raises: the reports so far, and that run's index and exception."""
     reports: list[RunReport] = []
-    try:
-        for _, report in _a_full_filled(
-            ((i, configs[i]) for i in share), lambda _, cfg: run(cfg, train_examples, eval_examples)
-        ):
-            reports.append(report)
-    except Exception as exc:  # noqa: BLE001 - the caller raises the first failure of all shares
-        return reports, (share[len(reports)], exc)
+    for i in share:
+        try:
+            reports.append(run(configs[i], train_examples, eval_examples))
+        except Exception as exc:  # noqa: BLE001 - the caller raises the first failure of all shares
+            return reports, (i, exc)
     return reports, None
 
 
@@ -336,7 +318,12 @@ def _fork_share(
     """Run ``share`` in a forked child, which pickles what ``_run_share``
     returns onto a pipe: the child's pid and the pipe's reading end."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         status = 1
         try:
@@ -353,10 +340,9 @@ def _fork_share(
 
 def _run_in_order(
     configs: list[TrainerConfig], train_examples: Corpus, eval_examples: Corpus | None
-) -> list[tuple[TrainerConfig, RunReport]]:
-    """Check the time model of every config, run them, and return each run's
-    config and report in config order, the configs filled as
-    ``_a_full_filled`` fills them and the reports scored against that.
+) -> list[RunReport]:
+    """Check the time model of every config, run each as given, and return
+    their reports in config order.
 
     The runs are dealt over ``_process_count()`` processes, at most one per
     config: config ``i`` runs in process ``i mod P``. The caller is process 0
@@ -404,7 +390,7 @@ def _run_in_order(
             failures.append(failure)
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return list(_a_full_filled(enumerate(configs), lambda i, cfg: reports[i].with_a_full(cfg.a_full)))
+    return reports
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -470,7 +456,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"grid has {n_runs} runs, over the cap of {args.max_runs}")
     configs = _sweep_grid(args, base)
     train_examples, eval_examples = _load_data(args)
-    runs = _run_in_order(configs, train_examples, eval_examples)
+    reports = _run_in_order(configs, train_examples, eval_examples)
+    # each run is scored against the accuracy of the train-all run of its (epochs, seed)
+    a_full = {(cfg.epochs, cfg.seed): rep.accuracy for cfg, rep in zip(configs, reports) if cfg.mode == "train-all"}
+    runs = [(cfg, rep.with_a_full(a_full[cfg.epochs, cfg.seed])) for cfg, rep in zip(configs, reports)]
     # rows, summaries and the optimum's ties go epochs-major, seeds inside
     runs.sort(key=lambda run: args.epochs_grid.index(run[0].epochs))
 
@@ -526,14 +515,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     configs = [_variant(cfg, seed=seed) for seed in args.seeds for _, cfg in methods]
     train_examples, eval_examples = _load_data(args)
 
-    runs = _run_in_order(configs, train_examples, eval_examples)
+    reports = _run_in_order(configs, train_examples, eval_examples)
     # each gated method's matched-ratio control, built from its run; the controls run after every method
-    gated = [(label, cfg, report) for label, (cfg, report) in zip(labels, runs) if cfg.mode != "train-all"]
+    gated = [(label, cfg, report) for label, cfg, report in zip(labels, configs, reports) if cfg.mode != "train-all"]
     labels += [f"random@{label}" for label, _, _ in gated]
     controls = [random_control(cfg, report.alpha_b + report.alpha_fb) for _, cfg, report in gated]
-    runs += _run_in_order(controls, train_examples, eval_examples)
+    reports += _run_in_order(controls, train_examples, eval_examples)
     per_label: dict[str, list[RunReport]] = {}
-    for label, (_, report) in zip(labels, runs):
+    for label, report in zip(labels, reports):
         per_label.setdefault(label, []).append(report)
 
     rows = []

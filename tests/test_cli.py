@@ -1,4 +1,5 @@
 import argparse
+import errno
 import functools
 import inspect
 import json
@@ -14,7 +15,7 @@ import pytest
 from lossgate import cli, data, metrics, trainer
 from lossgate.cli import COMPARE_COLUMNS, SWEEP_COLUMNS, main
 from lossgate.data import generate_toy_corpus, load_dataset, write_jsonl
-from lossgate.trainer import TrainerConfig
+from lossgate.trainer import TrainerConfig, csv_field
 
 
 @pytest.fixture(scope="module")
@@ -735,20 +736,6 @@ def record_runs(monkeypatch):
     return runs
 
 
-def assert_a_full_from_train_all(runs):
-    """Each train-all run scored against its own accuracy, and each other run
-    took as a_full the accuracy of an earlier train-all run with its
-    (epochs, seed)."""
-    reference = {}
-    for cfg, report in runs:
-        key = (cfg.epochs, cfg.seed)
-        if cfg.mode == "train-all":
-            assert cfg.a_full is None
-            reference[key] = report.accuracy
-        else:
-            assert cfg.a_full == reference[key]
-
-
 def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkeypatch):
     pin_processes(monkeypatch, 1)  # a spy in the caller sees only the runs the caller makes
     runs = record_runs(monkeypatch)
@@ -760,7 +747,6 @@ def test_sweep_runs_each_config_once_in_grid_order(corpus_file, tmp_path, monkey
     assert len(runs) == 16
     assert [cfg.mode for cfg, _ in runs[:4]] == ["train-all", "fixed-threshold", "three-stage", "three-stage"]
     assert [(cfg.epochs, cfg.seed) for cfg, _ in runs[::4]] == [(1, 0), (2, 0), (1, 1), (2, 1)]
-    assert_a_full_from_train_all(runs)
     rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:]]
     written = [(r["epochs"], r["seed"]) for r in rows if r["row_type"] == "run"]
     assert written == [("1", "0")] * 4 + [("1", "1")] * 4 + [("2", "0")] * 4 + [("2", "1")] * 4
@@ -1081,7 +1067,7 @@ def test_compare_bad_value_exits_2_before_training(corpus_file, tmp_path, capsys
     assert not out.exists()
 
 
-def test_compare_fills_a_full_and_survives_a_control_that_skips_everything(corpus_file, tmp_path, monkeypatch):
+def test_compare_survives_a_control_that_skips_everything(corpus_file, tmp_path, monkeypatch):
     pin_processes(monkeypatch, 1)  # a spy in the caller sees only the runs the caller makes
     runs = record_runs(monkeypatch)
     out = tmp_path / "c.csv"
@@ -1092,7 +1078,6 @@ def test_compare_fills_a_full_and_survives_a_control_that_skips_everything(corpu
         "--out", str(out),
     )
     assert code == 0
-    assert_a_full_from_train_all(runs)
     # 5 methods and 4 controls per seed, methods first
     assert len(runs) == 18
     assert [cfg.mode for cfg, _ in runs[10:]] == ["random-skip"] * 8
@@ -1178,6 +1163,33 @@ def test_compare_output_does_not_depend_on_the_process_count(corpus_file, tmp_pa
     assert more == [one, one]
 
 
+def test_each_sweep_run_is_scored_against_the_train_all_of_its_block(corpus_file, tmp_path, capsys, monkeypatch):
+    # 2 seeds x 2 epoch counts, so at 2 and 3 processes a block's runs are dealt over processes
+    argv = ["sweep", "--data", corpus_file, *SWEEP_ARGS, "--epochs-grid", "1,2"]
+    corpus = load_dataset(corpus_file)
+    reference = functools.cache(lambda cfg: trainer.run(cfg, corpus, None))
+    base = TrainerConfig(batch_size=16, threshold_window=8)
+    for code, csv, _ in outputs_at_1_2_and_3_processes(monkeypatch, capsys, tmp_path / "s.csv", *argv):
+        assert code == 0
+        rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in csv.decode().splitlines()[1:]]
+        runs = [r for r in rows if r["row_type"] == "run"]
+        a_full = {(r["epochs"], r["seed"]): float(r["accuracy"]) for r in runs if r["method"] == "train-all"}
+        assert len(runs) == 16 and len(a_full) == 4
+        for row in runs:
+            grid = {
+                name: kind(row[column]) for name, column, kind in [
+                    ("n0_fraction", "n0_fraction", float), ("predictor_window", "window_w", int),
+                    ("alt", "alt", float), ("fixed_threshold", "fixed_threshold", float),
+                ] if row[column]
+            }
+            # a train-all row's a_full is its own accuracy
+            report = reference(replace(
+                base, mode=row["method"], epochs=int(row["epochs"]), seed=int(row["seed"]),
+                a_full=a_full[row["epochs"], row["seed"]], **grid,
+            ))
+            assert (row["accuracy"], row["agot"]) == (csv_field(report.accuracy), csv_field(report.agot))
+
+
 def test_runs_come_back_in_config_order_whatever_the_process_count(corpus_file, monkeypatch):
     base = TrainerConfig(batch_size=16, threshold_window=8)
     configs = [
@@ -1191,14 +1203,10 @@ def test_runs_come_back_in_config_order_whatever_the_process_count(corpus_file, 
         pin_processes(monkeypatch, count)
         runs = cli._run_in_order(configs, corpus, None)
         assert_no_child_left()
-        # each run other than train-all that has no a_full takes its seed's train-all accuracy
-        a_full = {cfg.seed: report.accuracy for cfg, report in runs if cfg.mode == "train-all"}
-        assert [cfg for cfg, _ in runs] == [
-            cfg if cfg.mode == "train-all" or cfg.a_full is not None else replace(cfg, a_full=a_full[cfg.seed])
-            for cfg in configs
-        ]
-        assert all(report.config == asdict(cfg) for cfg, report in runs)
-        reports.append([{**report.to_json_dict(), "overhead_wall_seconds": 0} for _, report in runs])
+        # each config runs as given: the one with a_full 0.5 keeps it, and the others keep None
+        assert [report.config for report in runs] == [asdict(cfg) for cfg in configs]
+        assert [report.config["a_full"] for report in runs] == [None, None, None, 0.5] * 2
+        reports.append([{**report.to_json_dict(), "overhead_wall_seconds": 0} for report in runs])
     assert reports[1] == reports[2] == reports[0]
 
 
@@ -1257,6 +1265,36 @@ def test_a_child_that_dies_without_sending_raises_in_the_caller(
     assert capsys.readouterr().err == "runtime error: a run process ended with exit code 7 before sending its results\n"
     assert not out.exists()
     assert_no_child_left()
+
+
+def test_a_fork_that_fails_closes_its_pipe_and_kills_the_children_forked_before_it(
+    corpus_file, tmp_path, capsys, monkeypatch, fails_after_60_s
+):
+    pipe, fork, pipe_fds, forks = os.pipe, os.fork, [], []
+
+    def recording_pipe():
+        fds = pipe()
+        pipe_fds.extend(fds)
+        return fds
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    pin_processes(monkeypatch, 3)
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--data", corpus_file, "--out", str(out), *TWO_RUNS_A_SEED) == 3
+    assert capsys.readouterr().err == "runtime error: [Errno 11] Resource temporarily unavailable\n"
+    assert not out.exists()
+    assert_no_child_left()
+    assert len(pipe_fds) == 4
+    for fd in pipe_fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_a_caller_stopped_in_its_own_share_kills_and_reaps_the_children(corpus_file, monkeypatch, fails_after_60_s):
