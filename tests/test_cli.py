@@ -1148,11 +1148,31 @@ def outputs_at_1_2_and_3_processes(monkeypatch, capsys, out: Path, *argv) -> lis
 
 
 def test_sweep_output_does_not_depend_on_the_process_count(corpus_file, tmp_path, capsys, monkeypatch):
-    # 2 seeds x 2 epoch counts
+    # 2 seeds x 2 epoch counts, so at 2 and 3 processes a block's runs are dealt over processes
     argv = ["sweep", "--data", corpus_file, *SWEEP_ARGS, "--epochs-grid", "1,2"]
     one, *more = outputs_at_1_2_and_3_processes(monkeypatch, capsys, tmp_path / "s.csv", *argv)
     assert one[0] == 0 and len(one[1].splitlines()) == 1 + 16 + 8
     assert more == [one, one]
+    # each run row is scored against the train-all run of its (epochs, seed) block
+    corpus = load_dataset(corpus_file)
+    base = TrainerConfig(batch_size=16, threshold_window=8)
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in one[1].decode().splitlines()[1:]]
+    runs = [r for r in rows if r["row_type"] == "run"]
+    a_full = {(r["epochs"], r["seed"]): float(r["accuracy"]) for r in runs if r["method"] == "train-all"}
+    assert len(runs) == 16 and len(a_full) == 4
+    for row in runs:
+        grid = {
+            name: kind(row[column]) for name, column, kind in [
+                ("n0_fraction", "n0_fraction", float), ("predictor_window", "window_w", int),
+                ("alt", "alt", float), ("fixed_threshold", "fixed_threshold", float),
+            ] if row[column]
+        }
+        # a train-all row's a_full is its own accuracy
+        report = trainer.run(replace(
+            base, mode=row["method"], epochs=int(row["epochs"]), seed=int(row["seed"]),
+            a_full=a_full[row["epochs"], row["seed"]], **grid,
+        ), corpus, None)
+        assert (row["accuracy"], row["agot"]) == (csv_field(report.accuracy), csv_field(report.agot))
 
 
 def test_compare_output_does_not_depend_on_the_process_count(corpus_file, tmp_path, capsys, monkeypatch):
@@ -1161,33 +1181,6 @@ def test_compare_output_does_not_depend_on_the_process_count(corpus_file, tmp_pa
     one, *more = outputs_at_1_2_and_3_processes(monkeypatch, capsys, tmp_path / "c.csv", *argv)
     assert one[0] == 0 and b"random@fixed-threshold-0.7,2," in one[1]
     assert more == [one, one]
-
-
-def test_each_sweep_run_is_scored_against_the_train_all_of_its_block(corpus_file, tmp_path, capsys, monkeypatch):
-    # 2 seeds x 2 epoch counts, so at 2 and 3 processes a block's runs are dealt over processes
-    argv = ["sweep", "--data", corpus_file, *SWEEP_ARGS, "--epochs-grid", "1,2"]
-    corpus = load_dataset(corpus_file)
-    reference = functools.cache(lambda cfg: trainer.run(cfg, corpus, None))
-    base = TrainerConfig(batch_size=16, threshold_window=8)
-    for code, csv, _ in outputs_at_1_2_and_3_processes(monkeypatch, capsys, tmp_path / "s.csv", *argv):
-        assert code == 0
-        rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in csv.decode().splitlines()[1:]]
-        runs = [r for r in rows if r["row_type"] == "run"]
-        a_full = {(r["epochs"], r["seed"]): float(r["accuracy"]) for r in runs if r["method"] == "train-all"}
-        assert len(runs) == 16 and len(a_full) == 4
-        for row in runs:
-            grid = {
-                name: kind(row[column]) for name, column, kind in [
-                    ("n0_fraction", "n0_fraction", float), ("predictor_window", "window_w", int),
-                    ("alt", "alt", float), ("fixed_threshold", "fixed_threshold", float),
-                ] if row[column]
-            }
-            # a train-all row's a_full is its own accuracy
-            report = reference(replace(
-                base, mode=row["method"], epochs=int(row["epochs"]), seed=int(row["seed"]),
-                a_full=a_full[row["epochs"], row["seed"]], **grid,
-            ))
-            assert (row["accuracy"], row["agot"]) == (csv_field(report.accuracy), csv_field(report.agot))
 
 
 def test_runs_come_back_in_config_order_whatever_the_process_count(corpus_file, monkeypatch):
