@@ -20,19 +20,21 @@ predictor_window, alt), and on
 --eval-every-epoch or its key, as neither writes a per-epoch curve; neither
 --help lists those flags. sweep checks --max-runs before it builds a run's
 config. compare names a fixed threshold's method fixed-threshold-{t}, with t
-written as the sweep CSV writes it. A negative number may follow its flag
-after a space, -inf and -1e-3 too. sweep scores each run's AGOT, after the
-runs, against the accuracy of the train-all run of its (epochs, seed);
-compare writes no AGOT and leaves every run's a_full unset.
+written as the sweep CSV writes it. A negative number, -inf and -1e-3 too,
+may follow its flag after a space, as may a comma list of numbers that starts
+with one. sweep scores each run's AGOT, after the runs, against the accuracy
+of the train-all run of its (epochs, seed); compare writes no AGOT and leaves
+every run's a_full unset.
 
 sweep and compare deal their runs over one process per CPU this process may
 run on, and no more processes than runs: run i goes to process i mod P. The
 command's own process runs its share, from run 0, and forks the others, so
 one CPU or one run (as in run) forks nothing. The outputs do not depend on
 P. Each process stops at its first failure, and the command reports that of
-the first failing run in list order, once every child has ended; a child
-that ends without sending its results is a runtime error. No child outlives
-the command.
+the first failing run in list order, once every child has ended. A child's
+results count only once it exits 0, which it does after sending them; a
+child that ends otherwise is a runtime error that names its exit code. No
+child outlives the command.
 """
 
 from __future__ import annotations
@@ -300,16 +302,16 @@ def _process_count() -> int:
 
 def _run_share(
     configs: list[TrainerConfig], share: range, train_examples: Corpus, eval_examples: Corpus | None
-) -> tuple[list[RunReport], tuple[int, Exception] | None]:
-    """Run ``configs[i]`` for each ``i`` in ``share``, in order. Stop at the
-    first that raises: the reports so far, and that run's index and exception."""
+) -> list[RunReport | Exception]:
+    """Run ``configs[i]`` for each ``i`` in ``share``, in order: each run's
+    report, or the exception of the first run that raises, which ends the list."""
     reports: list[RunReport] = []
     for i in share:
         try:
             reports.append(run(configs[i], train_examples, eval_examples))
         except Exception as exc:  # noqa: BLE001 - the caller raises the first failure of all shares
-            return reports, (i, exc)
-    return reports, None
+            return [*reports, exc]
+    return reports
 
 
 def _fork_share(
@@ -349,7 +351,8 @@ def _run_in_order(
     and forks the others, so with one process nothing is forked. Each process
     runs its share in order and stops at its first failure; the failure of the
     first failing config in list order is raised, after every child has ended.
-    A child that ends without sending its results raises ``RuntimeError``."""
+    A child's results count only once it exits 0, after sending them; one
+    that ends otherwise raises ``RuntimeError`` with its exit code."""
     for cfg in configs:
         try:
             # a partition's batch count, ceil(examples / batch size), without cutting one
@@ -370,10 +373,9 @@ def _run_in_order(
             pid, pipe = children[0]
             with pipe:
                 payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            if not payload:
-                code = os.waitstatus_to_exitcode(status)
+            if code != 0:
                 raise RuntimeError(f"a run process ended with exit code {code} before sending its results")
             results.append(pickle.loads(payload))
     finally:
@@ -381,16 +383,15 @@ def _run_in_order(
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    reports: list[RunReport | None] = [None] * len(configs)
-    failures = []
-    for share, (share_reports, failure) in zip(shares, results):
-        for i, report in zip(share, share_reports):
-            reports[i] = report
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return reports
+    outcomes: list[RunReport | Exception | None] = [None] * len(configs)
+    for share, share_outcomes in zip(shares, results):
+        for i, outcome in zip(share, share_outcomes):
+            outcomes[i] = outcome
+    # a run a process never reached comes after that process's own failure
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -644,15 +645,17 @@ def _is_number(token: str) -> bool:
 
 
 def _joined_negative_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """``argv`` with each number that starts with ``-`` joined to the flag
-    before it when that flag takes a value: ``--alt -1e-3`` becomes
-    ``--alt=-1e-3``. argparse reads ``-1`` as a value but ``-inf`` or
-    ``-1e-3`` as an unknown option; no option string reads as a number."""
+    """``argv`` with each token of comma-separated numbers that starts with
+    ``-`` joined to the flag before it when that flag takes a value, as
+    ``--alt -1e-3`` to ``--alt=-1e-3``. argparse reads ``-1`` as a value but
+    ``-inf``, ``-1e-3`` or ``-0.5,0.3`` as an unknown option; no option string
+    reads as a number."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices.values()
     takes_value = {flag for p in commands for a in p._actions if a.nargs is None for flag in a.option_strings}
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in takes_value and token.startswith("-") and _is_number(token):
+        negative = token.startswith("-") and all(map(_is_number, token.split(",")))
+        if joined and joined[-1] in takes_value and negative:
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -164,22 +164,17 @@ class RunReport:
 
     def with_a_full(self, a_full: float | None) -> RunReport:
         """The report the run would have given with config ``a_full``: only
-        the config's ``a_full`` and ``agot`` depend on it."""
+        the config's ``a_full`` and ``agot`` depend on it. AGOT is scored against
+        ``a_full``, or a train-all run's own accuracy where that is None; it is
+        None without such a reference, when that equals ``a_base``, or when every
+        batch was skipped, as AGOT divides by a power of T_norm."""
         config = {**self.config, "a_full": a_full}
-        agot = _run_agot(config["mode"], a_full, self.accuracy, self.t_norm, self.a_base)
+        if a_full is None and config["mode"] == "train-all":
+            a_full = self.accuracy
+        agot = None
+        if a_full is not None and a_full != self.a_base and self.t_norm > 0:
+            agot = metrics.agot(self.accuracy, self.t_norm, metrics.AgotParams(a_base=self.a_base, a_full=a_full))
         return replace(self, config=config, agot=agot)
-
-
-def _run_agot(mode: str, a_full: float | None, accuracy: float, time_norm: float, a_base: float) -> float | None:
-    """A run's AGOT against ``a_full``, or against its own accuracy for a
-    train-all run that has none. None without such a reference, when it
-    equals ``a_base``, or when every batch was skipped, as AGOT divides by a
-    power of T_norm."""
-    if a_full is None and mode == "train-all":
-        a_full = accuracy
-    if a_full is None or a_full == a_base or not time_norm > 0:
-        return None
-    return metrics.agot(accuracy, time_norm, metrics.AgotParams(a_base=a_base, a_full=a_full))
 
 
 def priced_time(config: TrainerConfig, n_batches: int) -> float:
@@ -379,7 +374,7 @@ class Trainer:
             alpha_fb=fractions.alpha_fb,
             total_time=t_ours,
             t_norm=time_norm,
-            agot=_run_agot(cfg.mode, cfg.a_full, accuracy, time_norm, a_base),
+            agot=None,
             energy_kwh=kwh,
             co2e_lb=co2,
             batches_total=total,
@@ -391,7 +386,7 @@ class Trainer:
             overhead_wall_seconds=self._overhead,
             epoch_accuracies=epoch_accuracies,
             traces=self.traces,
-        )
+        ).with_a_full(cfg.a_full)
 
 
 def run(

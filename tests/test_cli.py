@@ -4,6 +4,7 @@ import functools
 import inspect
 import json
 import os
+import pickle
 import re
 import signal
 import time
@@ -327,6 +328,29 @@ def test_a_negative_flag_value_parses_as_with_an_equals_sign(corpus_file, tmp_pa
         assert joined[0] == 2
         assert "fixed_threshold must be finite" in joined[1].err
         assert not report.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--seeds", "0", "--n0-grid", "0.1", "--window-grid", "4", "--alt-grid", "0.4"]),
+    ("compare", ["--seeds", "0"]),
+])
+def test_a_comma_list_that_starts_with_a_negative_number_parses_as_with_an_equals_sign(
+    corpus_file, tmp_path, capsys, command, flags
+):
+    out = tmp_path / "out.csv"
+
+    def outcome(*flag_args):
+        out.unlink(missing_ok=True)
+        argv = [command, "--data", corpus_file, *flags, "--batch-size", "16", "--threshold-window", "8"]
+        try:
+            code = run_cli(*argv, "--out", str(out), *flag_args)
+        except SystemExit as exc:  # an argparse error
+            code = exc.code
+        return code, out.read_bytes() if out.exists() else None, capsys.readouterr().out
+
+    joined = outcome("--fixed-thresholds=-0.5,0.3")
+    assert joined[0] == 0 and b"-0.5," in joined[1]
+    assert outcome("--fixed-thresholds", "-0.5,0.3") == joined
 
 
 def test_a_flag_after_a_flag_missing_its_value_is_not_joined_to_it(corpus_file, tmp_path, capsys, monkeypatch):
@@ -1237,26 +1261,46 @@ def test_when_two_runs_fail_the_first_in_config_order_is_reported(
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("die, code", [
+    (lambda: os._exit(7), 7),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -9),
+], ids=["exit-7", "sigkill"])
 def test_a_child_that_dies_without_sending_raises_in_the_caller(
-    corpus_file, tmp_path, capsys, monkeypatch, fails_after_60_s
+    corpus_file, tmp_path, capsys, monkeypatch, fails_after_60_s, die, code
 ):
     caller = os.getpid()
 
     def dying_run(cfg, *data):
         if os.getpid() != caller:
-            os._exit(7)
+            die()
         return trainer.run(cfg, *data)
 
     pin_processes(monkeypatch, 2)
     monkeypatch.setattr(cli, "run", dying_run)
+    message = f"a run process ended with exit code {code} before sending its results"
     configs = [TrainerConfig(mode="train-all", seed=seed) for seed in range(4)]
-    with pytest.raises(RuntimeError, match="^a run process ended with exit code 7 before sending its results$"):
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
         cli._run_in_order(configs, load_dataset(corpus_file), None)
     assert_no_child_left()
     out = tmp_path / "s.csv"
     assert run_cli("sweep", "--data", corpus_file, "--out", str(out), *TWO_RUNS_A_SEED) == 3
-    assert capsys.readouterr().err == "runtime error: a run process ended with exit code 7 before sending its results\n"
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
     assert not out.exists()
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_mid_payload_raises_its_exit_code(corpus_file, monkeypatch, fails_after_60_s):
+    # the results count only once the child exits 0, so a truncated pickle is never read
+    def truncated_dump(obj, file):
+        file.write(pickle.dumps(obj)[:16])
+        file.flush()
+        os._exit(9)
+
+    pin_processes(monkeypatch, 2)
+    monkeypatch.setattr(pickle, "dump", truncated_dump)
+    configs = [TrainerConfig(mode="train-all", seed=seed) for seed in range(2)]
+    with pytest.raises(RuntimeError, match="^a run process ended with exit code 9 before sending its results$"):
+        cli._run_in_order(configs, load_dataset(corpus_file), None)
     assert_no_child_left()
 
 
