@@ -9,9 +9,12 @@ The per-example loss is ``log(1 + exp(-y s))`` on the label-signed score
 (``y = +1`` for label 1, ``-1`` for label 0): one ``logaddexp`` per batch.
 On small batches each numpy call costs more than its arithmetic, so a pass
 makes only the calls its math needs. ``forward`` is a ``take`` and a
-``bincount`` for the scores, one finiteness check, the label-signed
-``logaddexp`` in place and one ``np.add.reduce``; it returns the scores, and
-computes no probability. ``backward`` shares the per-example coefficient
+``bincount`` for the scores and one finiteness check; it returns the scores,
+and computes no loss and no probability. The losses are computed on the
+first read of ``per_example_losses`` or ``batch_loss``, from the result's
+scores and labels alone, and kept: the label-signed ``np.where``, the
+``logaddexp`` in place and one ``np.add.reduce``. So a run that reads no
+loss pays for none. ``backward`` shares the per-example coefficient
 ``(p - y) / n`` with ``batch_gradient``: one Python loop over the scores
 computes the sigmoid ``p`` and the coefficient. It sums the coefficients for
 the bias gradient (whose finiteness covers every coefficient, so it is the
@@ -31,7 +34,7 @@ differently on some hosts, so it is not used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,15 +56,39 @@ def _score_gradients(scores: np.ndarray, labels: np.ndarray, n: int) -> np.ndarr
     return np.array(coef)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class ForwardResult:
-    """Losses and scores for one batch, plus what backward needs."""
+    """Scores for one batch, plus what backward needs. ``per_example_losses``
+    and ``batch_loss`` are computed together on the first read of either,
+    from ``scores`` and ``batch.labels`` alone, and kept."""
 
-    per_example_losses: np.ndarray
-    batch_loss: float
     scores: np.ndarray
     batch: MiniBatch
     model_step: int
+    _losses: np.ndarray | None = field(default=None, init=False, repr=False)
+    _batch_loss: float | None = field(default=None, init=False, repr=False)
+
+    def _compute_losses(self) -> None:
+        # CE = log(1 + exp(-y s)) with y = +1 for label 1 and -1 for label 0;
+        # labels are 0 or 1, so they serve as the condition as they are
+        labels = self.batch.labels
+        losses = np.where(labels, -self.scores, self.scores)
+        np.logaddexp(0.0, losses, out=losses)
+        self._losses = losses
+        self._batch_loss = float(np.add.reduce(losses)) / labels.size  # losses.mean(), bit for bit
+
+    @property
+    def per_example_losses(self) -> np.ndarray:
+        if self._losses is None:
+            self._compute_losses()
+        return self._losses
+
+    @property
+    def batch_loss(self) -> float:
+        """Mean cross-entropy over the batch."""
+        if self._batch_loss is None:
+            self._compute_losses()
+        return self._batch_loss
 
 
 @dataclass
@@ -88,24 +115,14 @@ class TargetModel:
         return self.bias + np.bincount(batch.rows, weights=weights, minlength=batch.labels.size)
 
     def forward(self, batch: MiniBatch) -> ForwardResult:
-        """Mean cross-entropy over the batch; the model is not touched."""
-        n = batch.labels.size
-        if n == 0:
+        """The batch's scores, whose losses the result computes when first
+        read; the model is not touched."""
+        if batch.labels.size == 0:
             raise ValueError("batch is empty")
         scores = self._scores(batch)
         if not np.logical_and.reduce(np.isfinite(scores)):
             raise RuntimeError("model diverged: non-finite prediction scores")
-        # CE = log(1 + exp(-y s)) with y = +1 for label 1 and -1 for label 0;
-        # labels are 0 or 1, so they serve as the condition as they are
-        losses = np.where(batch.labels, -scores, scores)
-        np.logaddexp(0.0, losses, out=losses)
-        return ForwardResult(
-            per_example_losses=losses,
-            batch_loss=float(np.add.reduce(losses)) / n,  # losses.mean(), bit for bit
-            scores=scores,
-            batch=batch,
-            model_step=self.step_count,
-        )
+        return ForwardResult(scores, batch, self.step_count)
 
     @staticmethod
     def _coefficients(result: ForwardResult) -> tuple[np.ndarray, float]:

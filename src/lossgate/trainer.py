@@ -243,7 +243,9 @@ class Trainer:
     def _pass(self, batch: MiniBatch, learn=None, skip: bool = False, predictor_p1=None) -> None:
         """Count the batch; unless ``skip``, forward it, label the loss against
         ``self.gate`` (none trains every batch), time ``learn(result, label)``
-        as overhead and backward iff the label is 1. Trace it iff ``record_trace``."""
+        as overhead and backward iff the label is 1. Trace it iff ``record_trace``.
+        The loss is read, and so computed, only when a gate, a learner or the
+        trace uses it, and before the learner's clock starts."""
         self.batches_seen += 1
         loss = None
         if skip:
@@ -251,7 +253,9 @@ class Trainer:
             decision = DECISION_SKIPPED
         else:
             fr = self.model.forward(batch)
-            loss, gate = fr.batch_loss, self.gate
+            gate = self.gate
+            if gate is not None or learn is not None or self.config.record_trace:
+                loss = fr.batch_loss
             label = 1 if gate is None else make_label(loss, gate)
             if learn is not None:
                 t0 = time.perf_counter()

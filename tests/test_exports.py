@@ -42,8 +42,9 @@ PARAMETERS = {
     "Trainer._pass": (Trainer._pass, ["self", "batch", "learn", "skip", "predictor_p1"]),
     # a batch's fields: what every consumer of a batch reads
     "MiniBatch": (MiniBatch, ["indices", "rows", "labels", "positions"]),
-    # a forward's fields: the scores and no probability, which only a backward computes
-    "ForwardResult": (ForwardResult, ["per_example_losses", "batch_loss", "scores", "batch", "model_step"]),
+    # a forward's fields: the scores and no probability, which only a backward
+    # computes; a forward carries no loss and no probability until one is read
+    "ForwardResult": (ForwardResult, ["scores", "batch", "model_step"]),
 }
 
 

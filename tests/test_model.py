@@ -34,6 +34,11 @@ def random_case(rng, n_examples=6, vocab=30):
     return model, batch(pairs)
 
 
+def two_branch_losses(scores, labels):
+    """The reference loss: ``logaddexp`` on both ``s`` and ``-s``, one kept per label."""
+    return np.where(labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
+
+
 def probabilities(result):
     """The sigmoid of each score, as the backward computes it: ``(p - 0) / 1`` is ``p``."""
     return _score_gradients(result.scores, np.zeros(result.scores.size, dtype=np.int64), 1)
@@ -168,12 +173,37 @@ def test_forward_matches_two_branch_loss_bit_for_bit():
             b = MiniBatch(b.indices, b.rows, labels, b.positions)
             scores = model.bias + np.bincount(b.rows, weights=model.weights[b.indices], minlength=n)
             assert np.abs(scores).max() <= scale
-            old = np.where(b.labels == 1, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
+            old = two_branch_losses(scores, b.labels)
             result = model.forward(b)
             assert np.array_equal(result.per_example_losses, old)
             assert result.batch_loss == float(old.mean())
             assert np.array_equal(result.scores, scores)
             assert np.array_equal(probabilities(result), expit(scores))
+
+
+@pytest.mark.parametrize("first_read", ["batch_loss", "per_example_losses"])
+def test_a_late_loss_read_gives_the_bits_of_an_immediate_one(first_read):
+    """A result computes its losses from its own scores and labels alone: read
+    first after its backward and after a later forward, they are the bits an
+    immediate read gives, and the two-branch reference's. So the backward
+    never writes ``result.scores``, and the loss reads no model state."""
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        model, b = random_case(rng)
+        immediate = model.forward(b)
+        losses, loss = immediate.per_example_losses, immediate.batch_loss
+        late = model.forward(b)
+        scores = late.scores.copy()
+        model.backward(late)
+        later = model.forward(b)
+        assert not np.array_equal(later.scores, scores)  # the model moved
+        getattr(late, first_read)
+        assert np.array_equal(late.scores, scores)
+        assert np.array_equal(late.per_example_losses, losses)
+        assert late.batch_loss == loss
+        old = two_branch_losses(scores, b.labels)
+        assert np.array_equal(late.per_example_losses, old)
+        assert late.batch_loss == float(old.mean())
 
 
 def test_zero_bucket_example_last_in_batch():
@@ -272,7 +302,7 @@ def test_backward_rejects_non_finite_gradient(score, row):
     result = model.forward(b)
     scores = result.scores.copy()
     scores[row] = score
-    bad = ForwardResult(result.per_example_losses, result.batch_loss, scores, b, model.step_count)
+    bad = ForwardResult(scores, b, model.step_count)
     before_w, before_bias = model.weights.copy(), model.bias
     if math.isnan(score):
         with pytest.raises(RuntimeError, match="non-finite gradient"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import lossgate.model
 import lossgate.trainer
 from lossgate.data import Example, generate_toy_corpus, make_batches
 from lossgate.metapredictor import NaiveBayesModel
@@ -503,6 +504,58 @@ def test_no_trace_is_built_without_record_trace(mode):
         d.pop("config")
         d.pop("overhead_wall_seconds")
     assert d_traced == d_untraced
+
+
+class CountingNumpy:
+    """numpy as ``lossgate.model`` sees it, counting its ``logaddexp`` calls:
+    one for each forward result whose losses are computed."""
+
+    def __init__(self):
+        self.logaddexp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def logaddexp(self, *args, **kwargs):
+        self.logaddexp_calls += 1
+        return np.logaddexp(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["train-all", "random-skip"])
+def test_an_ungated_untraced_run_computes_no_loss(monkeypatch, mode):
+    counting = CountingNumpy()
+    monkeypatch.setattr(lossgate.model, "np", counting)
+    report = run_mode(mode, record_trace=False, **MODE_ARGS.get(mode, {}))
+    assert report.full_steps > 0
+    assert counting.logaddexp_calls == 0
+
+
+@pytest.mark.parametrize("mode", ["fixed-threshold", "auto-threshold-only", "three-stage"])
+def test_a_gated_run_computes_each_forward_loss_once(monkeypatch, mode):
+    """In warmup both the window learner and the trainer read the loss; the
+    forward result computes it once for the two."""
+    counting = CountingNumpy()
+    monkeypatch.setattr(lossgate.model, "np", counting)
+    report = run_mode(mode, record_trace=False, **MODE_ARGS.get(mode, {}))
+    if mode != "fixed-threshold":
+        assert report.stage_boundaries["backward_filter_start"] > 0
+    assert counting.logaddexp_calls == report.batches_total - report.forward_skipped
+
+
+def test_a_traced_train_all_run_traces_the_eager_loss_bit_for_bit(monkeypatch):
+    """Each traced loss is ``per_example_losses.mean()`` of the step's batch,
+    read right after a forward of the same model that the run never sees."""
+    eager = []
+    forward = TargetModel.forward
+
+    def forward_and_read(model, batch):
+        eager.append(forward(model, batch).per_example_losses.mean())
+        return forward(model, batch)
+
+    monkeypatch.setattr(TargetModel, "forward", forward_and_read)
+    report = run_mode("train-all")
+    assert len(eager) == report.batches_total
+    assert [t.loss for t in report.traces] == eager
 
 
 def test_time_model_consistency():
