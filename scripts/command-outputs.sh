@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Write the command outputs of a lossgate source tree: each command's --help,
-# reports, traces, CSVs, and the exit code and message of each refused input.
+# what each accepted command prints, reports, traces, CSVs, and the exit code
+# and message of each refused input.
 #
 #   scripts/command-outputs.sh TREE OUT INPUTS
 #
@@ -29,6 +30,9 @@ inputs="$(cd "$3" && pwd)"
 export PYTHONDONTWRITEBYTECODE=1
 
 lg() { PYTHONPATH="$tree/src" python -m lossgate "$@"; }
+# keep_stdout NAME: the piped stdout of a command as OUT/NAME.stdout, each path under OUT written
+# OUT/..., so that the outputs of two trees, written to two OUT directories, compare
+keep_stdout() { sed "s|$out/|OUT/|g" > "$out/$1.stdout"; }
 # the package is TREE's own, not an installed one
 PYTHONPATH="$tree/src" python -c 'import lossgate, sys; sys.exit(not lossgate.__file__.startswith(sys.argv[1]))' "$tree/"
 
@@ -65,56 +69,56 @@ for cmd in run sweep compare gen-toy; do
   COLUMNS=100 lg "$cmd" --help > "$out/help-$cmd.txt"
 done
 
-lg gen-toy --out "$out/toy.jsonl" --num-examples 3000 --eval-out "$out/eval.jsonl" --eval-size 500 --seed 1
+lg gen-toy --out "$out/toy.jsonl" --num-examples 3000 --eval-out "$out/eval.jsonl" --eval-size 500 --seed 1 | keep_stdout gen-toy
 # the acceptance configuration, under which three-stage reaches stage 2
 data=(--data "$out/toy.jsonl" --eval-data "$out/eval.jsonl" --batch-size 8 --threshold-window 64 --skip-gamma 0.87)
 for mode in three-stage train-all; do
   lg run "${data[@]}" --n0 0.2 --alt 0.5 --mode "$mode" --epochs 2 \
-    --report "$out/$mode.json" --trace "$out/$mode.csv" > /dev/null
+    --report "$out/$mode.json" --trace "$out/$mode.csv" | keep_stdout "$mode"
 done
 # a learning rate that saturates the model: probabilities of exactly 0.0 or 1.0, losses above 100
 for mode in three-stage train-all; do
   lg run "${data[@]}" --n0 0.2 --alt 0.5 --mode "$mode" --epochs 2 --learning-rate 50 \
-    --report "$out/$mode-lr50.json" --trace "$out/$mode-lr50.csv" > /dev/null
+    --report "$out/$mode-lr50.json" --trace "$out/$mode-lr50.csv" | keep_stdout "$mode-lr50"
 done
 # the other gated modes, which compare reaches only through its seed-averaged CSV
 lg run "${data[@]}" --mode fixed-threshold --fixed-threshold 0.5 --epochs 2 \
-  --report "$out/fixed-threshold.json" --trace "$out/fixed-threshold.csv" > /dev/null
+  --report "$out/fixed-threshold.json" --trace "$out/fixed-threshold.csv" | keep_stdout fixed-threshold
 lg run "${data[@]}" --mode random-skip --random-skip-ratio 0.4 --epochs 2 \
-  --report "$out/random-skip.json" --trace "$out/random-skip.csv" > /dev/null
+  --report "$out/random-skip.json" --trace "$out/random-skip.csv" | keep_stdout random-skip
 lg run "${data[@]}" --mode auto-threshold-only --n0 0.2 --epochs 2 \
-  --report "$out/auto-threshold-only.json" --trace "$out/auto-threshold-only.csv" > /dev/null
+  --report "$out/auto-threshold-only.json" --trace "$out/auto-threshold-only.csv" | keep_stdout auto-threshold-only
 # the predictor's parameters away from their defaults; stage 2 starts at batch 104
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --smoothing-alpha 0.5 \
-  --report "$out/alpha.json" --trace "$out/alpha.csv" > /dev/null
+  --report "$out/alpha.json" --trace "$out/alpha.csv" | keep_stdout alpha
 # pass times away from their defaults, so T, T_norm, p_t and co2e are priced by another time model
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --t-forward 1 --t-backward 3.4 \
-  --report "$out/time-model.json" --trace "$out/time-model.csv" > /dev/null
+  --report "$out/time-model.json" --trace "$out/time-model.csv" | keep_stdout time-model
 # a given a_full, which the report keeps and scores agot against
-lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --a-full 0.8 --report "$out/a-full.json" > /dev/null
+lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --a-full 0.8 --report "$out/a-full.json" | keep_stdout a-full
 # a run read from a config file, with a flag over one of its values
-lg run "${data[@]}" --config "$inputs/fixed-threshold.cfg" --epochs 1 --report "$out/config-file.json" > /dev/null
+lg run "${data[@]}" --config "$inputs/fixed-threshold.cfg" --epochs 1 --report "$out/config-file.json" | keep_stdout config-file
 # the per-epoch accuracy curve
-lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" > /dev/null
+lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" | keep_stdout epoch-curve
 # a predictor window that never fills, so the run never leaves stage 1
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --mode three-stage --predictor-window 4611686018427387904 --epochs 2 \
-  --report "$out/no-predictor.json" > /dev/null
-lg sweep "${data[@]}" --n0-grid 0.1,0.2 --alt-grid 0.5 --window-grid 8 --out "$out/sweep.csv" > /dev/null
+  --report "$out/no-predictor.json" | keep_stdout no-predictor
+lg sweep "${data[@]}" --n0-grid 0.1,0.2 --alt-grid 0.5 --window-grid 8 --out "$out/sweep.csv" | keep_stdout sweep
 # several seeds and epoch counts: runs go seed-major and rows epochs-major
 lg sweep "${data[@]}" --seeds 0,1 --epochs-grid 1,2 --n0-grid 0.2 --alt-grid 0.5 --window-grid 8 \
-  --fixed-thresholds 0.3 --out "$out/sweep-seeds.csv" > /dev/null
-lg compare "${data[@]}" --n0 0.2 --alt 0.5 --seeds 0,1 --out "$out/compare.csv" > /dev/null
+  --fixed-thresholds 0.3 --out "$out/sweep-seeds.csv" | keep_stdout sweep-seeds
+lg compare "${data[@]}" --n0 0.2 --alt 0.5 --seeds 0,1 --out "$out/compare.csv" | keep_stdout compare
 # at batch 32 the fixed-threshold-0.7 control skips every batch
 lg compare "${data[@]:0:4}" --batch-size 32 --threshold-window 64 --skip-gamma 0.87 --seeds 0,1,2 \
-  --fixed-thresholds 0.3,0.7 --out "$out/compare-batch32.csv" > /dev/null
+  --fixed-thresholds 0.3,0.7 --out "$out/compare-batch32.csv" | keep_stdout compare-batch32
 # the training set as TSV under a header line
 python -c 'import json, sys; print("text\tlabel"); [print(r["text"], r["label"], sep="\t") for r in map(json.loads, open(sys.argv[1]))]' \
   "$out/toy.jsonl" > "$out/toy.tsv"
-lg run --data "$out/toy.tsv" --header "${data[@]:2}" --n0 0.2 --alt 0.5 --epochs 2 --report "$out/header.json" > /dev/null
+lg run --data "$out/toy.tsv" --header "${data[@]:2}" --n0 0.2 --alt 0.5 --epochs 2 --report "$out/header.json" | keep_stdout header
 # a corpus in which no text repeats, over a wide vocabulary, so every token list is featurized
 lg gen-toy --out "$out/wide.jsonl" --num-examples 3000 --dup-factor 1 --class-vocab 20000 \
-  --shared-vocab 80000 --seed 2
-lg run --data "$out/wide.jsonl" --epochs 2 --report "$out/wide.json" --trace "$out/wide.csv" > /dev/null
+  --shared-vocab 80000 --seed 2 | keep_stdout gen-toy-wide
+lg run --data "$out/wide.jsonl" --epochs 2 --report "$out/wide.json" --trace "$out/wide.csv" | keep_stdout wide
 # texts that are not ASCII letters, digits and spaces alone, so tokenize reads them with its pattern:
 # punctuation, underscores, tabs and newlines, uppercase, NBSP, and non-ASCII letters and digits
 printf '%s\n' \
@@ -127,7 +131,7 @@ printf '%s\n' \
   '{"text": "Good movie, GOOD plot", "label": 1}' \
   '{"text": "bad_plot__bad—acting…", "label": 0}' > "$out/regex-path.jsonl"
 lg run --data "$out/regex-path.jsonl" --mode train-all --batch-size 2 --epochs 2 \
-  --report "$out/regex-path.json" --trace "$out/regex-path.csv" > /dev/null
+  --report "$out/regex-path.json" --trace "$out/regex-path.csv" | keep_stdout regex-path
 # a bad record: the exit code and the message
 for file in "$bad"/*; do
   lg run --data "$file" --mode train-all > /dev/null 2> "$out/${file##*/}.err" && code=0 || code=$?
