@@ -54,7 +54,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .data import Corpus, generate_toy_corpus, load_dataset, write_jsonl
-from .trainer import RunReport, TrainerConfig, csv_field, priced_time, random_control, run, write_trace
+from .trainer import RunReport, TrainerConfig, csv_field, priced_time, random_control, run, write_csv, write_trace
 
 DEFAULT_N0_GRID = [0.1, 0.2, 0.3, 0.4]
 DEFAULT_WINDOW_GRID = [4, 8, 16]
@@ -355,8 +355,7 @@ def _run_in_order(
     that ends otherwise raises ``RuntimeError`` with its exit code."""
     for cfg in configs:
         try:
-            # a partition's batch count, ceil(examples / batch size), without cutting one
-            priced_time(cfg, -(-len(train_examples) // cfg.batch_size))
+            priced_time(cfg, len(train_examples))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     n_procs = max(1, min(_process_count(), len(configs)))
@@ -403,23 +402,24 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 # -- sweep ---------------------------------------------------------------------
 
 
-def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[TrainerConfig]:
-    """One config per run, train-all first in each (epochs, seed) block.
-    Seeds run outside epochs: a batch partition depends on the seed and not
-    on the epoch count, so the runs of one seed share one partition."""
-    configs = []
+def _sweep_grid(args: argparse.Namespace, base: TrainerConfig) -> list[tuple[TrainerConfig, tuple]]:
+    """One config per run with its GRID_COLUMNS values, train-all first in
+    each (epochs, seed) block. Seeds run outside epochs: a batch partition
+    depends on the seed and not on the epoch count, so the runs of one seed
+    share one partition."""
+    grid = []
     for seed in args.seeds:
         for epochs in args.epochs_grid:
             common = _variant(base, epochs=epochs, seed=seed)
-            configs.append(_variant(common, mode="train-all"))
-            configs.extend(_variant(common, mode="fixed-threshold", fixed_threshold=t) for t in args.fixed_thresholds)
+            grid.append((_variant(common, mode="train-all"), (None, None, None, None)))
+            for t in args.fixed_thresholds:
+                grid.append((_variant(common, mode="fixed-threshold", fixed_threshold=t), (None, None, None, t)))
             for n0 in args.n0_grid:
                 for w in args.window_grid:
-                    configs.extend(
-                        _variant(common, mode="three-stage", n0_fraction=n0, predictor_window=w, alt=alt)
-                        for alt in args.alt_grid
-                    )
-    return configs
+                    for alt in args.alt_grid:
+                        cfg = _variant(common, mode="three-stage", n0_fraction=n0, predictor_window=w, alt=alt)
+                        grid.append((cfg, (n0, w, alt, None)))
+    return grid
 
 
 def _sweep_run_count(args: argparse.Namespace) -> int:
@@ -428,20 +428,8 @@ def _sweep_run_count(args: argparse.Namespace) -> int:
     return len(args.epochs_grid) * len(args.seeds) * (1 + len(args.fixed_thresholds) + staged)
 
 
-def _grid_values(cfg: TrainerConfig) -> tuple:
-    """The config's GRID_COLUMNS values: None where its mode has no such
-    parameter."""
-    staged = cfg.mode == "three-stage"
-    return (
-        cfg.n0_fraction if staged else None,
-        cfg.predictor_window if staged else None,
-        cfg.alt if staged else None,
-        cfg.fixed_threshold,
-    )
-
-
-def _config_label(cfg: TrainerConfig) -> str:
-    named = zip((*GRID_COLUMNS, "epochs"), (*_grid_values(cfg), cfg.epochs))
+def _config_label(cfg: TrainerConfig, row: tuple) -> str:
+    named = zip((*GRID_COLUMNS, "epochs"), (*row, cfg.epochs))
     return " ".join([cfg.mode] + [f"{key}={value}" for key, value in named if value is not None])
 
 
@@ -455,45 +443,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_runs = _sweep_run_count(args)
     if n_runs > args.max_runs:
         raise UsageError(f"grid has {n_runs} runs, over the cap of {args.max_runs}")
-    configs = _sweep_grid(args, base)
+    grid = _sweep_grid(args, base)
     train_examples, eval_examples = _load_data(args)
-    reports = _run_in_order(configs, train_examples, eval_examples)
+    reports = _run_in_order([cfg for cfg, _ in grid], train_examples, eval_examples)
     # each run is scored against the accuracy of the train-all run of its (epochs, seed)
-    a_full = {(cfg.epochs, cfg.seed): rep.accuracy for cfg, rep in zip(configs, reports) if cfg.mode == "train-all"}
-    runs = [(cfg, rep.with_a_full(a_full[cfg.epochs, cfg.seed])) for cfg, rep in zip(configs, reports)]
+    a_full = {(cfg.epochs, cfg.seed): rep.accuracy for (cfg, _), rep in zip(grid, reports) if cfg.mode == "train-all"}
+    runs = [(cfg, row, rep.with_a_full(a_full[cfg.epochs, cfg.seed])) for (cfg, row), rep in zip(grid, reports)]
     # rows, summaries and the optimum's ties go epochs-major, seeds inside
     runs.sort(key=lambda run: args.epochs_grid.index(run[0].epochs))
 
-    scored = [i for i, (_, rep) in enumerate(runs) if rep.agot is not None]
+    scored = [i for i, (_, _, rep) in enumerate(runs) if rep.agot is not None]
     optimal = min(
-        scored, key=lambda i: (-runs[i][1].agot, runs[i][1].t_norm, _config_label(runs[i][0])), default=None
+        scored, key=lambda i: (-runs[i][2].agot, runs[i][2].t_norm, _config_label(*runs[i][:2])), default=None
     )
 
-    lines = [",".join(SWEEP_COLUMNS)]
+    rows = []
     groups: dict[tuple, list[RunReport]] = {}
-    for i, (cfg, rep) in enumerate(runs):
-        lines.append(",".join(map(csv_field, [
-            "run", cfg.mode, *_grid_values(cfg), cfg.epochs, cfg.seed, rep.accuracy, None,
+    for i, (cfg, row, rep) in enumerate(runs):
+        rows.append([
+            "run", cfg.mode, *row, cfg.epochs, cfg.seed, rep.accuracy, None,
             rep.alpha_b, rep.alpha_fb, rep.total_time, rep.t_norm, rep.agot, int(i == optimal),
-        ])))
-        groups.setdefault((cfg.mode, *_grid_values(cfg), cfg.epochs), []).append(rep)
+        ])
+        groups.setdefault((cfg.mode, *row, cfg.epochs), []).append(rep)
     for key, group in groups.items():
         agots = [r.agot for r in group]
-        lines.append(",".join(map(csv_field, [
+        rows.append([
             "summary", *key, None, *_mean_std([r.accuracy for r in group]),
             float(np.mean([r.alpha_b for r in group])),
             float(np.mean([r.alpha_fb for r in group])),
             float(np.mean([r.total_time for r in group])),
             float(np.mean([r.t_norm for r in group])),
             float(np.mean(agots)) if None not in agots else None, None,
-        ])))
+        ])
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(args.out, SWEEP_COLUMNS, rows)
     print(f"wrote {len(runs)} runs + {len(groups)} summaries to {args.out}")
     if optimal is not None:
-        cfg, rep = runs[optimal]
-        print(f"agot-optimal: {_config_label(cfg)} (agot={rep.agot:.4f})")
+        cfg, row, rep = runs[optimal]
+        print(f"agot-optimal: {_config_label(cfg, row)} (agot={rep.agot:.4f})")
     return 0
 
 
@@ -538,8 +525,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ])
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join([",".join(COMPARE_COLUMNS)] + [",".join(map(csv_field, row)) for row in rows]) + "\n")
+        write_csv(args.out, COMPARE_COLUMNS, rows)
         print(f"wrote comparison to {args.out}")
     print(f"{'method':<28}{'accuracy':>18}{'t_norm':>10}{'skipped':>10}")
     for label, _, acc, std, tn, _, skip, _ in rows:

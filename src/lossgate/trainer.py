@@ -31,7 +31,7 @@ import math
 import numbers
 import time
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
 
@@ -177,10 +177,12 @@ class RunReport:
         return replace(self, config=config, agot=agot)
 
 
-def priced_time(config: TrainerConfig, n_batches: int) -> float:
-    """T of a run of ``config`` that trains all ``n_batches`` batches of every
-    epoch, the most its time model can price. Raises ``ValueError`` when that
-    T or its p_t is infinite: the report would write JSON's invalid Infinity."""
+def priced_time(config: TrainerConfig, n_examples: int) -> float:
+    """T of a run of ``config`` on ``n_examples`` examples that trains all
+    ``ceil(n_examples / batch_size)`` batches of every epoch, the most its time
+    model can price. Raises ``ValueError`` when that T or its p_t is infinite:
+    the report would write JSON's invalid Infinity."""
+    n_batches = -(-n_examples // config.batch_size)
     t_all = config.epochs * n_batches * (config.t_forward + config.t_backward)
     if not (t_all < math.inf and metrics.energy_co2(metrics.EnergyParams(hours=t_all))[0] < math.inf):
         raise ValueError(
@@ -209,15 +211,14 @@ class Trainer:
         train = Corpus.from_examples(train_examples)  # a list is converted once; batches come from arrays
         self._eval_batch = pack_examples(train if eval_examples is None else eval_examples)
         self.model = TargetModel(learning_rate=config.learning_rate)
+        self._t_all = priced_time(config, len(train))
         self._epoch_batches = build_epoch_batches(train, config)
-        self._t_all = priced_time(config, len(self._epoch_batches))
         self._warmup_batches = math.ceil(config.n0_fraction * len(self._epoch_batches) - 1e-9)
         self.stage = Stage.WARMUP
         self.epoch_index = 0
         self.batches_seen = 0
         self.backward_skipped = 0
         self.forward_skipped = 0
-        self.full_steps = 0
         self.backward_filter_start: int | None = None
         self.full_filter_start: int | None = None
         # a run is staged iff it has a loss gate, and three-stage adds a predictor
@@ -263,7 +264,6 @@ class Trainer:
                 self._overhead += time.perf_counter() - t0
             if label == 1:
                 self.model.backward(fr)
-                self.full_steps += 1
                 decision = DECISION_FULL
             else:
                 self.backward_skipped += 1
@@ -384,7 +384,7 @@ class Trainer:
             batches_total=total,
             backward_skipped=self.backward_skipped,
             forward_skipped=self.forward_skipped,
-            full_steps=self.full_steps,
+            full_steps=self.model.step_count,
             stage_boundaries=boundaries,
             config=asdict(cfg),
             overhead_wall_seconds=self._overhead,
@@ -422,7 +422,6 @@ def run_random_skip(
 
 
 TRACE_FIELDS = tuple(f.name for f in fields(StepTrace))
-TRACE_HEADER = ",".join(TRACE_FIELDS)
 
 
 def csv_field(value) -> str:
@@ -432,10 +431,16 @@ def csv_field(value) -> str:
     return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_trace(traces: list[StepTrace], path: str) -> None:
-    """One line per batch; loss / probability fields are empty when the
-    corresponding pass never ran."""
+def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header line of ``columns``, then one line of ``csv_field`` values
+    per row; every line ends in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for t in traces:
-            fh.write(",".join(csv_field(getattr(t, name)) for name in TRACE_FIELDS) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(csv_field, row)) + "\n")
+
+
+def write_trace(traces: list[StepTrace], path: str) -> None:
+    """A ``write_csv`` of ``TRACE_FIELDS``, one line per batch; loss /
+    probability fields are empty when the corresponding pass never ran."""
+    write_csv(path, TRACE_FIELDS, ([getattr(t, name) for name in TRACE_FIELDS] for t in traces))

@@ -881,24 +881,21 @@ def test_overridden_flags_cover_every_field_each_command_sets():
     assert {(command, flag) for command, flag, _ in OVERRIDDEN_FLAGS} == expected
 
 
-GRID_CONFIGS = {
-    "train-all": (TrainerConfig(mode="train-all"), (None, None, None, None)),
-    "random-skip": (TrainerConfig(mode="random-skip", random_skip_ratio=0.3), (None, None, None, None)),
-    "fixed-threshold": (TrainerConfig(mode="fixed-threshold", fixed_threshold=0.4), (None, None, None, 0.4)),
-    "auto-threshold-only": (TrainerConfig(mode="auto-threshold-only"), (None, None, None, None)),
-    "three-stage": (TrainerConfig(mode="three-stage", n0_fraction=0.2, predictor_window=6, alt=0.3), (0.2, 6, 0.3, None)),
+# the GRID_COLUMNS values of each mode's run in a grid of one value each
+GRID_ROWS = {
+    "train-all": (None, None, None, None),
+    "fixed-threshold": (None, None, None, 0.4),
+    "three-stage": (0.2, 6, 0.3, None),
 }
 
 
-@pytest.mark.parametrize("mode", GRID_CONFIGS)
-def test_grid_values_name_only_the_parameters_of_the_mode(mode):
-    # a fixed threshold is None outside its mode, which TrainerConfig keeps so
-    cfg, expected = GRID_CONFIGS[mode]
-    assert cli._grid_values(cfg) == expected
-
-
-def test_grid_configs_cover_every_mode():
-    assert set(GRID_CONFIGS) == set(trainer.MODES)
+@pytest.mark.parametrize("mode", GRID_ROWS)
+def test_sweep_grid_rows_name_only_the_parameters_of_the_mode(mode):
+    grid_flags = ["--n0-grid", "0.2", "--window-grid", "6", "--alt-grid", "0.3", "--fixed-thresholds", "0.4"]
+    args = cli.build_parser().parse_args(["sweep", "--data", "x.jsonl", "--out", "x.csv", *grid_flags])
+    grid = cli._sweep_grid(args, TrainerConfig())
+    assert len(grid) == len(GRID_ROWS)
+    assert [row for cfg, row in grid if cfg.mode == mode] == [GRID_ROWS[mode]]
 
 
 def test_sweep_over_cap_exits_2(corpus_file, tmp_path, capsys):

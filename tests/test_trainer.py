@@ -27,6 +27,7 @@ from lossgate.trainer import (
     random_control,
     run,
     run_random_skip,
+    write_csv,
     write_trace,
 )
 
@@ -414,7 +415,30 @@ def test_csv_field_writes_a_numpy_float_as_a_python_float():
     assert (csv_field(None), csv_field(3), csv_field("full")) == ("", "3", "full")
 
 
+def test_write_csv_writes_a_header_then_a_line_of_csv_fields_per_row(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(str(path), ["a", "b", "c"], [[None, 1 / 3, np.float64(1 / 3)], ["full", 3, None]])
+    assert path.read_text(encoding="utf-8") == f"a,b,c\n,{1 / 3!r},{1 / 3!r}\nfull,3,\n"
+    write_csv(str(path), ["a", "b"], [])
+    assert path.read_text(encoding="utf-8") == "a,b\n"
+
+
 MODE_ARGS = {"fixed-threshold": {"fixed_threshold": 0.5}, "random-skip": {"random_skip_ratio": 0.3}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_full_steps_are_the_model_steps_and_the_backward_calls(monkeypatch, mode):
+    calls = []
+    backward = TargetModel.backward
+
+    def counted(model, result):
+        calls.append(result.model_step)
+        return backward(model, result)
+
+    monkeypatch.setattr(TargetModel, "backward", counted)
+    trainer = Trainer(replace(BASE, mode=mode, **MODE_ARGS.get(mode, {})), CORPUS, EVAL)
+    report = trainer.run()
+    assert report.full_steps == trainer.model.step_count == len(calls) > 0
 
 
 @pytest.mark.parametrize("name, mode", [("fixed_threshold", "fixed-threshold"), ("random_skip_ratio", "random-skip")])
@@ -647,28 +671,36 @@ def test_a_time_model_priced_at_infinity_is_refused_before_the_first_pass(epochs
         Trainer(cfg, CORPUS[: BASE.batch_size], EVAL)
 
 
-@pytest.mark.parametrize("epochs, n_batches, t_forward, t_backward", [
-    (1, 1, 1e308, 1e308),  # t_forward + t_backward overflows
-    (10**9, 1, 1e300, 1.0),  # epochs x (t_forward + t_backward) overflows
-    (1, 10**10, 1e300, 1.0),  # batches x (t_forward + t_backward) overflows
-    (1, 1, 3e305, 2e305),  # T is finite, but p_t overflows on the way
+# n_examples at BASE's batch size of 16, with the batch count it prices
+@pytest.mark.parametrize("epochs, n_examples, n_batches, t_forward, t_backward", [
+    (1, 1, 1, 1e308, 1e308),  # t_forward + t_backward overflows
+    (10**9, 16, 1, 1e300, 1.0),  # epochs x (t_forward + t_backward) overflows
+    (1, 16 * 10**10 - 15, 10**10, 1e300, 1.0),  # batches x (t_forward + t_backward) overflows
+    (1, 1, 1, 3e305, 2e305),  # T is finite, but p_t overflows on the way
 ])
-def test_priced_time_refuses_an_infinite_T_or_p_t(epochs, n_batches, t_forward, t_backward):
+def test_priced_time_refuses_an_infinite_T_or_p_t(epochs, n_examples, n_batches, t_forward, t_backward):
     cfg = replace(BASE, epochs=epochs, t_forward=t_forward, t_backward=t_backward)
     message = f"^t_forward and t_backward price {epochs} epoch\\(s\\) of {n_batches} batch"
     with pytest.raises(ValueError, match=message):
-        priced_time(cfg, n_batches)
+        priced_time(cfg, n_examples)
 
 
-@pytest.mark.parametrize("epochs, n_batches, t_forward, t_backward, expected", [
+@pytest.mark.parametrize("epochs, n_examples, t_forward, t_backward, expected", [
     (1, 1, 1.0, 2.0, 3.0),
-    (2, 50, 1.0, 2.0, 300.0),
-    (10**9, 10**6, 1.0, 3.0, 4e15),
+    (2, 785, 1.0, 2.0, 300.0),  # 50 batches of 16, the last of one example
+    (10**9, 16 * 10**6, 1.0, 3.0, 4e15),
     (1, 1, 1e305, 1e305, 2e305),  # the largest T here still has a finite p_t
 ])
-def test_priced_time_is_epochs_times_batches_times_both_passes(epochs, n_batches, t_forward, t_backward, expected):
+def test_priced_time_is_epochs_times_batches_times_both_passes(epochs, n_examples, t_forward, t_backward, expected):
     cfg = replace(BASE, epochs=epochs, t_forward=t_forward, t_backward=t_backward)
-    assert priced_time(cfg, n_batches) == expected
+    assert priced_time(cfg, n_examples) == expected
+
+
+@pytest.mark.parametrize("n_examples", [1, 7, 8, 9, 17])
+def test_priced_time_prices_the_batches_of_the_partition_a_run_cuts(n_examples):
+    cfg = replace(BASE, batch_size=8)
+    n_batches = len(build_epoch_batches(CORPUS[:n_examples], cfg))
+    assert priced_time(cfg, n_examples) == cfg.epochs * n_batches * (cfg.t_forward + cfg.t_backward)
 
 
 @pytest.mark.parametrize("epochs, batch_size, t_forward, t_backward", [
@@ -683,7 +715,7 @@ def test_priced_time_is_the_T_of_a_run_that_trains_every_batch(epochs, batch_siz
         BASE, mode="train-all", epochs=epochs, batch_size=batch_size, t_forward=t_forward, t_backward=t_backward
     )
     report = run(cfg, CORPUS[:200], EVAL)
-    assert report.total_time == pytest.approx(priced_time(cfg, report.batches_total // epochs), rel=1e-12)
+    assert report.total_time == pytest.approx(priced_time(cfg, 200), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_examples, batch_size", [
