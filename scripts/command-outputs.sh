@@ -98,8 +98,9 @@ lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --t-forward 1 --t-backward 3.4
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 2 --a-full 0.8 --report "$out/a-full.json" | keep_stdout a-full
 # a run read from a config file, with a flag over one of its values
 lg run "${data[@]}" --config "$inputs/fixed-threshold.cfg" --epochs 1 --report "$out/config-file.json" | keep_stdout config-file
-# the per-epoch accuracy curve
-lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" | keep_stdout epoch-curve
+# the per-epoch accuracy curve, with a trace whose stage and epoch columns cross two epoch boundaries
+lg run "${data[@]}" --n0 0.2 --alt 0.5 --epochs 3 --eval-every-epoch --report "$out/epoch-curve.json" \
+  --trace "$out/epoch-curve.csv" | keep_stdout epoch-curve
 # a predictor window that never fills, so the run never leaves stage 1
 lg run "${data[@]}" --n0 0.2 --alt 0.5 --mode three-stage --predictor-window 4611686018427387904 --epochs 2 \
   --report "$out/no-predictor.json" | keep_stdout no-predictor

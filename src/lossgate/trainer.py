@@ -214,11 +214,9 @@ class Trainer:
         self._t_all = priced_time(config, len(train))
         self._epoch_batches = build_epoch_batches(train, config)
         self._warmup_batches = math.ceil(config.n0_fraction * len(self._epoch_batches) - 1e-9)
-        self.stage = Stage.WARMUP
-        self.epoch_index = 0
         self.batches_seen = 0
-        self.backward_skipped = 0
         self.forward_skipped = 0
+        # where a staged run is: warmup before the first boundary, stage 2 from the second
         self.backward_filter_start: int | None = None
         self.full_filter_start: int | None = None
         # a run is staged iff it has a loss gate, and three-stage adds a predictor
@@ -241,10 +239,11 @@ class Trainer:
 
     # -- single-batch steps ------------------------------------------------
 
-    def _pass(self, batch: MiniBatch, learn=None, skip: bool = False, predictor_p1=None) -> None:
+    def _pass(self, batch: MiniBatch, learn=None, skip: bool = False, predictor_p1=None, stage=None) -> None:
         """Count the batch; unless ``skip``, forward it, label the loss against
         ``self.gate`` (none trains every batch), time ``learn(result, label)``
-        as overhead and backward iff the label is 1. Trace it iff ``record_trace``.
+        as overhead and backward iff the label is 1. Trace it iff ``record_trace``,
+        in ``stage`` (None in an unstaged mode).
         The loss is read, and so computed, only when a gate, a learner or the
         trace uses it, and before the learner's clock starts."""
         self.batches_seen += 1
@@ -266,11 +265,12 @@ class Trainer:
                 self.model.backward(fr)
                 decision = DECISION_FULL
             else:
-                self.backward_skipped += 1
                 decision = DECISION_FORWARD_ONLY
         if self.config.record_trace:
-            stage = None if self.threshold is None else int(self.stage)
-            self.traces.append(StepTrace(self.epoch_index, self.batches_seen - 1, stage, decision, loss, predictor_p1))
+            ordinal = self.batches_seen - 1
+            stage = None if stage is None else int(stage)  # before 3.11, str() of a Stage is Stage.WARMUP
+            epoch = ordinal // len(self._epoch_batches)
+            self.traces.append(StepTrace(epoch, ordinal, stage, decision, loss, predictor_p1))
 
     def _observe_loss(self, result: ForwardResult, label: int) -> None:
         self.threshold.observe(result.batch_loss)
@@ -287,14 +287,14 @@ class Trainer:
 
     def step_warmup(self, batch: MiniBatch) -> None:
         """Stage 0: always forward + backward, feeding the loss window."""
-        self._pass(batch, learn=self._observe_loss)
+        self._pass(batch, learn=self._observe_loss, stage=Stage.WARMUP)
 
     def step_backward_filter(self, batch: MiniBatch) -> None:
         """Stage 1: forward always; the gate decides backward and, when the
         predictor is on, labels it one training example (loss measured on the
         batch before the update)."""
         learn = None if self.predictor is None else self._score_and_update_predictor
-        self._pass(batch, learn)
+        self._pass(batch, learn, stage=Stage.BACKWARD_FILTER)
 
     def step_full_filter(self, batch: MiniBatch) -> None:
         """Stage 2: the predictor screens first; accepted batches run forward,
@@ -302,7 +302,7 @@ class Trainer:
         t0 = time.perf_counter()
         decision, mean_p1 = self.predictor.predict_batch(batch)
         self._overhead += time.perf_counter() - t0
-        self._pass(batch, self._update_predictor, decision == 0, mean_p1)
+        self._pass(batch, self._update_predictor, decision == 0, mean_p1, Stage.FULL_FILTER)
 
     # -- stage transitions ---------------------------------------------------
 
@@ -314,16 +314,14 @@ class Trainer:
         Stage 1 ends once the predictor-loss window is full with a mean
         below ``alt``.
         """
-        if self.stage == Stage.WARMUP:
+        if self.backward_filter_start is None:
             if self.batches_seen >= self._warmup_batches and self.threshold.window_full:
                 self.threshold.freeze()
                 self.gate = self.threshold.skip_boundary  # frozen, so read once
-                self.stage = Stage.BACKWARD_FILTER
                 self.backward_filter_start = self.batches_seen
-        elif self.stage == Stage.BACKWARD_FILTER and self.predictor is not None and not self.config.disable_predictor:
+        elif self.full_filter_start is None and self.predictor is not None and not self.config.disable_predictor:
             window = self.predictor_losses
             if len(window) == window.maxlen and sum(window) / window.maxlen < self.config.alt:
-                self.stage = Stage.FULL_FILTER
                 self.full_filter_start = self.batches_seen
 
     def _step(self, batch: MiniBatch) -> None:
@@ -332,9 +330,9 @@ class Trainer:
         elif self.threshold is None:
             self._pass(batch)  # train-all and fixed-threshold
         else:
-            if self.stage == Stage.WARMUP:
+            if self.backward_filter_start is None:
                 self.step_warmup(batch)
-            elif self.stage == Stage.BACKWARD_FILTER:
+            elif self.full_filter_start is None:
                 self.step_backward_filter(batch)
             else:
                 self.step_full_filter(batch)
@@ -348,8 +346,7 @@ class Trainer:
         cfg = self.config
         a_base = self.model.evaluate(self._eval_batch)
         epoch_accuracies: list[float] | None = [] if cfg.eval_every_epoch else None
-        for epoch in range(cfg.epochs):
-            self.epoch_index = epoch
+        for _ in range(cfg.epochs):
             for batch in self._epoch_batches:
                 self._step(batch)
             if epoch_accuracies is not None:
@@ -357,9 +354,8 @@ class Trainer:
         accuracy = self.model.evaluate(self._eval_batch)
 
         total = self.batches_seen
-        fractions = metrics.SkipFractions(
-            alpha_b=self.backward_skipped / total, alpha_fb=self.forward_skipped / total
-        )
+        backward_skipped = total - self.forward_skipped - self.model.step_count
+        fractions = metrics.SkipFractions(alpha_b=backward_skipped / total, alpha_fb=self.forward_skipped / total)
         timing = metrics.TimingModel(cfg.t_forward, cfg.t_backward)
         t_ours = metrics.total_time(fractions, timing, total)
         time_norm = metrics.t_norm(t_ours, self._t_all)
@@ -382,7 +378,7 @@ class Trainer:
             energy_kwh=kwh,
             co2e_lb=co2,
             batches_total=total,
-            backward_skipped=self.backward_skipped,
+            backward_skipped=backward_skipped,
             forward_skipped=self.forward_skipped,
             full_steps=self.model.step_count,
             stage_boundaries=boundaries,

@@ -39,7 +39,7 @@ PARAMETERS = {
     "NaiveBayesModel": (NaiveBayesModel, ["smoothing_alpha"]),
     "pack": (pack, ["buckets"]),
     "EnergyParams": (EnergyParams, ["p_cpu", "p_dram", "p_gpu", "gpu_count", "hours"]),
-    "Trainer._pass": (Trainer._pass, ["self", "batch", "learn", "skip", "predictor_p1"]),
+    "Trainer._pass": (Trainer._pass, ["self", "batch", "learn", "skip", "predictor_p1", "stage"]),
     # a batch's fields: what every consumer of a batch reads
     "MiniBatch": (MiniBatch, ["indices", "rows", "labels", "positions"]),
     # a forward's fields: the scores and no probability, which only a backward

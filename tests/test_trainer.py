@@ -511,10 +511,16 @@ def test_skip_fractions_recomputable_from_trace_file(tmp_path, mode):
     assert n_forward_only / len(rows) == pytest.approx(report.alpha_b, abs=1e-12)
     assert n_skipped / len(rows) == pytest.approx(report.alpha_fb, abs=1e-12)
     staged = mode in ("three-stage", "auto-threshold-only")
+    # a row's stage is the one the report's boundaries give its ordinal
+    starts = [report.stage_boundaries[k] for k in ("backward_filter_start", "full_filter_start")]
+    batches_per_epoch = report.batches_total // BASE.epochs
     for r in rows:
         # loss present exactly when a forward pass ran
         assert (r[4] == "") == (r[3] == DECISION_SKIPPED)
-        assert (r[2] == "") == (not staged)
+        batch = int(r[1])
+        stage = str(sum(start is not None and batch >= start for start in starts)) if staged else ""
+        assert r[2] == stage
+        assert int(r[0]) == batch // batches_per_epoch
 
 
 @pytest.mark.parametrize("mode", MODES)
